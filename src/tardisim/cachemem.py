@@ -16,15 +16,6 @@ MIN_LEASE = LEASE_VALUES[0]
 MAX_LEASE = LEASE_VALUES[-1]
 
 
-def encode_lease(lease: int) -> int:
-    """Lease value -> 2-bit code."""
-    return LEASE_VALUES.index(lease)
-
-
-def decode_lease(code: int) -> int:
-    return LEASE_VALUES[code]
-
-
 @dataclass(frozen=True)
 class ValueToken:
     """Identity of one dynamic store (or of pre-run memory contents)."""

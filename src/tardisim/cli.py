@@ -47,10 +47,6 @@ def _parse_kv(pairs) -> dict:
     return out
 
 
-def _apply_sets(cfg: SimConfig, sets: dict) -> SimConfig:
-    return with_overrides(cfg, [f"{k}={v}" for k, v in sets.items()])
-
-
 def resolve_program(spec: str, line_bytes: int = 64) -> Program:
     """`name`, `name:key=val,...`, or a path to a program file."""
     name, _, argstr = spec.partition(":")
@@ -71,19 +67,18 @@ def resolve_program(spec: str, line_bytes: int = 64) -> Program:
                      f"(builtins: {', '.join(BUILTIN_NAMES)}, synth)")
 
 
-def _config_from_args(args) -> SimConfig:
+def _config_from_args(args, preset_name: str | None = None) -> SimConfig:
     if getattr(args, "config", None):
         cfg = load_config(args.config)
     else:
-        cfg = preset(getattr(args, "preset", None) or "tardis-base")
+        cfg = preset(preset_name or getattr(args, "preset", None)
+                     or "tardis-base")
     sets = _parse_kv(getattr(args, "set", None) or [])
     if getattr(args, "model", None):
         sets.setdefault("model", args.model)
     if getattr(args, "seed", None) is not None:
-        sets.setdefault("seed", str(args.seed))
-    if sets:
-        cfg = _apply_sets(cfg, sets)
-    return cfg
+        sets.setdefault("seed", args.seed)
+    return with_overrides(cfg, sets)
 
 
 def _add_config_args(p, with_seed: bool = True) -> None:
@@ -167,7 +162,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for val in values:
         for seed in seeds:
-            cfg = _apply_sets(base, {args.param: val, "seed": str(seed)})
+            cfg = with_overrides(base, {args.param: val, "seed": seed})
             program = resolve_program(args.program,
                                       line_bytes=cfg.line_bytes)
             sim = Simulator(cfg, program)
@@ -192,12 +187,7 @@ def cmd_compare(args) -> int:
     names = args.presets.split(",")
     flats = []
     for name in names:
-        cfg = preset(name)
-        sets = _parse_kv(args.set or [])
-        if args.seed is not None:
-            sets.setdefault("seed", str(args.seed))
-        if sets:
-            cfg = _apply_sets(cfg, sets)
+        cfg = _config_from_args(args, preset_name=name)
         program = resolve_program(args.program, line_bytes=cfg.line_bytes)
         sim = Simulator(cfg, program)
         flats.append(sim.run().flat())

@@ -39,7 +39,6 @@ class SimConfig:
     llc_kb: int = 256
     llc_ways: int = 8
     line_bytes: int = 64
-    addr_lines: int = 4096
     dram_latency: int = 100
     hop_cycles: int = 2
     flit_bits: int = 128
@@ -140,14 +139,19 @@ def _coerce(key: str, raw: str):
         raise ConfigError(f"bad value for {key}: {raw!r}") from None
 
 
-def config_from_mapping(mapping: dict) -> SimConfig:
+def _checked(mapping: dict) -> dict:
+    """Reject unknown keys and coerce string values to their field type."""
     known = {f.name for f in fields(SimConfig)}
     kwargs = {}
     for key, val in mapping.items():
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-        kwargs[key] = _coerce(key, str(val)) if isinstance(val, str) else val
-    return SimConfig(**kwargs)
+        kwargs[key] = _coerce(key, val) if isinstance(val, str) else val
+    return kwargs
+
+
+def config_from_mapping(mapping: dict) -> SimConfig:
+    return SimConfig(**_checked(mapping))
 
 
 def load_config(path: str) -> SimConfig:
@@ -187,19 +191,6 @@ def preset(name: str, **overrides) -> SimConfig:
     return config_from_mapping(merged)
 
 
-def with_overrides(cfg: SimConfig, pairs: list[str]) -> SimConfig:
-    """Apply key=value override strings on top of an existing config."""
-    updates = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override {pair!r} is not key=value")
-        key, _, val = pair.partition("=")
-        updates[key.strip()] = val.strip()
-    known = {f.name for f in fields(SimConfig)}
-    coerced = {}
-    for key, val in updates.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-        coerced[key] = _coerce(key, val)
-    merged = replace(cfg, **coerced)
-    return merged
+def with_overrides(cfg: SimConfig, mapping: dict) -> SimConfig:
+    """Apply overrides, checked like a config file, on top of cfg."""
+    return replace(cfg, **_checked(mapping))

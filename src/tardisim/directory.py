@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .cachemem import CacheLine, LineState, LlcLine, SetAssocCache, ValueToken
 from .engine import BaseCore, StoreEntry
 from .messages import LLC, MEM, Msg, MsgKind
-from .workloads import MemOp, OpKind
+from .workloads import MemOp
 
 M, E, S = LineState.M, LineState.E, LineState.S
 HOME = -3   # pseudo-requester for capacity evictions
@@ -26,8 +26,6 @@ HOME = -3   # pseudo-requester for capacity evictions
 class DirectoryCore(BaseCore):
     def __init__(self, sim, cid, ops):
         super().__init__(sim, cid, ops)
-        cfg = sim.cfg
-        self.l1 = SetAssocCache(cfg.l1_kb, cfg.l1_ways, cfg.line_bytes)
         self.si_period = 10 ** 18   # logical clocks are unused here
 
     def _load(self, op: MemOp, step: int) -> None:
@@ -41,13 +39,7 @@ class DirectoryCore(BaseCore):
     def _drain_issue(self, entry: StoreEntry, step: int) -> None:
         line = self.l1.lookup(entry.addr)
         if line is not None and line.state in (M, E):
-            line.state = M
-            line.value = entry.token
-            line.dirty = True
-            self.sim.touch(entry.addr)
-            self.buffer.pop(0)
-            self.commit_memory(entry.idx, OpKind.STORE, entry.addr,
-                               entry.token, 0, step, 0)
+            self._commit_store(entry, line, 0, step, 0)
             return
         self.drain_inflight = True
         self.sim.send(Msg(MsgKind.GETM, entry.addr, self.cid, LLC))
@@ -62,19 +54,7 @@ class DirectoryCore(BaseCore):
                 addr=msg.addr, state=E if msg.excl else S, value=msg.value))
             self._finish_load(ctx["op"], ctx["idx"], line.value, 0, step, 0)
         elif kind is MsgKind.EXCL_RESP:
-            entry = self.buffer[0]
-            assert self.drain_inflight and entry.addr == msg.addr
-            self.drain_inflight = False
-            line = self.l1.lookup(msg.addr)
-            if line is None:
-                line = self._install(CacheLine(addr=msg.addr, state=M))
-            line.state = M
-            line.value = entry.token
-            line.dirty = True
-            self.sim.touch(msg.addr)
-            self.buffer.pop(0)
-            self.commit_memory(entry.idx, OpKind.STORE, msg.addr, entry.token,
-                               0, step, 0)
+            self._store_granted(msg, step)
         elif kind is MsgKind.INV:
             line = self.l1.lookup(msg.addr, touch=False)
             if line is not None:
@@ -109,22 +89,15 @@ class DirectoryCore(BaseCore):
         else:
             raise AssertionError(f"core got {kind}")
 
-    def _install(self, line: CacheLine) -> CacheLine:
-        l1 = self.l1
-        if not l1.has_room(line.addr):
-            locked = self.waiting["addr"] if self.waiting else None
-            victim = l1.lru_victim(line.addr, avoid=lambda l: l.addr == locked)
-            assert victim is not None, "every way locked"
-            l1.remove(victim.addr)
-            self.sim.touch(victim.addr)
-            if victim.state is S:
-                self.sim.send(Msg(MsgKind.PUTS, victim.addr, self.cid, LLC))
-            else:
-                self.sim.send(Msg(MsgKind.PUTM, victim.addr, self.cid, LLC,
-                                  data=victim.dirty, value=victim.value))
-        l1.insert(line)
-        self.sim.touch(line.addr)
-        return line
+    def _evicted(self, victim: CacheLine) -> None:
+        if victim.state is S:
+            self.sim.send(Msg(MsgKind.PUTS, victim.addr, self.cid, LLC))
+        else:
+            self.sim.send(Msg(MsgKind.PUTM, victim.addr, self.cid, LLC,
+                              data=victim.dirty, value=victim.value))
+
+    def _store_ts(self, line: CacheLine, floor: int) -> int:
+        return 0   # invalidation orders stores; lines carry no timestamps
 
     def state_key(self) -> tuple:
         lines = tuple(sorted(
@@ -396,14 +369,8 @@ class DirectoryLlc:
             for l in self.lines.lines()))
         busy = tuple(sorted(
             (a, t.kind, t.need, t.got, t.fwd_target, t.was_sharer,
-             _req_key(t.req)) for a, t in self.busy.items()))
+             t.req.key() if t.req else None) for a, t in self.busy.items()))
         waits = tuple(sorted(
-            (a, tuple(_req_key(m) for m in w.queue), w.fill_out,
+            (a, tuple(m.key() for m in w.queue), w.fill_out,
              w.parked_fill is not None) for a, w in self.waitq.items()))
         return (lines, busy, waits, tuple(sorted(self.evict_wait.items())))
-
-
-def _req_key(m) -> tuple:
-    if m is None:
-        return ()
-    return (m.kind.value, m.src)

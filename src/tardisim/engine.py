@@ -19,17 +19,15 @@ from __future__ import annotations
 import copy
 import heapq
 import json
-import logging
 import random
 from dataclasses import dataclass, field, replace
 
-from .cachemem import MainMemory, ValueToken
+from .cachemem import (CacheLine, LineState, MainMemory, SetAssocCache,
+                       ValueToken, initial_token)
 from .config import SimConfig
 from .consistency import CoreClock, MemoryModel
 from .messages import LLC, MEM, Msg, MsgKind, traffic_class
 from .workloads import MemOp, OpKind, Program
-
-log = logging.getLogger("tardisim")
 
 
 class SimulationError(RuntimeError):
@@ -154,19 +152,24 @@ class StoreEntry:
 
 
 class BaseCore:
-    """Program sequencing, store buffer and commit bookkeeping.
+    """Program sequencing, store buffer, private cache and commit
+    bookkeeping.
 
     Protocol subclasses provide _load (commit a load locally or send a
-    request and block), _drain_issue (retire the store buffer head) and
-    handle (process an incoming message).
+    request and block), _drain_issue (retire the store buffer head),
+    handle (process an incoming message), _evicted (tell the home about
+    an L1 victim) and _store_ts (the timestamp a granted store commits
+    at).
     """
 
     SPIN_PAUSE = 1
 
     def __init__(self, sim, cid: int, ops: list[MemOp]):
+        cfg = sim.cfg
         self.sim = sim
         self.cid = cid
         self.ops = ops
+        self.l1 = SetAssocCache(cfg.l1_kb, cfg.l1_ways, cfg.line_bytes)
         self.pc = 0
         self.regs: dict[str, int] = {}
         self.clock = CoreClock(sim.cfg.memory_model)
@@ -209,7 +212,7 @@ class BaseCore:
         self.try_drain(step)
         if self.committed_step == step or self.waiting is not None:
             return
-        if self.pc < len(self.ops):
+        if self.pc < len(self.ops) and self.can_issue():
             self.exec_op(step)
 
     def try_drain(self, step: int) -> None:
@@ -217,24 +220,30 @@ class BaseCore:
             return
         self._drain_issue(self.buffer[0], step)
 
-    def exec_op(self, step: int) -> None:
+    def can_issue(self) -> bool:
+        """Whether the store buffer lets the op at pc issue now."""
         if self.buffer_cap == 0 and self.buffer:
-            return  # unbuffered mode: a store in flight blocks everything
+            return False  # unbuffered mode: a store in flight blocks everything
+        k = self.ops[self.pc].kind
+        if k is OpKind.STORE:
+            return not (self.buffer_cap and len(self.buffer) >= self.buffer_cap)
+        if k in (OpKind.FENCE, OpKind.ACQUIRE, OpKind.RELEASE):
+            drains = not (self.clock.model is MemoryModel.RC
+                          and k is OpKind.ACQUIRE)
+            return not (drains and self.buffer)
+        return True
+
+    def exec_op(self, step: int) -> None:
+        """Issue the op at pc; the caller has checked can_issue()."""
         op = self.ops[self.pc]
         k = op.kind
         if k is OpKind.STORE:
-            if self.buffer_cap and len(self.buffer) >= self.buffer_cap:
-                return
             self.store_seq += 1
             tok = ValueToken(self.cid, self.store_seq, op.value)
             self.buffer.append(StoreEntry(self.pc, op.addr, tok))
             self.pc += 1
             return
         if k in (OpKind.FENCE, OpKind.ACQUIRE, OpKind.RELEASE):
-            model = self.clock.model
-            drains = not (model is MemoryModel.RC and k is OpKind.ACQUIRE)
-            if drains and self.buffer:
-                return
             ts = self._sync_commit(k)
             self.seq += 1
             self.sim.counters.fences += 1
@@ -312,6 +321,42 @@ class BaseCore:
             self.clock.fence()
         return row
 
+    def _commit_store(self, entry: StoreEntry, line: CacheLine, ts: int,
+                      step: int, pre_read_ts: int) -> None:
+        """Write the buffer head into its M line and retire it."""
+        line.state = LineState.M
+        line.value = entry.token
+        line.dirty = True
+        self.sim.touch(entry.addr)
+        self.buffer.pop(0)
+        self.commit_memory(entry.idx, OpKind.STORE, entry.addr, entry.token,
+                           ts, step, pre_read_ts)
+
+    def _store_granted(self, msg: Msg, step: int) -> None:
+        """EXCL_RESP: the home granted the buffer head's line in M."""
+        entry = self.buffer[0]
+        assert self.drain_inflight and entry.addr == msg.addr
+        self.drain_inflight = False
+        line = self.l1.lookup(msg.addr)
+        if line is None:
+            line = self._install(CacheLine(addr=msg.addr, state=LineState.M))
+        pre = self.clock.read_ts
+        ts = self._store_ts(line, msg.floor)
+        self._commit_store(entry, line, ts, step, pre)
+
+    def _install(self, line: CacheLine) -> CacheLine:
+        l1 = self.l1
+        if not l1.has_room(line.addr):
+            locked = self.waiting["addr"] if self.waiting else None
+            victim = l1.lru_victim(line.addr, avoid=lambda l: l.addr == locked)
+            assert victim is not None, "every way locked"
+            l1.remove(victim.addr)
+            self.sim.touch(victim.addr)
+            self._evicted(victim)
+        l1.insert(line)
+        self.sim.touch(line.addr)
+        return line
+
     # -- protocol hooks -------------------------------------------------
 
     def _load(self, op: MemOp, step: int) -> None:
@@ -321,6 +366,15 @@ class BaseCore:
         raise NotImplementedError
 
     def handle(self, msg: Msg, step: int) -> None:
+        raise NotImplementedError
+
+    def _evicted(self, victim: CacheLine) -> None:
+        """Notify the home that victim left the L1."""
+        raise NotImplementedError
+
+    def _store_ts(self, line: CacheLine, floor: int) -> int:
+        """Commit timestamp of a store to line, at or above floor; a
+        protocol that timestamps lines also stamps line with it."""
         raise NotImplementedError
 
     def state_key(self) -> tuple:
@@ -371,7 +425,7 @@ class Simulator:
         if auditor is not None:
             auditor.attach(self)
 
-    # -- fabric interface (also implemented by the enumerator) ----------
+    # -- fabric interface (the enumerator replaces send) ---------------
 
     def send(self, msg: Msg) -> None:
         cfg = self.cfg
@@ -487,8 +541,8 @@ class Simulator:
         return tuple(self.cores[cid].regs.get(reg, 0)
                      for cid, reg in self.program.registers())
 
+
 def _apply_warm(fabric) -> None:
-    from .cachemem import CacheLine, LineState, initial_token
     for warm in fabric.program.warm:
         tok = initial_token(warm.addr)
         fabric.mem.write(warm.addr, tok, warm.wts, warm.rts)
@@ -510,33 +564,22 @@ def run_program(cfg: SimConfig, program: Program, **kw):
 # exhaustive enumeration
 
 
-class _World:
-    """Fabric for enumeration: same component interface as Simulator but
-    messages sit in per-channel FIFOs until the search delivers them."""
+class _World(Simulator):
+    """Fabric for enumeration.  It differs from Simulator only in
+    delivery: messages sit in per-channel FIFOs until the search
+    delivers them, so there is no clock, schedule or trace."""
 
     def __init__(self, cfg: SimConfig, program: Program):
-        if program.n_cores != cfg.cores:
-            cfg = replace(cfg, cores=program.n_cores)
-        self.cfg = cfg
-        self.program = program
-        self.step = 0
-        self.mem = MainMemory()
-        self.ledger = TrafficLedger()
-        self.counters = Counters()
-        self.auditor = None
-        self.cores, self.llc = _build_parts(self, program)
         self.channels: dict[tuple, list] = {}
-        _apply_warm(self)
+        super().__init__(cfg, program)
+        self.rng = None   # the search picks every step; nothing to copy
 
     def send(self, msg: Msg) -> None:
         self.ledger.add(traffic_class(msg.kind), msg.flits(self.cfg.data_flits), 1)
         self.channels.setdefault((msg.src, msg.dst), []).append(msg)
 
     def trace_append(self, row: TraceOp) -> None:
-        pass
-
-    def touch(self, addr) -> None:
-        pass
+        pass   # outcomes come from registers; a trace would only grow copies
 
     def actions(self) -> list:
         acts = []
@@ -544,26 +587,12 @@ class _World:
             if q:
                 acts.append(("deliver", ch))
         for core in self.cores:
-            if core.done or core.waiting is not None:
-                pass
-            elif core.pc < len(core.ops) and self._op_enabled(core):
+            if (core.waiting is None and core.pc < len(core.ops)
+                    and core.can_issue()):
                 acts.append(("op", core.cid))
             if core.buffer and not core.drain_inflight:
                 acts.append(("drain", core.cid))
         return acts
-
-    def _op_enabled(self, core) -> bool:
-        if core.buffer_cap == 0 and core.buffer:
-            return False
-        op = core.ops[core.pc]
-        k = op.kind
-        if k is OpKind.STORE:
-            return len(core.buffer) < max(core.buffer_cap, 1)
-        if k in (OpKind.FENCE, OpKind.ACQUIRE, OpKind.RELEASE):
-            model = core.clock.model
-            drains = not (model is MemoryModel.RC and k is OpKind.ACQUIRE)
-            return not (drains and core.buffer)
-        return True
 
     def apply(self, action) -> None:
         self.step += 1
@@ -573,26 +602,14 @@ class _World:
             msg = q.pop(0)
             if not q:
                 del self.channels[arg]
-            if msg.dst == MEM:
-                line = self.mem.read(msg.addr)
-                if msg.kind is MsgKind.MEM_READ:
-                    self.send(Msg(MsgKind.MEM_DATA, msg.addr, MEM, LLC,
-                                  data=True, value=line.value, wts=line.wts,
-                                  rts=line.rts, lease=line.lease))
-                elif msg.kind is MsgKind.MEM_WRITE:
-                    self.mem.write(msg.addr, msg.value, msg.wts, msg.rts,
-                                   msg.lease)
-            elif msg.dst == LLC:
-                self.llc.handle(msg, self.step)
-            else:
-                self.cores[msg.dst].handle(msg, self.step)
+            self.route(msg)
         elif what == "op":
             core = self.cores[arg]
             # skip pure waits instantly: enumeration has no clock
             while (core.pc < len(core.ops)
                    and core.ops[core.pc].kind is OpKind.SLEEP):
                 core.pc += 1
-            if core.pc < len(core.ops):
+            if core.pc < len(core.ops) and core.can_issue():
                 core.exec_op(self.step)
             core.sleep_left = 0
         else:
@@ -604,25 +621,13 @@ class _World:
 
     def key(self) -> tuple:
         chans = tuple(
-            (ch, tuple(_msg_key(m) for m in q))
+            (ch, tuple(m.key() for m in q))
             for ch, q in sorted(self.channels.items()) if q)
         return (tuple(c.state_key() for c in self.cores),
                 self.llc.state_key(),
                 tuple(sorted((a, l.value.as_tuple(), l.wts, l.rts)
                              for a, l in self.mem.lines.items())),
                 chans)
-
-    def outcome(self) -> tuple:
-        return tuple(self.cores[cid].regs.get(reg, 0)
-                     for cid, reg in self.program.registers())
-
-
-def _msg_key(m: Msg) -> tuple:
-    return (m.kind.value, m.addr, m.src, m.dst, m.data,
-            m.value.as_tuple() if m.value else None,
-            m.wts, m.rts, m.req_ts, m.req_wts, m.req_lease, m.lease,
-            m.floor, m.excl, m.success, m.updated, m.downgrade,
-            m.extend_ts, m.requester, m.acks)
 
 
 ENUM_OP_LIMIT = 10

@@ -9,8 +9,9 @@ shared-eviction notices), or dram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum, auto
+from operator import attrgetter
 
 from .cachemem import MIN_LEASE, ValueToken
 
@@ -76,7 +77,6 @@ class Msg:
     addr: int
     src: int
     dst: int
-    req_id: int = 0
     data: bool = False              # carries a full line (drives flit size)
     value: ValueToken | None = None
     wts: int = 0
@@ -92,9 +92,16 @@ class Msg:
     downgrade: str = TO_S           # recall target state
     extend_ts: int | None = None    # recall: extend rts to extend_ts + lease
     requester: int = -3             # directory fwd: the core being served
-    acks: int = 0                   # directory: invalidations to wait for
     have_line: bool = False         # store request: upgrade of a shared copy
     recalled: bool = False          # set at the home while queued behind a recall
 
     def flits(self, data_flits: int) -> int:
         return 1 + (data_flits if self.data else 0)
+
+    def key(self) -> tuple:
+        """Identity of this message in an enumeration state: every field,
+        so two messages that could act differently never merge."""
+        return _all_fields(self)
+
+
+_all_fields = attrgetter(*(f.name for f in fields(Msg)))

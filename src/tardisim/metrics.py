@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .engine import TRAFFIC_CLASSES
 
@@ -33,26 +33,20 @@ class Report:
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "program", "protocol", "model", "cores", "seed", "steps",
-            "loads", "stores", "fences", "llc_accesses", "renew_requests",
-            "renew_ok", "renew_fail", "checks_sent", "renew_rate",
-            "ts_per_core", "ts_max", "ts_increase_rate", "traffic",
-            "outcome", "config")}
-        return d
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def flat(self) -> dict:
-        """Scalar view for CSV output."""
-        d = {k: getattr(self, k) for k in (
-            "program", "protocol", "model", "cores", "seed", "steps",
-            "loads", "stores", "fences", "llc_accesses", "renew_requests",
-            "renew_ok", "renew_fail", "checks_sent")}
-        d["renew_rate"] = round(self.renew_rate, 6)
-        d["ts_max"] = self.ts_max
-        d["ts_increase_rate"] = round(self.ts_increase_rate, 6)
+        """Scalar view for CSV output: the scalar fields in declaration
+        order, then traffic per class."""
+        d = {}
+        for k, v in self.to_dict().items():
+            if isinstance(v, float):
+                d[k] = round(v, 6)
+            elif not isinstance(v, (list, dict)):
+                d[k] = v
         for cls in TRAFFIC_CLASSES:
             t = self.traffic[cls]
             d[f"flits_{cls}"] = t["flits"]

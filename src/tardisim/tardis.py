@@ -23,7 +23,7 @@ from .engine import BaseCore, StoreEntry
 from .leasepred import READ, RENEW, WRITE, predict
 from .livelock import LivelockDetector
 from .messages import LLC, MEM, Msg, MsgKind, TO_I, TO_S
-from .workloads import MemOp, OpKind
+from .workloads import MemOp
 
 M, E, S = LineState.M, LineState.E, LineState.S
 
@@ -32,7 +32,6 @@ class TardisCore(BaseCore):
     def __init__(self, sim, cid, ops):
         super().__init__(sim, cid, ops)
         cfg = sim.cfg
-        self.l1 = SetAssocCache(cfg.l1_kb, cfg.l1_ways, cfg.line_bytes)
         if cfg.livelock_detector:
             self.detector = LivelockDetector(
                 entries=cfg.ahb_entries, min_count=cfg.thresh_min,
@@ -90,26 +89,14 @@ class TardisCore(BaseCore):
             ts = clock.commit_store(line.wts)
             line.wts = ts
             line.rts = max(line.rts, ts)
-            line.value = entry.token
-            line.dirty = True
-            self.sim.touch(addr)
-            self.buffer.pop(0)
-            self.commit_memory(entry.idx, OpKind.STORE, addr, entry.token,
-                               ts, step, pre)
+            self._commit_store(entry, line, ts, step, pre)
             return
         if line is not None and line.state is E:
             # silent upgrade; the new version starts past the windows the
             # home could have promised before handing the line over
             pre = clock.read_ts
-            ts = clock.commit_store(line.rts + 1)
-            line.state = M
-            line.wts = line.rts = ts
-            line.value = entry.token
-            line.dirty = True
-            self.sim.touch(addr)
-            self.buffer.pop(0)
-            self.commit_memory(entry.idx, OpKind.STORE, addr, entry.token,
-                               ts, step, pre)
+            ts = self._store_ts(line, line.rts + 1)
+            self._commit_store(entry, line, ts, step, pre)
             return
         self.drain_inflight = True
         self.sim.send(Msg(MsgKind.STORE_REQ, addr, self.cid, LLC,
@@ -152,22 +139,7 @@ class TardisCore(BaseCore):
             ts = self.clock.commit_load(line.wts)
             self._finish_load(ctx["op"], ctx["idx"], line.value, ts, step, pre)
         elif kind is MsgKind.EXCL_RESP:
-            entry = self.buffer[0]
-            assert self.drain_inflight and entry.addr == msg.addr
-            self.drain_inflight = False
-            pre = self.clock.read_ts
-            ts = self.clock.commit_store(msg.floor)
-            line = self.l1.lookup(msg.addr)
-            if line is None:
-                line = self._install(CacheLine(addr=msg.addr, state=M))
-            line.state = M
-            line.wts = line.rts = ts
-            line.value = entry.token
-            line.dirty = True
-            self.sim.touch(msg.addr)
-            self.buffer.pop(0)
-            self.commit_memory(entry.idx, OpKind.STORE, msg.addr, entry.token,
-                               ts, step, pre)
+            self._store_granted(msg, step)
         elif kind is MsgKind.CHECK_RESP:
             self.check_out.discard(msg.addr)
             if self.detector is not None:
@@ -206,24 +178,19 @@ class TardisCore(BaseCore):
                           data=was_dirty, value=line.value,
                           wts=line.wts, rts=line.rts))
 
-    # -- cache insertion ---------------------------------------------------
+    # -- BaseCore hooks ----------------------------------------------------
 
-    def _install(self, line: CacheLine) -> CacheLine:
-        l1 = self.l1
-        if not l1.has_room(line.addr):
-            locked = self.waiting["addr"] if self.waiting else None
-            victim = l1.lru_victim(line.addr, avoid=lambda l: l.addr == locked)
-            assert victim is not None, "every way locked"
-            l1.remove(victim.addr)
-            self.sim.touch(victim.addr)
-            if victim.state in (M, E):
-                self.sim.send(Msg(MsgKind.WRITEBACK, victim.addr, self.cid,
-                                  LLC, data=True, value=victim.value,
-                                  wts=victim.wts, rts=victim.rts))
-            # shared victims just vanish; their lease expires on its own
-        l1.insert(line)
-        self.sim.touch(line.addr)
-        return line
+    def _evicted(self, victim: CacheLine) -> None:
+        if victim.state in (M, E):
+            self.sim.send(Msg(MsgKind.WRITEBACK, victim.addr, self.cid,
+                              LLC, data=True, value=victim.value,
+                              wts=victim.wts, rts=victim.rts))
+        # shared victims just vanish; their lease expires on its own
+
+    def _store_ts(self, line: CacheLine, floor: int) -> int:
+        ts = self.clock.commit_store(floor)
+        line.wts = line.rts = ts
+        return ts
 
     def state_key(self) -> tuple:
         lines = tuple(sorted(
@@ -250,7 +217,8 @@ class TardisLlc:
         cfg = sim.cfg
         self.lines = SetAssocCache(cfg.llc_kb, cfg.llc_ways, cfg.line_bytes)
         self.pending: dict[int, _Pending] = {}
-        self.evict_wait: dict[int, int] = {}   # victim addr -> fill addr
+        # victim addr -> (fill addr, owner the victim is recalled from)
+        self.evict_wait: dict[int, tuple[int, int]] = {}
 
     def warm_install(self, addr: int, value: ValueToken, wts: int,
                      rts: int, sharers=()) -> None:
@@ -484,12 +452,7 @@ class TardisLlc:
             (l.addr, l.wts, l.rts, l.value.as_tuple(), l.owner, l.e_bit,
              l.cur_lease) for l in self.lines.lines()))
         pend = tuple(sorted(
-            (a, tuple(_req_key(m) for m in p.queue), p.recall_out,
+            (a, tuple(m.key() for m in p.queue), p.recall_out,
              p.recall_target, p.fill_out, p.parked_fill is not None)
             for a, p in self.pending.items()))
         return (lines, pend, tuple(sorted(self.evict_wait.items())))
-
-
-def _req_key(m: Msg) -> tuple:
-    return (m.kind.value, m.src, m.req_ts, m.req_wts, m.req_lease,
-            m.have_line, m.recalled)

@@ -34,10 +34,6 @@ class OpKind(Enum):
     SPIN = auto()
 
 
-MEM_KINDS = (OpKind.LOAD, OpKind.STORE, OpKind.SPIN)
-SYNC_KINDS = (OpKind.FENCE, OpKind.ACQUIRE, OpKind.RELEASE)
-
-
 @dataclass(frozen=True)
 class MemOp:
     kind: OpKind
@@ -45,18 +41,6 @@ class MemOp:
     reg: str | None = None
     value: int = 1        # store literal / spin target
     n: int = 0            # sleep duration
-
-    def brief(self) -> str:
-        k = self.kind
-        if k is OpKind.STORE:
-            return f"St {self.addr} {self.value}"
-        if k is OpKind.LOAD:
-            return f"Ld {self.addr}" + (f" -> {self.reg}" if self.reg else "")
-        if k is OpKind.SPIN:
-            return f"SpinUntil {self.addr} == {self.value}"
-        if k is OpKind.SLEEP:
-            return f"Sleep {self.n}"
-        return k.name.title()
 
 
 @dataclass
@@ -186,13 +170,9 @@ def load_program(path: str, line_bytes: int = 64) -> Program:
 # builtin programs
 
 
-def _two_addr(line_bytes: int):
-    return 0, line_bytes
-
-
 def builtin(name: str, line_bytes: int = 64, **params) -> Program:
     """Builtin programs by name; see BUILTIN_NAMES."""
-    a, b = _two_addr(line_bytes)
+    a, b = 0, line_bytes
     c = 2 * line_bytes
     d = 3 * line_bytes
     names = {a: "A", b: "B", c: "C", d: "D"}

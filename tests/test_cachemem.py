@@ -1,17 +1,13 @@
-"""Cache containers, value tokens, lease encoding."""
+"""Cache containers, value tokens, lease values."""
 
 import pytest
 
 from tardisim.cachemem import (CacheLine, LEASE_VALUES, LineState, MainMemory,
-                               SetAssocCache, ValueToken, decode_lease,
-                               encode_lease, initial_token)
+                               SetAssocCache, ValueToken, initial_token)
 
 
 def test_lease_codes_round_trip():
     assert LEASE_VALUES == (8, 16, 32, 64)
-    for lease in LEASE_VALUES:
-        assert decode_lease(encode_lease(lease)) == lease
-    assert encode_lease(64) == 3
 
 
 def test_value_tokens_distinguish_writers():

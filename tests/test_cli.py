@@ -7,6 +7,9 @@ import subprocess
 import sys
 
 from tardisim.cli import main
+from tardisim.config import preset
+from tardisim.engine import Simulator
+from tardisim.workloads import builtin
 
 
 def test_run_prints_report_json(capsys):
@@ -111,6 +114,24 @@ def test_compare_prints_table(capsys):
     out = capsys.readouterr().out
     assert "tardis-base" in out and "directory" in out
     assert "flits_total" in out
+
+
+def test_compare_set_applies_to_every_preset(capsys):
+    # static_lease alone leaves mp's metrics as they are; dram_latency
+    # shows in the step counts, so a dropped --set cannot pass
+    assert main(["compare", "--presets", "tardis-base,directory",
+                 "--program", "mp", "--seed", "3",
+                 "--set", "static_lease=32", "--set", "dram_latency=40"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    names = header.split()[1:]
+    assert names == ["tardis-base", "directory"]
+    table = {cells[0]: cells[1:] for cells in map(str.split, lines)}
+    for col, name in enumerate(names):
+        cfg = preset(name, static_lease=32, dram_latency=40, seed=3)
+        flat = Simulator(cfg, builtin("mp")).run().flat()
+        want = {k: str(v) for k, v in flat.items()
+                if k not in ("program", "seed")}
+        assert {k: cells[col] for k, cells in table.items()} == want
 
 
 def test_sim_log_env_enables_logging(tmp_path):
