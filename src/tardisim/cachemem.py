@@ -105,9 +105,6 @@ class SetAssocCache:
             line.lru = self._tick
         return line
 
-    def set_lines(self, addr: int) -> list:
-        return list(self.sets[self.set_index(addr)].values())
-
     def has_room(self, addr: int) -> bool:
         return len(self.sets[self.set_index(addr)]) < self.ways
 
@@ -136,9 +133,6 @@ class SetAssocCache:
     def lines(self):
         for s in self.sets:
             yield from s.values()
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self.sets)
 
 
 @dataclass

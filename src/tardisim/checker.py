@@ -147,12 +147,7 @@ def check_trace(trace, model) -> list[Violation]:
     # conflicting writes may not share a physiological instant (a tied
     # load is resolved by the value it returns; two tied stores have no
     # defensible serialization)
-    by_addr: dict[int, list] = {}
-    for row in rows:
-        if row.kind is OpKind.STORE:
-            by_addr.setdefault(row.addr, []).append(row)
-    for addr, group in by_addr.items():
-        group.sort(key=lambda r: (r.ts, r.step))
+    for addr, group in stores_by_addr.items():
         for _, tied in groupby(group, key=lambda r: (r.ts, r.step)):
             tied = list(tied)
             if len(tied) >= 2 and len({r.core for r in tied}) >= 2:

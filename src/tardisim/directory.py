@@ -12,11 +12,11 @@ checker treats them as sequentially consistent executions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .cachemem import CacheLine, LineState, LlcLine, SetAssocCache, ValueToken
-from .engine import BaseCore, StoreEntry
-from .messages import LLC, MEM, Msg, MsgKind
+from .cachemem import CacheLine, LineState, LlcLine, ValueToken
+from .engine import BaseCore, BaseLlc, HomeWait, StoreEntry
+from .messages import LLC, Msg, MsgKind
 from .workloads import MemOp
 
 M, E, S = LineState.M, LineState.E, LineState.S
@@ -119,21 +119,10 @@ class _Txn:
     was_sharer: bool = False
 
 
-@dataclass
-class _Wait:
-    queue: list = field(default_factory=list)
-    fill_out: bool = False
-    parked_fill: Msg | None = None
-
-
-class DirectoryLlc:
+class DirectoryLlc(BaseLlc):
     def __init__(self, sim):
-        self.sim = sim
-        cfg = sim.cfg
-        self.lines = SetAssocCache(cfg.llc_kb, cfg.llc_ways, cfg.line_bytes)
+        super().__init__(sim)
         self.busy: dict[int, _Txn] = {}
-        self.waitq: dict[int, _Wait] = {}
-        self.evict_wait: dict[int, int] = {}   # victim addr -> fill addr
 
     def warm_install(self, addr: int, value: ValueToken, wts: int,
                      rts: int, sharers=()) -> None:
@@ -147,7 +136,7 @@ class DirectoryLlc:
         if kind in (MsgKind.GETS, MsgKind.GETM):
             self.sim.counters.llc_accesses += 1
             if msg.addr in self.busy or msg.addr in self.waitq:
-                self.waitq.setdefault(msg.addr, _Wait()).queue.append(msg)
+                self.waitq.setdefault(msg.addr, HomeWait()).queue.append(msg)
             else:
                 self._admit(msg)
         elif kind is MsgKind.INV_ACK:
@@ -192,11 +181,7 @@ class DirectoryLlc:
     def _admit(self, msg: Msg) -> None:
         line = self.lines.lookup(msg.addr)
         if line is None:
-            w = self.waitq.setdefault(msg.addr, _Wait())
-            w.queue.append(msg)
-            if not w.fill_out:
-                w.fill_out = True
-                self.sim.send(Msg(MsgKind.MEM_READ, msg.addr, LLC, MEM))
+            self._start_fill(msg)
             return
         if msg.kind is MsgKind.GETS:
             self._gets(msg, line)
@@ -304,64 +289,28 @@ class DirectoryLlc:
 
     # -- capacity -----------------------------------------------------------
 
-    def _fill(self, msg: Msg) -> None:
-        addr = msg.addr
-        w = self.waitq.get(addr)
-        assert w is not None and w.fill_out
-        w.fill_out = False
-        if self.lines.has_room(addr):
-            self._install_fill(msg)
-            self._drain(addr)
-            return
-        tied = set(self.busy) | set(self.waitq) | set(self.evict_wait)
+    def _clean(self, line: LlcLine) -> bool:
+        return line.owner is None and not line.sharers
+
+    def _tied(self) -> set:
+        return super()._tied() | set(self.busy)
+
+    def _reclaim(self, fill_addr: int, tied: set) -> LlcLine | None:
         victim = self.lines.lru_victim(
-            addr, avoid=lambda l: l.addr in tied or l.owner is not None
-            or bool(l.sharers))
-        if victim is not None:
-            self._evict_clean(victim)
-            self._install_fill(msg)
-            self._drain(addr)
-            return
-        w.parked_fill = msg
-        victim = self.lines.lru_victim(
-            addr, avoid=lambda l: l.addr in tied or l.owner is not None)
+            fill_addr, avoid=lambda l: l.addr in tied or l.owner is not None)
         if victim is not None:
             self.busy[victim.addr] = _Txn("evict_inv",
                                           need=len(victim.sharers))
-            self.evict_wait[victim.addr] = addr
             for s in sorted(victim.sharers):
                 self.sim.send(Msg(MsgKind.INV, victim.addr, LLC, s))
-            return
-        victim = self.lines.lru_victim(addr, avoid=lambda l: l.addr in tied)
-        assert victim is not None, "home set wedged on busy lines"
-        self.busy[victim.addr] = _Txn("evict_fwd", fwd_target=victim.owner)
-        self.evict_wait[victim.addr] = addr
-        self.sim.send(Msg(MsgKind.FWD_GETM, victim.addr, LLC, victim.owner,
-                          requester=HOME))
-
-    def _evict_clean(self, victim: LlcLine) -> None:
-        self.lines.remove(victim.addr)
-        self.sim.touch(victim.addr)
-        self.sim.send(Msg(MsgKind.MEM_WRITE, victim.addr, LLC, MEM, data=True,
-                          value=victim.value))
-
-    def _finish_eviction(self, victim_addr: int) -> None:
-        fill_addr = self.evict_wait.pop(victim_addr)
-        victim = self.lines.lookup(victim_addr, touch=False)
-        self._evict_clean(victim)
-        w = self.waitq[fill_addr]
-        msg, w.parked_fill = w.parked_fill, None
-        self._install_fill(msg)
-        self._drain(fill_addr)
-        leftover = self.waitq.get(victim_addr)
-        if leftover is not None and leftover.queue and not leftover.fill_out:
-            leftover.fill_out = True
-            self.sim.send(Msg(MsgKind.MEM_READ, victim_addr, LLC, MEM))
-
-    def _install_fill(self, msg: Msg) -> None:
-        self.lines.insert(LlcLine(addr=msg.addr, wts=0, rts=0,
-                                  value=msg.value))
-        self.sim.touch(msg.addr)
+            return victim
+        victim = self.lines.lru_victim(fill_addr,
+                                       avoid=lambda l: l.addr in tied)
+        if victim is not None:
+            self.busy[victim.addr] = _Txn("evict_fwd", fwd_target=victim.owner)
+            self.sim.send(Msg(MsgKind.FWD_GETM, victim.addr, LLC,
+                              victim.owner, requester=HOME))
+        return victim
 
     def state_key(self) -> tuple:
         lines = tuple(sorted(

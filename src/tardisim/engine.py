@@ -22,8 +22,8 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 
-from .cachemem import (CacheLine, LineState, MainMemory, SetAssocCache,
-                       ValueToken, initial_token)
+from .cachemem import (CacheLine, LineState, LlcLine, MainMemory,
+                       SetAssocCache, ValueToken, initial_token)
 from .config import SimConfig
 from .consistency import CoreClock, MemoryModel
 from .messages import LLC, MEM, Msg, MsgKind, traffic_class
@@ -64,10 +64,6 @@ class TraceOp:
     step: int
     seq: int                 # per-core commit sequence, tie-break key
     fwd: bool = False        # load served from the store buffer
-
-    @property
-    def is_mem(self) -> bool:
-        return self.kind in (OpKind.LOAD, OpKind.STORE, OpKind.SPIN)
 
     def physio_key(self) -> tuple:
         return (self.ts, self.step, self.core, self.seq)
@@ -136,7 +132,7 @@ class Counters:
     renew_ok: int = 0
     renew_fail: int = 0
     checks_sent: int = 0
-    renew_events: list = field(default_factory=list)  # (core, addr, ok, op_idx)
+    renew_events: list = field(default_factory=list)  # (core, addr, op_idx, ok)
     record_renewals: bool = False
 
 
@@ -385,6 +381,111 @@ class BaseCore:
                 self.drain_inflight,
                 self.waiting["idx"] if self.waiting else None,
                 self.sleep_left, self.store_seq)
+
+
+# ---------------------------------------------------------------------------
+# protocol-agnostic home node: fills and capacity
+
+
+@dataclass
+class HomeWait:
+    """What the home holds for one line: requests queued behind a fill or
+    a transaction, whether a DRAM read is out, and a fill parked until an
+    eviction frees a way."""
+
+    queue: list = field(default_factory=list)
+    fill_out: bool = False
+    parked_fill: Msg | None = None   # MEM_DATA waiting for an eviction
+
+
+class BaseLlc:
+    """The shared-cache array, DRAM fills and capacity eviction.
+
+    A fill takes a free way, else the LRU clean line, else it parks while
+    the home takes a line back from the cores; the victim's return
+    (_finish_eviction) installs it.  Protocol subclasses provide handle,
+    _clean (the line may leave without asking any core), _reclaim (start
+    taking a victim back, or None if every way is tied up) and _drain
+    (replay a line's queued requests).
+    """
+
+    Wait = HomeWait   # the per-line record; a protocol may extend it
+
+    def __init__(self, sim):
+        self.sim = sim
+        cfg = sim.cfg
+        self.lines = SetAssocCache(cfg.llc_kb, cfg.llc_ways, cfg.line_bytes)
+        self.waitq: dict[int, HomeWait] = {}
+        self.evict_wait: dict[int, int] = {}   # victim addr -> fill addr
+
+    def _start_fill(self, msg: Msg) -> None:
+        wait = self.waitq.setdefault(msg.addr, self.Wait())
+        wait.queue.append(msg)
+        if not wait.fill_out:
+            wait.fill_out = True
+            self.sim.send(Msg(MsgKind.MEM_READ, msg.addr, LLC, MEM))
+
+    def _tied(self) -> set:
+        """Lines a fill may not displace."""
+        return set(self.waitq) | set(self.evict_wait)
+
+    def _fill(self, msg: Msg) -> None:
+        addr = msg.addr
+        wait = self.waitq.get(addr)
+        assert wait is not None and wait.fill_out
+        wait.fill_out = False
+        if not self.lines.has_room(addr):
+            tied = self._tied()
+            victim = self.lines.lru_victim(
+                addr, avoid=lambda l: l.addr in tied or not self._clean(l))
+            if victim is None:
+                # every candidate is held by a core: take one back and
+                # park the fill until it is home
+                victim = self._reclaim(addr, tied)
+                assert victim is not None, "home set wedged on busy lines"
+                wait.parked_fill = msg
+                self.evict_wait[victim.addr] = addr
+                return
+            self._evict(victim)
+        self._install_fill(msg)
+        self._drain(addr)
+
+    def _finish_eviction(self, victim_addr: int) -> None:
+        fill_addr = self.evict_wait.pop(victim_addr)
+        self._evict(self.lines.lookup(victim_addr, touch=False))
+        wait = self.waitq[fill_addr]
+        msg, wait.parked_fill = wait.parked_fill, None
+        self._install_fill(msg)
+        self._drain(fill_addr)
+        # demand traffic may have queued on the victim while it was going
+        leftover = self.waitq.get(victim_addr)
+        if leftover is not None and leftover.queue and not leftover.fill_out:
+            leftover.fill_out = True
+            self.sim.send(Msg(MsgKind.MEM_READ, victim_addr, LLC, MEM))
+
+    def _evict(self, victim: LlcLine) -> None:
+        self.lines.remove(victim.addr)
+        self.sim.touch(victim.addr)
+        self.sim.send(Msg(MsgKind.MEM_WRITE, victim.addr, LLC, MEM, data=True,
+                          value=victim.value, wts=victim.wts, rts=victim.rts,
+                          lease=victim.cur_lease))
+
+    def _install_fill(self, msg: Msg) -> None:
+        self.lines.insert(LlcLine(addr=msg.addr, wts=msg.wts, rts=msg.rts,
+                                  value=msg.value, e_bit=True,
+                                  cur_lease=msg.lease))
+        self.sim.touch(msg.addr)
+
+    # -- protocol hooks -------------------------------------------------
+
+    def _clean(self, line: LlcLine) -> bool:
+        raise NotImplementedError
+
+    def _reclaim(self, fill_addr: int, tied: set) -> LlcLine | None:
+        raise NotImplementedError
+
+    def _drain(self, addr: int) -> None:
+        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------

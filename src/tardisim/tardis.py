@@ -15,14 +15,13 @@ rts and answers with a control message instead of a data transfer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .cachemem import (CacheLine, LineState, LlcLine, MIN_LEASE,
-                       SetAssocCache, ValueToken)
-from .engine import BaseCore, StoreEntry
+from .cachemem import CacheLine, LineState, LlcLine, MIN_LEASE, ValueToken
+from .engine import BaseCore, BaseLlc, HomeWait, StoreEntry
 from .leasepred import READ, RENEW, WRITE, predict
 from .livelock import LivelockDetector
-from .messages import LLC, MEM, Msg, MsgKind, TO_I, TO_S
+from .messages import LLC, Msg, MsgKind, TO_I, TO_S
 from .workloads import MemOp
 
 M, E, S = LineState.M, LineState.E, LineState.S
@@ -203,22 +202,13 @@ class TardisCore(BaseCore):
 
 
 @dataclass
-class _Pending:
-    queue: list = field(default_factory=list)
+class _Pending(HomeWait):
     recall_out: bool = False
     recall_target: int | None = None
-    fill_out: bool = False
-    parked_fill: Msg | None = None   # MEM_DATA waiting for an eviction
 
 
-class TardisLlc:
-    def __init__(self, sim):
-        self.sim = sim
-        cfg = sim.cfg
-        self.lines = SetAssocCache(cfg.llc_kb, cfg.llc_ways, cfg.line_bytes)
-        self.pending: dict[int, _Pending] = {}
-        # victim addr -> (fill addr, owner the victim is recalled from)
-        self.evict_wait: dict[int, tuple[int, int]] = {}
+class TardisLlc(BaseLlc):
+    Wait = _Pending
 
     def warm_install(self, addr: int, value: ValueToken, wts: int,
                      rts: int, sharers=()) -> None:
@@ -234,7 +224,7 @@ class TardisLlc:
             self._fill(msg)
         else:
             self.sim.counters.llc_accesses += 1
-            pend = self.pending.get(msg.addr)
+            pend = self.waitq.get(msg.addr)
             if pend is not None:
                 msg.recalled = pend.recall_out
                 pend.queue.append(msg)
@@ -243,7 +233,7 @@ class TardisLlc:
             if line is None:
                 self._start_fill(msg)
             elif line.owner is not None:
-                pend = self.pending.setdefault(msg.addr, _Pending())
+                pend = self.waitq.setdefault(msg.addr, _Pending())
                 msg.recalled = True
                 pend.queue.append(msg)
                 if msg.addr not in self.evict_wait:
@@ -343,15 +333,15 @@ class TardisLlc:
         line = self.lines.lookup(addr, touch=False)
         if line is None:
             return  # answer for a line the home has already evicted
-        pend = self.pending.get(addr)
+        pend = self.waitq.get(addr)
         if msg.kind is MsgKind.WRITEBACK:
             if line.owner != msg.src:
                 return  # eviction notice from a previous owner
         else:
             wanted = pend is not None and pend.recall_out \
                 and pend.recall_target == msg.src
-            evicting = addr in self.evict_wait \
-                and self.evict_wait[addr][1] == msg.src
+            # a line being evicted keeps its owner until it is home
+            evicting = addr in self.evict_wait and line.owner == msg.src
             if not (wanted or evicting):
                 return  # a writeback already settled this recall
         if msg.data:
@@ -367,10 +357,10 @@ class TardisLlc:
         if addr in self.evict_wait:
             self._finish_eviction(addr)
         else:
-            self._drain_pending(addr)
+            self._drain(addr)
 
-    def _drain_pending(self, addr: int) -> None:
-        pend = self.pending.get(addr)
+    def _drain(self, addr: int) -> None:
+        pend = self.waitq.get(addr)
         if pend is None:
             return
         if pend.fill_out or pend.parked_fill is not None or pend.recall_out:
@@ -382,70 +372,20 @@ class TardisLlc:
                 self._send_recall(line, pend.queue[0], pend)
                 return
             self._serve(pend.queue.pop(0), line)
-        del self.pending[addr]
+        del self.waitq[addr]
 
-    # -- misses and capacity --------------------------------------------------
+    # -- capacity ------------------------------------------------------------
 
-    def _start_fill(self, msg: Msg) -> None:
-        pend = self.pending.setdefault(msg.addr, _Pending())
-        pend.queue.append(msg)
-        if not pend.fill_out:
-            pend.fill_out = True
-            self.sim.send(Msg(MsgKind.MEM_READ, msg.addr, LLC, MEM))
+    def _clean(self, line: LlcLine) -> bool:
+        return line.owner is None
 
-    def _fill(self, msg: Msg) -> None:
-        addr = msg.addr
-        pend = self.pending.get(addr)
-        assert pend is not None and pend.fill_out
-        pend.fill_out = False
-        if self.lines.has_room(addr):
-            self._install_fill(msg)
-            self._drain_pending(addr)
-            return
-        busy = set(self.pending) | set(self.evict_wait)
-        victim = self.lines.lru_victim(addr, avoid=lambda l: l.addr in busy
-                                       or l.owner is not None)
+    def _reclaim(self, fill_addr: int, tied: set) -> LlcLine | None:
+        victim = self.lines.lru_victim(fill_addr,
+                                       avoid=lambda l: l.addr in tied)
         if victim is not None:
-            self._evict(victim)
-            self._install_fill(msg)
-            self._drain_pending(addr)
-            return
-        # every candidate is owned: recall one and park the fill
-        victim = self.lines.lru_victim(addr, avoid=lambda l: l.addr in busy)
-        assert victim is not None, "llc set wedged on busy lines"
-        pend.parked_fill = msg
-        self.evict_wait[victim.addr] = (addr, victim.owner)
-        self.sim.send(Msg(MsgKind.RECALL, victim.addr, LLC, victim.owner,
-                          downgrade=TO_I, extend_ts=None))
-
-    def _finish_eviction(self, victim_addr: int) -> None:
-        fill_addr, _ = self.evict_wait.pop(victim_addr)
-        victim = self.lines.lookup(victim_addr, touch=False)
-        self._evict(victim)
-        pend = self.pending[fill_addr]
-        msg, pend.parked_fill = pend.parked_fill, None
-        self._install_fill(msg)
-        self._drain_pending(fill_addr)
-        # demand traffic may have queued on the victim while it was going
-        leftover = self.pending.get(victim_addr)
-        if leftover is not None and leftover.queue and not leftover.fill_out:
-            leftover.recall_out = False
-            leftover.recall_target = None
-            leftover.fill_out = True
-            self.sim.send(Msg(MsgKind.MEM_READ, victim_addr, LLC, MEM))
-
-    def _evict(self, victim: LlcLine) -> None:
-        self.lines.remove(victim.addr)
-        self.sim.touch(victim.addr)
-        self.sim.send(Msg(MsgKind.MEM_WRITE, victim.addr, LLC, MEM, data=True,
-                          value=victim.value, wts=victim.wts, rts=victim.rts,
-                          lease=victim.cur_lease))
-
-    def _install_fill(self, msg: Msg) -> None:
-        self.lines.insert(LlcLine(addr=msg.addr, wts=msg.wts, rts=msg.rts,
-                                  value=msg.value, e_bit=True,
-                                  cur_lease=msg.lease))
-        self.sim.touch(msg.addr)
+            self.sim.send(Msg(MsgKind.RECALL, victim.addr, LLC, victim.owner,
+                              downgrade=TO_I, extend_ts=None))
+        return victim
 
     def state_key(self) -> tuple:
         lines = tuple(sorted(
@@ -454,5 +394,5 @@ class TardisLlc:
         pend = tuple(sorted(
             (a, tuple(m.key() for m in p.queue), p.recall_out,
              p.recall_target, p.fill_out, p.parked_fill is not None)
-            for a, p in self.pending.items()))
+            for a, p in self.waitq.items()))
         return (lines, pend, tuple(sorted(self.evict_wait.items())))

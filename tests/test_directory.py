@@ -1,5 +1,8 @@
 """Full-map directory baseline: SWMR, invalidations, forwards, evictions."""
 
+import pytest
+
+from tardisim.audit import CoherenceAuditor
 from tardisim.cachemem import LineState
 from tardisim.checker import check_trace
 from tardisim.workloads import builtin, parse_program
@@ -119,20 +122,24 @@ def test_owned_eviction_writes_back_dirty_data():
     assert llc.value.literal == 9
 
 
-def test_home_eviction_recalls_llc_owner():
+@pytest.mark.parametrize("preset_name", ["directory", "tardis-base"])
+def test_home_eviction_recalls_llc_owner(preset_name):
     # 1 KiB direct-mapped LLC: the A/B/C lines all map to set 0 and the
-    # first two are owned, so the third fill must recall one of them
+    # first two are owned, so the third fill must park and take one back
+    # (a forwarded GETM in the directory, a RECALL to I under tardis)
     p = parse_program("[core 0]\nSt A 1\nSt 1024 2\nSt 2048 3"
                       "\nLd A -> r1\nLd 1024 -> r2\nLd 2048 -> r3")
     p.schedule = "sequential"
-    sim, rep = run(p, "directory", llc_kb=1, llc_ways=1, l1_kb=32, seed=0)
+    sim, rep = run(p, preset_name, auditor=CoherenceAuditor(), llc_kb=1,
+                   llc_ways=1, l1_kb=32, seed=0)
     assert rep.outcome == {"c0.r1": 1, "c0.r2": 2, "c0.r3": 3}
     # every displaced line landed in memory with its dirty data
     held = {l.addr for l in sim.llc.lines.lines()}
     for addr, want in ((0, 1), (1024, 2), (2048, 3)):
         if addr not in held:
             assert sim.mem.read(addr).value.literal == want
-    assert swmr_holds(sim)
+    if preset_name == "directory":
+        assert swmr_holds(sim)
 
 
 def test_directory_commits_in_physical_order():

@@ -1,10 +1,11 @@
 """Behaviour fingerprints.
 
-Pins three things a refactor must leave exactly as they are: the bytes
-`sim run --json R --trace T` writes for a fixed run matrix, the column
-layout of `Report.flat()` (the CSV row), and the exact outcome sets of
-exhaustive enumeration.  Re-pin only in a change that alters behaviour
-on purpose, and say why in CHANGES.md.
+Pins four things a refactor must leave exactly as they are: the bytes
+`sim run --json R --trace T` writes for a fixed run matrix, the same
+bytes plus every message sent for a matrix with caches small enough to
+evict, the column layout of `Report.flat()` (the CSV row), and the exact
+outcome sets of exhaustive enumeration.  Re-pin only in a change that
+alters behaviour on purpose, and say why in CHANGES.md.
 """
 
 import hashlib
@@ -53,6 +54,31 @@ RUN_PINS = {
         "192986d30071dd46a0070bd8371cafd521d6a8cbb8274b8e15c9d4a0457c34d1",
 }
 
+# Caches small enough that the home runs out of ways: fills evict clean
+# lines, park while the home takes a line back from the cores, and
+# requests queue on lines on their way out.  Each seed is both the
+# program's and the run's.
+CAPACITY_CFG = {"l1_kb": 1, "l1_ways": 2, "llc_kb": 2, "llc_ways": 4}
+CAPACITY_SEEDS = (0, 2)
+
+# per preset, over the 8 runs (models x seeds, in that order): sha256 of
+# the report JSON + trace JSONL as in RUN_PINS, and sha256 of every sent
+# message's repr(Msg.key()), one a line, in send order
+CAPACITY_PINS = {
+    "directory": (
+        "01531722b0f7291d0d4894435d250a9909b1e3728bb43397f2077c941dccb16f",
+        "0ebcabc07287c8c902b22b6a2f83fe0078e95dbb0284de32fd442330d8ea8ac7"),
+    "tardis-base": (
+        "22bf07b0591b7e7793b948cca90c89333449948d9b38947cf5193dc312f9dd6b",
+        "e7af6ac8168fed331160dbb8f08c689ea5eb77099991b8315443f83725bfae3a"),
+    "tardis-live": (
+        "4e911be98d51a82882ecc2b2883fe842de41fffe0184bf38521de470e7a5537d",
+        "e7af6ac8168fed331160dbb8f08c689ea5eb77099991b8315443f83725bfae3a"),
+    "tardis-opt": (
+        "dd81e29fdec10b7520af6408d1aa8a99ece549caeeef54f810f3dad664ec9fe4",
+        "f1f35249baffadcfec29cb80e04d6ab8fd05459c44a4f81ed20591bf7220782b"),
+}
+
 # tardis-opt, synth, tso, seed 1
 FLAT_PIN = [
     ("program", "synth-0"), ("protocol", "tardis"), ("model", "tso"),
@@ -84,9 +110,7 @@ ENUM_PINS = {
 }
 
 
-def run_bytes(preset_name: str, program: str, model: str, seed: int) -> bytes:
-    sim = Simulator(preset(preset_name, model=model, seed=seed),
-                    PROGRAMS[program]())
+def run_bytes(sim: Simulator) -> bytes:
     report = sim.run()
     text = report.to_json() + "\n" + "".join(r.to_json() + "\n"
                                              for r in sim.trace)
@@ -98,8 +122,56 @@ def test_run_matrix_bytes(preset_name, program):
     h = hashlib.sha256()
     for model in MODELS:
         for seed in SEEDS:
-            h.update(run_bytes(preset_name, program, model, seed))
+            h.update(run_bytes(Simulator(
+                preset(preset_name, model=model, seed=seed),
+                PROGRAMS[program]())))
     assert h.hexdigest() == RUN_PINS[(preset_name, program)]
+
+
+class _Recording(Simulator):
+    """Keeps every sent message and notes which capacity paths the home
+    is on whenever a message is delivered."""
+
+    def __init__(self, cfg, program):
+        self.sent = []
+        self.paths = set()
+        super().__init__(cfg, program)
+
+    def send(self, msg):
+        self.sent.append(repr(msg.key()) + "\n")
+        super().send(msg)
+
+    def route(self, msg):
+        llc = self.llc
+        for victim, fill in llc.evict_wait.items():
+            assert llc.waitq[fill].parked_fill is not None
+            self.paths.add("parked fill")
+            if victim in llc.waitq and llc.waitq[victim].queue:
+                self.paths.add("queued on victim")
+            if victim in getattr(llc, "busy", {}):
+                self.paths.add(llc.busy[victim].kind)
+        super().route(msg)
+
+
+@pytest.mark.parametrize("preset_name", sorted(CAPACITY_PINS))
+def test_capacity_matrix_bytes_and_messages(preset_name):
+    runs, sent = hashlib.sha256(), hashlib.sha256()
+    paths = set()
+    for model in MODELS:
+        for seed in CAPACITY_SEEDS:
+            sim = _Recording(
+                preset(preset_name, model=model, seed=seed, **CAPACITY_CFG),
+                synth(SynthParams(cores=8, ops_per_core=40, hot_lines=2,
+                                  shared_lines=24, private_lines=8,
+                                  seed=seed)))
+            runs.update(run_bytes(sim))
+            sent.update("".join(sim.sent).encode())
+            paths |= sim.paths
+    assert (runs.hexdigest(), sent.hexdigest()) == CAPACITY_PINS[preset_name]
+    want = {"parked fill", "queued on victim"}
+    if preset_name == "directory":
+        want |= {"evict_inv", "evict_fwd"}
+    assert want <= paths
 
 
 def test_flat_report_columns_and_values():
