@@ -85,34 +85,38 @@ class SetAssocCache:
     Stores whatever line objects the caller hands it; the only contract
     is an .addr and .lru attribute.  Victim selection is the caller's
     job (protocols differ on which lines are evictable), so the cache
-    just reports the resident lines of a set.
+    just reports the resident lines of a set.  Only sets that hold lines
+    are stored, so an empty cache costs nothing to copy.
     """
 
     def __init__(self, size_kb: int, ways: int, line_bytes: int):
         self.ways = ways
         self.line_bytes = line_bytes
         self.n_sets = max(1, (size_kb * 1024) // (ways * line_bytes))
-        self.sets: list[dict] = [dict() for _ in range(self.n_sets)]
+        self.sets: dict[int, dict] = {}   # set index -> {addr: line}
         self._tick = 0
 
     def set_index(self, addr: int) -> int:
         return (addr // self.line_bytes) % self.n_sets
 
+    # lookup and has_room are the hot path: they inline set_index
     def lookup(self, addr: int, touch: bool = True):
-        line = self.sets[self.set_index(addr)].get(addr)
+        s = self.sets.get((addr // self.line_bytes) % self.n_sets)
+        line = s.get(addr) if s else None
         if line is not None and touch:
             self._tick += 1
             line.lru = self._tick
         return line
 
     def has_room(self, addr: int) -> bool:
-        return len(self.sets[self.set_index(addr)]) < self.ways
+        s = self.sets.get((addr // self.line_bytes) % self.n_sets, ())
+        return len(s) < self.ways
 
     def lru_victim(self, addr: int, avoid=None):
         """Least recently used line of addr's set, skipping lines for
         which avoid(line) is true.  None if the set has a free way or
         every candidate is excluded."""
-        s = self.sets[self.set_index(addr)]
+        s = self.sets.get(self.set_index(addr), ())
         if len(s) < self.ways:
             return None
         cands = [l for l in s.values() if avoid is None or not avoid(l)]
@@ -121,21 +125,39 @@ class SetAssocCache:
         return min(cands, key=lambda l: l.lru)
 
     def insert(self, line) -> None:
-        s = self.sets[self.set_index(line.addr)]
+        idx = self.set_index(line.addr)
+        if idx not in self.sets:
+            self.sets[idx] = {}
+        s = self.sets[idx]
         assert line.addr not in s and len(s) < self.ways, "insert needs a free way"
         self._tick += 1
         line.lru = self._tick
         s[line.addr] = line
 
     def remove(self, addr: int):
-        return self.sets[self.set_index(addr)].pop(addr, None)
+        idx = self.set_index(addr)
+        if idx not in self.sets:
+            return None
+        s = self.sets[idx]
+        line = s.pop(addr, None)
+        if not s:
+            del self.sets[idx]
+        return line
 
     def lines(self):
-        for s in self.sets:
-            yield from s.values()
+        for idx in sorted(self.sets):
+            yield from self.sets[idx].values()
+
+    def clone(self, copy_line) -> SetAssocCache:
+        """An independent copy holding copy_line(line) for every line."""
+        new = object.__new__(SetAssocCache)
+        new.__dict__ = self.__dict__.copy()
+        new.sets = {idx: {a: copy_line(l) for a, l in s.items()}
+                    for idx, s in self.sets.items()}
+        return new
 
 
-@dataclass
+@dataclass(frozen=True)
 class MemLine:
     value: ValueToken
     wts: int = 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cachemem import CacheLine, LineState, LlcLine, ValueToken
-from .engine import BaseCore, BaseLlc, HomeWait, StoreEntry
+from .engine import BaseCore, BaseLlc, HomeWait, StoreEntry, copy_record
 from .messages import LLC, Msg, MsgKind
 from .workloads import MemOp
 
@@ -117,6 +117,12 @@ class _Txn:
     got: int = 0
     fwd_target: int | None = None
     was_sharer: bool = False
+
+    def clone(self) -> _Txn:
+        new = copy_record(self)
+        if self.req is not None:
+            new.req = copy_record(self.req)
+        return new
 
 
 class DirectoryLlc(BaseLlc):
@@ -323,3 +329,8 @@ class DirectoryLlc(BaseLlc):
             (a, tuple(m.key() for m in w.queue), w.fill_out,
              w.parked_fill is not None) for a, w in self.waitq.items()))
         return (lines, busy, waits, tuple(sorted(self.evict_wait.items())))
+
+    def clone(self, sim) -> DirectoryLlc:
+        new = super().clone(sim)
+        new.busy = {a: t.clone() for a, t in self.busy.items()}
+        return new

@@ -136,11 +136,19 @@ class Counters:
     record_renewals: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class StoreEntry:
     idx: int
     addr: int
     token: ValueToken
+
+
+def copy_record(obj):
+    """A shallow copy of a plain attribute record (a dataclass, a
+    message), without the reduce protocol copy.copy goes through."""
+    new = object.__new__(type(obj))
+    new.__dict__ = obj.__dict__.copy()
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +390,19 @@ class BaseCore:
                 self.waiting["idx"] if self.waiting else None,
                 self.sleep_left, self.store_seq)
 
+    def clone(self, sim) -> BaseCore:
+        """An exact, independent copy of this core inside sim.  The op
+        list and the buffered stores are immutable, so they are shared."""
+        new = copy_record(self)
+        new.sim = sim
+        new.l1 = self.l1.clone(copy_record)
+        new.regs = dict(self.regs)
+        new.clock = copy_record(self.clock)
+        new.buffer = list(self.buffer)
+        if self.waiting is not None:
+            new.waiting = dict(self.waiting)
+        return new
+
 
 # ---------------------------------------------------------------------------
 # protocol-agnostic home node: fills and capacity
@@ -396,6 +417,19 @@ class HomeWait:
     queue: list = field(default_factory=list)
     fill_out: bool = False
     parked_fill: Msg | None = None   # MEM_DATA waiting for an eviction
+
+    def clone(self) -> HomeWait:
+        new = copy_record(self)
+        new.queue = [copy_record(m) for m in self.queue]
+        if self.parked_fill is not None:
+            new.parked_fill = copy_record(self.parked_fill)
+        return new
+
+
+def _copy_llc_line(line: LlcLine) -> LlcLine:
+    new = copy_record(line)
+    new.sharers = set(line.sharers)
+    return new
 
 
 class BaseLlc:
@@ -475,6 +509,15 @@ class BaseLlc:
                                   value=msg.value, e_bit=True,
                                   cur_lease=msg.lease))
         self.sim.touch(msg.addr)
+
+    def clone(self, sim) -> BaseLlc:
+        """An exact, independent copy of this home node inside sim."""
+        new = copy_record(self)
+        new.sim = sim
+        new.lines = self.lines.clone(_copy_llc_line)
+        new.waitq = {a: w.clone() for a, w in self.waitq.items()}
+        new.evict_wait = dict(self.evict_wait)
+        return new
 
     # -- protocol hooks -------------------------------------------------
 
@@ -719,6 +762,29 @@ class _World(Simulator):
 
     def terminal(self) -> bool:
         return not self.channels and all(c.done for c in self.cores)
+
+    def __deepcopy__(self, memo) -> _World:
+        """The exact copy the search branches with.  The config, the
+        program and its op lists never change, so they are shared; every
+        in-flight message is copied, because the home marks a delivered
+        request recalled in place."""
+        new = copy_record(self)
+        new.channels = {ch: [copy_record(m) for m in q]
+                        for ch, q in self.channels.items()}
+        mem = new.mem = copy_record(self.mem)
+        mem.lines = dict(mem.lines)   # MemLine is immutable
+        ledger = new.ledger = copy_record(self.ledger)
+        ledger.flits = dict(ledger.flits)
+        ledger.flit_hops = dict(ledger.flit_hops)
+        ledger.messages = dict(ledger.messages)
+        counters = new.counters = copy_record(self.counters)
+        counters.renew_events = list(counters.renew_events)
+        new.trace = list(self.trace)
+        new._queue = list(self._queue)
+        new._touched = set(self._touched)
+        new.cores = [c.clone(new) for c in self.cores]
+        new.llc = self.llc.clone(new)
+        return new
 
     def key(self) -> tuple:
         chans = tuple(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cachemem import CacheLine, LineState, LlcLine, MIN_LEASE, ValueToken
-from .engine import BaseCore, BaseLlc, HomeWait, StoreEntry
+from .engine import BaseCore, BaseLlc, HomeWait, StoreEntry, copy_record
 from .leasepred import READ, RENEW, WRITE, predict
 from .livelock import LivelockDetector
 from .messages import LLC, Msg, MsgKind, TO_I, TO_S
@@ -196,6 +196,14 @@ class TardisCore(BaseCore):
             (l.addr, l.state.value, l.wts, l.rts, l.value.as_tuple(), l.dirty,
              l.lease) for l in self.l1.lines()))
         return super().state_key() + (lines, tuple(sorted(self.check_out)))
+
+    def clone(self, sim) -> TardisCore:
+        new = super().clone(sim)
+        new.check_out = set(self.check_out)
+        if self.detector is not None:
+            det = new.detector = copy_record(self.detector)
+            det.ahb = det.ahb.copy()
+        return new
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,12 @@ from tardisim.config import preset
 from tardisim.engine import Simulator
 from tardisim.workloads import builtin
 
+# Caches of one set each: one L1 way, so that an access to a second
+# address evicts, and two LLC ways, so that a third address makes the
+# home evict.
+ONE_SET_CACHES = {"line_bytes": 1024, "l1_kb": 1, "l1_ways": 1,
+                  "llc_kb": 2, "llc_ways": 2}
+
 
 def run(program, preset_name="tardis-base", auditor=None, **overrides):
     """Build, run, and hand back the simulator plus its report."""

@@ -70,20 +70,31 @@ def test_criterion_02_fig2_store_buffer_timestamps():
 
 def test_criterion_03_litmus_outcomes_admitted_and_nested():
     with gate(3, 300.0):
-        programs = [builtin(n) for n in LITMUS_NAMES if n != "iriw_fence"]
+        programs = [builtin(n) for n in LITMUS_NAMES]
         programs.append(builtin("lease_case", iterations=1))
         assert len(programs) >= 12
         for p in programs:
-            seen = {}
-            allowed = {}
-            for model in MODELS:
-                seen[model] = enumerate_outcomes(p, model)
-                allowed[model] = oracle_outcomes(p, model)
-                assert seen[model] <= allowed[model], \
-                    f"{p.name}/{model}: protocol outcomes escape the oracle"
+            allowed = {model: oracle_outcomes(p, model) for model in MODELS}
+            # the plain MSI default, plus MESI (tardis-base), the lease
+            # predictor with the livelock detector (tardis-opt) and the
+            # directory, except on the four-core iriw pair: there one
+            # preset takes 29-62 s on a 2 vCPU host, more than the other
+            # programs take under all three presets together (about 28 s)
+            configs = [("msi", None)]
+            if p.name not in ("iriw", "iriw_fence"):
+                configs += [(name, preset(name)) for name in
+                            ("tardis-base", "tardis-opt", "directory")]
+            for label, cfg in configs:
+                protocol = cfg.protocol if cfg else "tardis"
+                seen = {}
+                for model in MODELS:
+                    seen[model] = enumerate_outcomes(p, model, protocol, cfg)
+                    assert seen[model] <= allowed[model], \
+                        f"{p.name}/{label}/{model}: protocol outcomes escape the oracle"
+                for weak, strong in zip(MODELS, MODELS[1:]):
+                    assert seen[weak] <= seen[strong], \
+                        f"{p.name}/{label}: {weak} outcomes not within {strong}"
             for weak, strong in zip(MODELS, MODELS[1:]):
-                assert seen[weak] <= seen[strong], \
-                    f"{p.name}: {weak} outcomes not within {strong}"
                 assert allowed[weak] <= allowed[strong], \
                     f"{p.name}: {weak} oracle not within {strong}"
 

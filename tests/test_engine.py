@@ -1,15 +1,18 @@
 """Engine behavior: determinism, buffering, tracing, traffic."""
 
+import copy
 import io
+from dataclasses import is_dataclass, replace
+from enum import Enum
 
 import pytest
 
 from tardisim.config import preset
 from tardisim.engine import (ENUM_OP_LIMIT, Simulator, StepLimitError,
-                             enumerate_outcomes, trace_from_json)
-from tardisim.workloads import (OpKind, SynthParams, builtin, parse_program,
-                                synth)
-from conftest import run
+                             _World, enumerate_outcomes, trace_from_json)
+from tardisim.workloads import (OpKind, SynthParams, WarmLine, builtin,
+                                parse_program, synth)
+from conftest import ONE_SET_CACHES, run
 
 
 CONTended = SynthParams(cores=4, ops_per_core=60, hot_lines=2,
@@ -172,3 +175,126 @@ def test_enumerate_covers_every_seeded_run():
         sim.run()
         seen.add(sim.outcome())
     assert seen <= outs
+
+
+# Three addresses, so that one-set caches make the home evict and park
+# fills, and repeated loads of a line core 1 starts with in S, so that
+# the livelock detector (with its threshold at 1) sends checks.
+CLONE_PROGRAM = """
+[core 0]
+St A 1
+Ld B -> r1
+[core 1]
+St B 1
+Ld A -> r2
+Ld A -> r3
+Ld C -> r4
+"""
+
+
+def _clone_program():
+    prog = parse_program(CLONE_PROGRAM, name="clone")
+    prog.warm = [WarmLine(0, 0, 10, in_l1=(1,))]
+    return prog
+
+
+class _Enough(Exception):
+    pass
+
+
+def _popped_worlds(monkeypatch, program, cfg, n):
+    """The first n worlds the enumerator pops, in search order."""
+    worlds = []
+    key = _World.key
+
+    def collect(world):
+        worlds.append(world)
+        if len(worlds) == n:
+            raise _Enough
+        return key(world)
+
+    with monkeypatch.context() as m:
+        m.setattr(_World, "key", collect)
+        try:
+            enumerate_outcomes(program, "tso", protocol=cfg.protocol, cfg=cfg)
+        except _Enough:
+            pass
+    return worlds
+
+
+def _graph(root, shared=frozenset()):
+    """Everything reachable from root through attributes and container
+    items, as nested tuples, plus the ids of every object visited and of
+    the mutable ones among them.  Objects whose id is in shared stand in
+    by id only."""
+    number, mutable = {}, set()
+
+    def visit(obj):
+        if obj is None or isinstance(obj, (bool, int, float, str, Enum)):
+            return obj
+        if id(obj) in shared:
+            return ("shared", id(obj))
+        if id(obj) in number:
+            return ("ref", number[id(obj)])
+        number[id(obj)] = len(number)
+        kind = type(obj).__name__
+        if isinstance(obj, (list, set, dict)):
+            mutable.add(id(obj))
+        if isinstance(obj, dict):
+            return kind, tuple((visit(k), visit(v)) for k, v in obj.items())
+        if isinstance(obj, (set, frozenset)):
+            return kind, tuple(sorted(map(visit, obj), key=repr))
+        if isinstance(obj, (list, tuple)):
+            return kind, tuple(map(visit, obj))
+        if not (is_dataclass(obj) and obj.__dataclass_params__.frozen):
+            mutable.add(id(obj))
+        return kind, tuple((k, visit(v)) for k, v in vars(obj).items())
+
+    return visit(root), set(number), mutable
+
+
+@pytest.mark.parametrize("one_set", (False, True))
+@pytest.mark.parametrize("preset_name",
+                         ("tardis-base", "tardis-opt", "directory"))
+def test_world_copies_are_exact_and_independent(preset_name, one_set,
+                                                monkeypatch):
+    cfg = preset(preset_name, thresh_min=1)
+    if one_set:
+        cfg = replace(cfg, **ONE_SET_CACHES)
+    worlds = _popped_worlds(monkeypatch, _clone_program(), cfg, 200)
+    reached = set()
+    for w in worlds:
+        # the config, the program and its op lists may be shared
+        shared = set()
+        for part in (w.cfg, w.program, *(c.ops for c in w.cores)):
+            shared |= _graph(part)[1]
+        before, _, mine = _graph(w, shared)
+        key = w.key()
+        dup = copy.deepcopy(w)
+        after, _, theirs = _graph(dup, shared)
+        assert after == before
+        assert dup.key() == key
+        assert not mine & theirs, "a copy shares mutable state"
+        for action in w.actions():
+            copy.deepcopy(w).apply(action)
+        assert w.key() == key
+        assert _graph(w, shared)[0] == before
+        llc = w.llc
+        reached |= {name for name, hit in {
+            "message in flight": w.channels,
+            "request queued at the home": any(
+                h.queue for h in llc.waitq.values()),
+            "directory transaction": getattr(llc, "busy", None),
+            "livelock history": any(
+                c.detector is not None and c.detector.ahb for c in w.cores),
+            "check out": any(getattr(c, "check_out", None) for c in w.cores),
+            "parked fill": llc.evict_wait,
+        }.items() if hit}
+    want = {"message in flight", "request queued at the home"}
+    if preset_name == "directory":
+        want.add("directory transaction")
+    if preset_name == "tardis-opt":
+        want |= {"livelock history", "check out"}
+    if one_set:
+        want.add("parked fill")
+    assert want <= reached

@@ -4,17 +4,22 @@ Pins four things a refactor must leave exactly as they are: the bytes
 `sim run --json R --trace T` writes for a fixed run matrix, the same
 bytes plus every message sent for a matrix with caches small enough to
 evict, the column layout of `Report.flat()` (the CSV row), and the exact
-outcome sets of exhaustive enumeration.  Re-pin only in a change that
+outcome sets of exhaustive enumeration together with the size of each
+search (states popped and unique states).  Re-pin only in a change that
 alters behaviour on purpose, and say why in CHANGES.md.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from tardisim.config import preset
-from tardisim.engine import Simulator, enumerate_outcomes
+from tardisim.directory import DirectoryCore
+from tardisim.engine import Simulator, _World, enumerate_outcomes
+from tardisim.tardis import TardisCore
 from tardisim.workloads import SynthParams, builtin, synth
+from conftest import ONE_SET_CACHES
 
 MODELS = ("sc", "tso", "pso", "rc")
 SEEDS = (0, 1, 2)
@@ -109,6 +114,73 @@ ENUM_PINS = {
     ("rc_mp", "directory"): {(0, 0), (0, 1), (1, 1)},
 }
 
+# (states popped, unique states) of each ENUM_PINS search, one pair per
+# model in MODELS order
+ENUM_SEARCH_PINS = {
+    ("corr", "tardis"): ((73, 48),) * 4,
+    ("corr", "directory"): ((82, 56),) * 4,
+    ("single", "tardis"): ((8, 8),) + ((18, 13),) * 3,
+    ("single", "directory"): ((8, 8),) + ((18, 13),) * 3,
+    ("mp", "tardis"): ((256, 158),) + ((402, 211),) * 3,
+    ("mp", "directory"): ((250, 156),) + ((397, 210),) * 3,
+    ("lb", "tardis"): ((215, 134),) * 4,
+    ("lb", "directory"): ((253, 158),) * 4,
+    ("mp_fence", "tardis"): ((308, 186),) * 4,
+    ("mp_fence", "directory"): ((300, 183),) * 4,
+    ("rc_mp", "tardis"): ((308, 186),) * 4,
+    ("rc_mp", "directory"): ((300, 183),) * 4,
+}
+
+# Enumeration under the configurations the paper is about: MESI
+# (tardis-base), the lease predictor plus the livelock detector
+# (tardis-opt) and the directory baseline, each with its default caches
+# and with ONE_SET_CACHES, which evict from the L1 inside the search.
+# Every model, preset and cache size yields the same set for each of
+# these programs.
+ENUM_PRESETS = ("tardis-base", "tardis-opt", "directory")
+PRESET_ENUM_PINS = {
+    "mp": {(0, 0), (0, 1), (1, 1)},
+    "sb_fence": {(0, 1), (1, 0), (1, 1)},
+    "lb": {(0, 0), (0, 1), (1, 0)},
+    "corr": {(0, 0), (0, 1), (1, 1)},
+    "rc_mp": {(0, 0), (0, 1), (1, 1)},
+}
+
+# (states popped, unique states) per model in MODELS order, keyed by
+# program, preset and whether the caches are ONE_SET_CACHES
+PRESET_SEARCH_PINS = {
+    ("mp", "tardis-base", False): ((327, 212),) + ((482, 270),) * 3,
+    ("mp", "tardis-opt", False): ((327, 212),) + ((482, 270),) * 3,
+    ("mp", "directory", False): ((250, 156),) + ((397, 210),) * 3,
+    ("sb_fence", "tardis-base", False): ((395, 249),) * 4,
+    ("sb_fence", "tardis-opt", False): ((395, 249),) * 4,
+    ("sb_fence", "directory", False): ((301, 183),) * 4,
+    ("lb", "tardis-base", False): ((323, 210),) * 4,
+    ("lb", "tardis-opt", False): ((323, 210),) * 4,
+    ("lb", "directory", False): ((253, 158),) * 4,
+    ("corr", "tardis-base", False): ((95, 68),) * 4,
+    ("corr", "tardis-opt", False): ((95, 68),) * 4,
+    ("corr", "directory", False): ((82, 56),) * 4,
+    ("rc_mp", "tardis-base", False): ((389, 246),) * 4,
+    ("rc_mp", "tardis-opt", False): ((389, 246),) * 4,
+    ("rc_mp", "directory", False): ((300, 183),) * 4,
+    ("mp", "tardis-base", True): ((386, 246),) + ((557, 310),) * 3,
+    ("mp", "tardis-opt", True): ((386, 246),) + ((557, 310),) * 3,
+    ("mp", "directory", True): ((392, 235),) + ((566, 299),) * 3,
+    ("sb_fence", "tardis-base", True): ((477, 301),) * 4,
+    ("sb_fence", "tardis-opt", True): ((477, 301),) * 4,
+    ("sb_fence", "directory", True): ((501, 295),) * 4,
+    ("lb", "tardis-base", True): ((365, 232),) * 4,
+    ("lb", "tardis-opt", True): ((365, 232),) * 4,
+    ("lb", "directory", True): ((369, 222),) * 4,
+    ("corr", "tardis-base", True): ((95, 68),) * 4,
+    ("corr", "tardis-opt", True): ((95, 68),) * 4,
+    ("corr", "directory", True): ((82, 56),) * 4,
+    ("rc_mp", "tardis-base", True): ((454, 283),) * 4,
+    ("rc_mp", "tardis-opt", True): ((454, 283),) * 4,
+    ("rc_mp", "directory", True): ((454, 268),) * 4,
+}
+
 
 def run_bytes(sim: Simulator) -> bytes:
     report = sim.run()
@@ -180,8 +252,57 @@ def test_flat_report_columns_and_values():
     assert list(sim.run().flat().items()) == FLAT_PIN
 
 
+@pytest.fixture
+def searched(monkeypatch):
+    """enumerate_outcomes that also returns the size of its search,
+    (states popped, unique states), counted on _World.key."""
+    keys = []
+    key = _World.key
+
+    def counted(world):
+        k = key(world)
+        keys.append(k)
+        return k
+
+    monkeypatch.setattr(_World, "key", counted)
+
+    def run(*args, **kwargs):
+        keys.clear()
+        got = enumerate_outcomes(*args, **kwargs)
+        return got, (len(keys), len(set(keys)))
+    return run
+
+
 @pytest.mark.parametrize("name,protocol", list(ENUM_PINS))
-def test_enumerated_outcome_sets(name, protocol):
+def test_enumerated_outcome_sets(name, protocol, searched):
+    sizes = []
     for model in MODELS:
-        got = enumerate_outcomes(builtin(name), model, protocol=protocol)
+        got, size = searched(builtin(name), model, protocol=protocol)
         assert got == ENUM_PINS[(name, protocol)], model
+        sizes.append(size)
+    assert tuple(sizes) == ENUM_SEARCH_PINS[(name, protocol)]
+
+
+@pytest.mark.parametrize("one_set", (False, True))
+@pytest.mark.parametrize("preset_name", ENUM_PRESETS)
+def test_enumerated_outcome_sets_under_presets(preset_name, one_set,
+                                               searched, monkeypatch):
+    evictions = []
+    for cls in (TardisCore, DirectoryCore):
+        def evicted(core, victim, hook=cls._evicted):
+            evictions.append(victim.addr)
+            hook(core, victim)
+        monkeypatch.setattr(cls, "_evicted", evicted)
+    cfg = preset(preset_name)
+    if one_set:
+        cfg = replace(cfg, **ONE_SET_CACHES)
+    for name, want in PRESET_ENUM_PINS.items():
+        sizes = []
+        for model in MODELS:
+            got, size = searched(builtin(name), model,
+                                 protocol=cfg.protocol, cfg=cfg)
+            assert got == want, (name, model)
+            sizes.append(size)
+        assert tuple(sizes) == PRESET_SEARCH_PINS[(name, preset_name, one_set)], name
+    # only the one-set caches push lines out of an L1 during the search
+    assert bool(evictions) == one_set
