@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 
 from .cachemem import LEASE_VALUES
 from .consistency import MemoryModel
@@ -82,21 +83,6 @@ class SimConfig:
             return 0
         return self.store_buffer
 
-    @property
-    def mesh_width(self) -> int:
-        return max(1, math.ceil(math.sqrt(self.cores)))
-
-    def tile(self, endpoint: int) -> tuple[int, int]:
-        w = self.mesh_width
-        e = max(0, endpoint)
-        return (e % w, e // w)
-
-    def hops(self, a: int, b: int) -> int:
-        """XY mesh distance between two core endpoints."""
-        xa, ya = self.tile(a)
-        xb, yb = self.tile(b)
-        return abs(xa - xb) + abs(ya - yb)
-
     def home_tile(self, addr: int) -> int:
         return (addr // self.line_bytes) % self.cores
 
@@ -113,6 +99,16 @@ class SimConfig:
             "store_buffer": self.store_buffer_size,
             "seed": self.seed,
         }
+
+
+@lru_cache(maxsize=16)
+def hop_table(cores: int) -> tuple[tuple[int, ...], ...]:
+    """XY distances on the smallest square mesh that holds cores tiles,
+    tile i at (i % width, i // width).  Built once per core count and
+    immutable, so every simulator and enumerated world shares it."""
+    width = max(1, math.ceil(math.sqrt(cores)))
+    return tuple(tuple(abs(a % width - b % width) + abs(a // width - b // width)
+                       for b in range(cores)) for a in range(cores))
 
 
 _BOOL_KEYS = {"mesi", "lease_predictor", "livelock_detector", "fence_each_op"}

@@ -8,6 +8,13 @@ commits at most one operation per tick, so per-core commit steps are
 strictly increasing, which is what lets the physical step serve as the
 second component of physiological time.
 
+Only ready cores take turns.  A core leaves the ready set after a turn
+that leaves it parked (nothing a later turn could do until a message
+arrives) and rejoins when a message is delivered to it.  When no core
+is ready the clock jumps to the tick before the next delivery.  The
+seeded schedule still consumes one `random()` draw per core per tick,
+skipped ticks included, so runs are the same as polling every core.
+
 The same protocol components also run under an exhaustive enumerator
 (`enumerate_outcomes`) that replaces the clocked network with
 explicitly scheduled message deliveries and explores every
@@ -19,12 +26,13 @@ from __future__ import annotations
 import copy
 import heapq
 import json
+import math
 import random
 from dataclasses import dataclass, field, replace
 
 from .cachemem import (CacheLine, LineState, LlcLine, MainMemory,
                        SetAssocCache, ValueToken, initial_token)
-from .config import SimConfig
+from .config import SimConfig, hop_table
 from .consistency import CoreClock, MemoryModel
 from .messages import LLC, MEM, Msg, MsgKind, traffic_class
 from .workloads import MemOp, OpKind, Program
@@ -196,14 +204,16 @@ class BaseCore:
         return (self.pc >= len(self.ops) and not self.buffer
                 and self.waiting is None)
 
-    def can_progress_locally(self) -> bool:
+    def parked(self) -> bool:
+        """Whether turn() can do nothing until a message arrives: the
+        core is done, or it is not sleeping, has no store to start
+        draining, and waits on a response or cannot issue."""
         if self.done:
             return True
-        if self.sleep_left > 0:
-            return True
-        if self.waiting is not None or self.drain_inflight:
+        if self.sleep_left > 0 or (self.buffer and not self.drain_inflight):
             return False
-        return True
+        return (self.waiting is not None or self.pc >= len(self.ops)
+                or not self.can_issue())
 
     # -- per-tick entry points -----------------------------------------
 
@@ -547,6 +557,41 @@ def _build_parts(sim, program: Program):
     return cores, llc
 
 
+# The seeded schedule draws one random.Random.random() per core per
+# tick.  random() is built from two 32-bit outputs a, b of the generator
+# as ((a >> 5) * 2**26 + (b >> 6)) / 2**53, and getrandbits(64 * m)
+# consumes the same 2m outputs, first output in the lowest bits.  A tick
+# therefore takes its n draws as one 64n-bit word and compares just the
+# ready cores' 53-bit numerators against a threshold, in integers.
+
+DRAW_BITS = 64
+_DRAW_MASK = (1 << DRAW_BITS) - 1
+_BURN_DRAWS = 1 << 16        # draws per getrandbits call when skipping
+
+
+def draw_numerator(word: int) -> int:
+    """The 53-bit integer random() divides by 2**53, from the 64 bits
+    that call would consume."""
+    return ((word & 0xFFFFFFFF) >> 5) << 26 | (word & _DRAW_MASK) >> 38
+
+
+def draw_threshold(p: float) -> int:
+    """The least numerator whose random() value is >= p."""
+    if p <= 0:
+        return 0
+    if p < 1:
+        return math.ceil(p * 2**53)   # exact: scaled by a power of two
+    return 1 << 53                    # p >= 1 or NaN: no draw passes
+
+
+def burn_draws(rng: random.Random, n: int) -> None:
+    """Advance rng past n random() draws."""
+    while n > 0:
+        chunk = min(n, _BURN_DRAWS)
+        rng.getrandbits(DRAW_BITS * chunk)
+        n -= chunk
+
+
 class Simulator:
     def __init__(self, cfg: SimConfig, program: Program,
                  auditor=None, record_renewals: bool = False):
@@ -556,6 +601,8 @@ class Simulator:
         self.program = program
         self.step = 0
         self.rng = random.Random(cfg.seed)
+        self._pass_at = draw_threshold(cfg.skip_prob)
+        self._hops = hop_table(cfg.cores)
         self.mem = MainMemory()
         self.ledger = TrafficLedger()
         self.counters = Counters(record_renewals=record_renewals)
@@ -565,6 +612,7 @@ class Simulator:
         self.auditor = auditor
         self._touched: set[int] = set()
         self.cores, self.llc = _build_parts(self, program)
+        self._ready = set(range(len(self.cores)))
         _apply_warm(self)
         if auditor is not None:
             auditor.attach(self)
@@ -577,14 +625,11 @@ class Simulator:
         if msg.kind in (MsgKind.MEM_READ, MsgKind.MEM_DATA, MsgKind.MEM_WRITE):
             hops = 1
             half = cfg.dram_latency // 2
-            latency = {MsgKind.MEM_READ: cfg.dram_latency - half,
-                       MsgKind.MEM_DATA: half,
-                       MsgKind.MEM_WRITE: half}[msg.kind]
-            latency = max(1, latency)
+            latency = max(1, (cfg.dram_latency - half)
+                          if msg.kind is MsgKind.MEM_READ else half)
         else:
-            home = cfg.home_tile(msg.addr)
             core_end = msg.src if msg.src >= 0 else msg.dst
-            hops = cfg.hops(core_end, home)
+            hops = self._hops[core_end][cfg.home_tile(msg.addr)]
             latency = max(1, hops * cfg.hop_cycles)
         self.ledger.add(traffic_class(msg.kind), flits, hops)
         self._msg_seq += 1
@@ -602,19 +647,23 @@ class Simulator:
 
     # -- run loop --------------------------------------------------------
 
-    def net_empty(self) -> bool:
-        return not self._queue
-
     def all_done(self) -> bool:
         return all(c.done for c in self.cores)
 
     def tick(self) -> None:
-        self.step += 1
-        while self._queue and self._queue[0][0] <= self.step:
-            _, _, msg = heapq.heappop(self._queue)
+        self.step = step = self.step + 1
+        queue, ready = self._queue, self._ready
+        while queue and queue[0][0] <= step:
+            msg = heapq.heappop(queue)[2]
             self.route(msg)
+            if msg.dst >= 0:
+                ready.add(msg.dst)   # a delivery may unpark its core
+        cores = self.cores
         for cid in self._turn_order():
-            self.cores[cid].turn(self.step)
+            core = cores[cid]
+            core.turn(step)
+            if core.parked():
+                ready.discard(cid)
         if self.auditor is not None and self._touched:
             self.auditor.on_tick(self._touched)
             self._touched.clear()
@@ -636,44 +685,59 @@ class Simulator:
         elif msg.kind is MsgKind.MEM_WRITE:
             self.mem.write(msg.addr, msg.value, msg.wts, msg.rts, msg.lease)
 
-    def _turn_order(self):
+    def _turn_order(self) -> list[int]:
+        """The ready cores that take a turn this tick, in core order."""
         sched = self.program.schedule
-        n = len(self.cores)
         if sched == "sequential":
-            for cid in range(n):
-                if not self.cores[cid].done:
-                    return [cid]
+            for core in self.cores:
+                if not core.done:
+                    return [core.cid] if core.cid in self._ready else []
             return []
+        order = sorted(self._ready)
         if sched == "lockstep":
-            return list(range(n))
-        skip = self.cfg.skip_prob
-        return [cid for cid in range(n) if self.rng.random() >= skip]
+            return order
+        # one draw per core, ready or not
+        words = self.rng.getrandbits(DRAW_BITS * len(self.cores))
+        at = self._pass_at
+        return [cid for cid in order
+                if draw_numerator(words >> DRAW_BITS * cid) >= at]
+
+    def _skip_idle(self, limit: int) -> None:
+        """No core is ready, so no tick before the next delivery does
+        anything: move the clock to the tick before it, never past limit,
+        consuming the draws those ticks would have made."""
+        k = min(self._queue[0][0] - 1, limit) - self.step
+        if k <= 0:
+            return
+        self.step += k
+        if self.program.schedule not in ("sequential", "lockstep"):
+            burn_draws(self.rng, k * len(self.cores))
 
     def run(self):
         from .metrics import build_report
         limit = self.cfg.max_steps
-        while not self.all_done():
+        # after every core is done, fire-and-forget traffic (freshness
+        # checks, eviction writebacks triggered by the last fill) may
+        # still be in flight; let it land
+        while self._queue or not self.all_done():
             if self.step >= limit:
                 raise StepLimitError(f"exceeded {limit} steps\n{self._dump()}")
             self.tick()
-            if (self.net_empty() and not self.all_done()
-                    and not any(c.can_progress_locally() for c in self.cores)):
+            if self._ready:
+                continue
+            if self._queue:
+                self._skip_idle(limit)
+            elif not self.all_done():
                 raise DeadlockError("no core can advance and the network is "
                                     f"idle\n{self._dump()}")
-        # fire-and-forget traffic (freshness checks, eviction writebacks
-        # triggered by the last fill) may still be in flight; let it land
-        while not self.net_empty():
-            if self.step >= limit:
-                raise StepLimitError(f"exceeded {limit} steps\n{self._dump()}")
-            self.tick()
-        assert self.net_empty(), "run finished with messages in flight"
         self.trace.sort(key=lambda r: (r.core, r.idx, r.seq))
         if self.auditor is not None:
             self.auditor.on_run_end()
         return build_report(self)
 
     def _dump(self) -> str:
-        lines = [f"step={self.step} queue={len(self._queue)}"]
+        lines = [f"step={self.step} queue={len(self._queue)}"
+                 f" ready={sorted(self._ready)}"]
         for c in self.cores:
             lines.append(
                 f"  core {c.cid}: pc={c.pc}/{len(c.ops)} waiting={c.waiting}"
@@ -716,7 +780,8 @@ class _World(Simulator):
     def __init__(self, cfg: SimConfig, program: Program):
         self.channels: dict[tuple, list] = {}
         super().__init__(cfg, program)
-        self.rng = None   # the search picks every step; nothing to copy
+        # the search picks every step; nothing to copy
+        self.rng = self._ready = None
 
     def send(self, msg: Msg) -> None:
         self.ledger.add(traffic_class(msg.kind), msg.flits(self.cfg.data_flits), 1)

@@ -2,17 +2,24 @@
 
 import copy
 import io
+import math
+import random
 from dataclasses import is_dataclass, replace
 from enum import Enum
 
 import pytest
 
 from tardisim.config import preset
-from tardisim.engine import (ENUM_OP_LIMIT, Simulator, StepLimitError,
-                             _World, enumerate_outcomes, trace_from_json)
+from tardisim.engine import (DRAW_BITS, ENUM_OP_LIMIT, DeadlockError,
+                             Simulator, StepLimitError, _World, burn_draws,
+                             draw_numerator, draw_threshold,
+                             enumerate_outcomes, trace_from_json)
+from tardisim.messages import MsgKind
 from tardisim.workloads import (OpKind, SynthParams, WarmLine, builtin,
                                 parse_program, synth)
 from conftest import ONE_SET_CACHES, run
+from test_fingerprint import (CAPACITY_CFG, CAPACITY_SEEDS, MODELS,
+                              PROGRAMS, RUN_PINS)
 
 
 CONTended = SynthParams(cores=4, ops_per_core=60, hot_lines=2,
@@ -156,6 +163,120 @@ def test_livelock_without_forced_progress_hits_step_limit():
     with pytest.raises(StepLimitError):
         run(prog, model="tso", livelock_detector=False,
             self_increment_period=10 ** 9, max_steps=30_000, seed=0)
+
+
+class _LosesCore1Loads(Simulator):
+    """A network that drops core 1's load requests."""
+
+    def send(self, msg):
+        if not (msg.kind is MsgKind.LOAD_REQ and msg.src == 1):
+            super().send(msg)
+
+
+def test_deadlock_detected_after_another_core_finishes():
+    prog = parse_program("""
+    [core 0]
+    Ld A -> r1
+    [core 1]
+    Ld B -> r2
+    """)
+    sim = _LosesCore1Loads(preset("tardis-base", max_steps=20_000), prog)
+    with pytest.raises(DeadlockError):
+        sim.run()
+    assert sim.cores[0].done and sim.cores[1].waiting is not None
+    assert sim.step < 1_000
+
+
+def test_step_limit_counts_skipped_ticks():
+    # the load waits 400 ticks for DRAM with no core ready; the clock
+    # skips ahead but stops at the limit
+    prog = parse_program("""
+    [core 0]
+    Ld A -> r1
+    """)
+    sim = Simulator(preset("tardis-base", dram_latency=400, max_steps=50),
+                    prog)
+    with pytest.raises(StepLimitError):
+        sim.run()
+    assert sim.step == 50
+
+
+@pytest.mark.parametrize("seed", (0, 1, 7, 2**40 + 3))
+def test_draw_words_reproduce_random(seed):
+    """The seeded schedule takes a tick's draws with one getrandbits;
+    this holds only while getrandbits(64 m) consumes the generator
+    exactly as m random() calls do and lays their bits out as assumed."""
+    m = 37
+    single, bulk = random.Random(seed), random.Random(seed)
+    values = [single.random() for _ in range(m)]
+    words = bulk.getrandbits(DRAW_BITS * m)
+    assert bulk.getstate() == single.getstate()
+    for i, value in enumerate(values):
+        num = draw_numerator(words >> DRAW_BITS * i)
+        assert num / 2**53 == value
+        for p in (0.0, 0.25, 0.5, 1.0, math.nan, value,
+                  math.nextafter(value, 0), math.nextafter(value, 1)):
+            assert (num >= draw_threshold(p)) == (value >= p), p
+    n = 70_000   # more than one getrandbits call's worth
+    burn_draws(bulk, n)
+    for _ in range(n):
+        single.random()
+    assert bulk.getstate() == single.getstate()
+
+
+class _Sandbox:
+    """Stands in for the simulator under a probe copy of a core and
+    records every message and commit the copy makes."""
+
+    def __init__(self, sim):
+        self.cfg = sim.cfg
+        self.counters = copy.copy(sim.counters)
+        self.effects = []
+
+    def send(self, msg):
+        self.effects.append(msg)
+
+    def trace_append(self, row):
+        self.effects.append(row)
+
+    def touch(self, addr):
+        pass
+
+
+class _ReadyChecked(Simulator):
+    """After every tick, each core outside the ready set must be parked,
+    and a turn of a copy of it must do nothing."""
+
+    parked_seen = 0
+
+    def tick(self):
+        super().tick()
+        for core in self.cores:
+            if core.cid in self._ready:
+                continue
+            where = f"step {self.step}, core {core.cid}"
+            assert core.parked(), f"{where}: left the ready set unparked"
+            box = _Sandbox(self)
+            probe = core.clone(box)
+            key = probe.state_key()
+            probe.turn(self.step + 1)
+            assert probe.state_key() == key, f"{where}: a turn changed it"
+            assert not box.effects, f"{where}: a turn sent {box.effects}"
+            self.parked_seen += 1
+
+
+@pytest.mark.parametrize("preset_name", sorted({p for p, _ in RUN_PINS}))
+def test_ready_set_only_drops_parked_cores(preset_name):
+    runs = [(preset(preset_name, model=model, seed=seed, **CAPACITY_CFG),
+             synth(SynthParams(cores=8, ops_per_core=40, hot_lines=2,
+                               shared_lines=24, private_lines=8, seed=seed)))
+            for model in MODELS for seed in CAPACITY_SEEDS]
+    runs += [(preset(preset_name, model=model, seed=0), PROGRAMS[name]())
+             for model in MODELS for name in ("spin", "lease_case")]
+    for cfg, program in runs:
+        sim = _ReadyChecked(cfg, program)
+        sim.run()
+        assert sim.parked_seen, (cfg.model, program.name)
 
 
 def test_enumerate_rejects_big_and_conditional_programs():
