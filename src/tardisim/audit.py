@@ -14,12 +14,16 @@ touches and fails fast when a structural invariant breaks:
   "every load returns the last committed store".
 
 These are brute-force checks over the actual cache structures, kept
-affordable by only visiting addresses that changed this tick.
+affordable by only visiting addresses that changed this tick, and only
+the cores whose L1 holds the line.  The auditor learns the holders from
+the L1s it is attached to: attach swaps each one's class for a subclass
+that reports every insert and remove, so an unaudited cache does no
+extra work.
 """
 
 from __future__ import annotations
 
-from .cachemem import LineState
+from .cachemem import LineState, SetAssocCache
 from .workloads import OpKind
 
 M, E, S = LineState.M, LineState.E, LineState.S
@@ -29,9 +33,28 @@ class AuditError(AssertionError):
     pass
 
 
+class _WatchedL1(SetAssocCache):
+    """An L1 that keeps holders[addr], {cid: line} of the cores holding
+    addr, up to date for the auditor; attach gives it holders and cid."""
+
+    def insert(self, line) -> None:
+        super().insert(line)
+        self.holders.setdefault(line.addr, {})[self.cid] = line
+
+    def remove(self, addr: int):
+        line = super().remove(addr)
+        if line is not None:
+            held = self.holders[addr]
+            del held[self.cid]
+            if not held:
+                del self.holders[addr]
+        return line
+
+
 class CoherenceAuditor:
     def __init__(self):
         self.sim = None
+        self.holders: dict[int, dict] = {}         # addr -> {cid: L1 line}
         self.token_when: dict[tuple, tuple] = {}   # token -> (ts, step)
         self.window: dict[int, tuple] = {}         # addr -> (wts, rts)
         self.max_store: dict[int, tuple] = {}      # addr -> (physio, token)
@@ -41,6 +64,17 @@ class CoherenceAuditor:
     def attach(self, sim) -> None:
         self.sim = sim
         self.tardis = sim.cfg.protocol == "tardis"
+        for core in sim.cores:
+            l1 = core.l1
+            for line in l1.lines():
+                self.holders.setdefault(line.addr, {})[core.cid] = line
+            l1.__class__ = _WatchedL1
+            l1.holders, l1.cid = self.holders, core.cid
+
+    def _held(self, addr: int) -> list:
+        """(cid, line) for every core whose L1 holds addr, in core order."""
+        held = self.holders.get(addr)
+        return sorted(held.items()) if held else []
 
     def _fail(self, what: str) -> None:
         raise AuditError(f"step {self.sim.step}: {what}")
@@ -68,18 +102,15 @@ class CoherenceAuditor:
                            f"{expected}")
 
     def _no_store_in_window(self, row) -> None:
-        for core in self.sim.cores:
-            if core.cid == row.core:
-                continue
-            line = core.l1.lookup(row.addr, touch=False)
-            if line is None or line.state is not S:
+        for cid, line in self._held(row.addr):
+            if cid == row.core or line.state is not S:
                 continue
             wts_when = self.token_when.get(line.value.as_tuple(), (0, -1))
             snap = (line.wts, wts_when[1])
             if snap < (row.ts, row.step) and row.ts <= line.rts:
                 self._fail(
                     f"store ts {row.ts} by core {row.core} lands inside "
-                    f"core {core.cid}'s window ({line.wts}, {line.rts}] "
+                    f"core {cid}'s window ({line.wts}, {line.rts}] "
                     f"for addr {row.addr}")
 
     # -- structural checks over touched lines -------------------------------
@@ -93,20 +124,16 @@ class CoherenceAuditor:
         sim = self.sim
         llc_line = sim.llc.lines.lookup(addr, touch=False)
         masters = []
-        held = []
-        for core in sim.cores:
-            line = core.l1.lookup(addr, touch=False)
-            if line is None:
-                continue
-            held.append((core.cid, line))
+        held = self._held(addr)
+        for cid, line in held:
             if line.state in (M, E):
-                masters.append(("l1", core.cid, line))
+                masters.append(("l1", cid, line))
             if line.state is not LineState.I:
                 if self.tardis and line.wts > line.rts:
-                    self._fail(f"core {core.cid} line {addr} has wts "
+                    self._fail(f"core {cid} line {addr} has wts "
                                f"{line.wts} > rts {line.rts}")
             if line.dirty and line.state is not M:
-                self._fail(f"core {core.cid} line {addr} dirty in "
+                self._fail(f"core {cid} line {addr} dirty in "
                            f"{line.state.name}")
         if llc_line is not None and llc_line.owner is None:
             masters.append(("llc", -1, llc_line))

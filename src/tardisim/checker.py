@@ -16,6 +16,7 @@ results, giving an implementation-independent reference set.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -68,81 +69,111 @@ def check_trace(trace, model) -> list[Violation]:
     out: list[Violation] = []
     rows = sorted(trace, key=lambda r: (r.core, r.idx, r.seq))
 
-    # rule 1: required program-order pairs are physio-ordered
+    # rule 1: required program-order pairs are physio-ordered.  Each row's
+    # kind is numbered once (a spin counts as a load), so the pair tests
+    # index lists instead of hashing enums; must[a][b] is ordered(model,
+    # a, b).
+    kinds = list(OpKind)
+    num = {k: i for i, k in enumerate(kinds)}
+    num[OpKind.SPIN] = num[OpKind.LOAD]
+    must = [[ordered(model, a, b) for b in kinds] for a in kinds]
+    store = num[OpKind.STORE]
     for core, group in groupby(rows, key=lambda r: r.core):
-        last: dict[OpKind, tuple] = {}
-        last_row: dict[OpKind, object] = {}
+        last: dict[int, tuple] = {}
         last_st_addr: dict[int, tuple] = {}
         for row in group:
-            kind = OpKind.LOAD if row.kind is OpKind.SPIN else row.kind
+            kind = num[row.kind]
             key = row.physio_key()
             worst = None
             for prev_kind, prev_key in last.items():
-                if ordered(model, prev_kind, kind) and prev_key >= key:
+                if must[prev_kind][kind] and prev_key >= key:
                     if worst is None or prev_key > worst[0]:
                         worst = (prev_key, prev_kind)
-            if worst is None and kind is OpKind.STORE:
+            if worst is None and kind == store:
                 # same-address stores stay ordered under every model
                 p = last_st_addr.get(row.addr)
                 if p is not None and p >= key:
-                    worst = (p, OpKind.STORE)
+                    worst = (p, store)
             if worst is not None:
                 out.append(Violation(
                     "program-order",
-                    f"core {core}: {worst[1].name}@{worst[0]} not before "
-                    f"{kind.name} idx {row.idx}@{key}"))
+                    f"core {core}: {kinds[worst[1]].name}@{worst[0]} not "
+                    f"before {kinds[kind].name} idx {row.idx}@{key}"))
             cur = last.get(kind)
             if cur is None or key > cur:
                 last[kind] = key
-            if kind is OpKind.STORE:
+            if kind == store:
                 p = last_st_addr.get(row.addr)
                 if p is None or key > p:
                     last_st_addr[row.addr] = key
 
-    # rule 2: loads read the newest store before them
+    # rule 2: loads read the newest store before them.  Each address's
+    # stores sit in physio order next to their sorted (ts, step)
+    # instants, so a load bisects to the stores strictly before its
+    # instant and the group tied with it.
     stores_by_addr: dict[int, list] = {}
-    prior_by_core_addr: dict[tuple, list] = {}
     for row in rows:
         if row.kind is OpKind.STORE:
             stores_by_addr.setdefault(row.addr, []).append(row)
-            prior_by_core_addr.setdefault((row.core, row.addr), []).append(row)
-    for addr in stores_by_addr:
-        stores_by_addr[addr].sort(key=lambda r: r.physio_key())
+    instants: dict[int, list] = {}
+    for addr, group in stores_by_addr.items():
+        group.sort(key=lambda r: r.physio_key())
+        instants[addr] = [(r.ts, r.step) for r in group]
 
-    for row in rows:
-        if row.kind not in LOADISH:
-            continue
-        key = row.physio_key()
-        instant = (row.ts, row.step)
-        cand = None
-        tied = []
-        for st in stores_by_addr.get(row.addr, ()):
-            if (st.ts, st.step) > instant:
-                break
-            if (st.ts, st.step) == instant:
-                # a store sharing the load's instant is unordered against
-                # it unless it is the same core's (sequence decides then);
-                # either serialization of a cross-core tie is legal
-                if st.core == row.core:
-                    if st.seq < row.seq:
-                        cand = st
-                else:
-                    tied.append(st)
+    # own_newest[core, addr] is the own store a relaxed load may read
+    # early: of the core's stores to addr with a smaller idx than the
+    # rows being visited, the first in program order with the greatest
+    # physio key.  A (core, idx) group's stores join it after the
+    # group's loads are checked.
+    own_newest: dict[tuple, tuple] = {}   # (core, addr) -> (key, row)
+    relaxed = model is not MemoryModel.SC
+    for _, group in groupby(rows, key=lambda r: (r.core, r.idx)):
+        group = list(group)
+        for row in group:
+            if row.kind not in LOADISH:
                 continue
-            cand = st
-        if model is not MemoryModel.SC:
-            for st in prior_by_core_addr.get((row.core, row.addr), ()):
-                if st.idx < row.idx:
-                    if cand is None or st.physio_key() > cand.physio_key():
-                        cand = st
-        acceptable = {cand.value if cand is not None
-                      else initial_token(row.addr)}
-        acceptable.update(st.value for st in tied)
-        if row.value not in acceptable:
-            out.append(Violation(
-                "value",
-                f"core {row.core} idx {row.idx} read {row.value} from "
-                f"addr {row.addr}, newest visible store was {acceptable}"))
+            addr = row.addr
+            instant = (row.ts, row.step)
+            cand = None
+            tied = []
+            stores = stores_by_addr.get(addr)
+            if stores is not None:
+                keys = instants[addr]
+                lo = bisect_left(keys, instant)
+                if lo:
+                    cand = stores[lo - 1]
+                for st in stores[lo:bisect_right(keys, instant, lo)]:
+                    # a store sharing the load's instant is unordered
+                    # against it unless it is the same core's (sequence
+                    # decides then); either serialization of a
+                    # cross-core tie is legal
+                    if st.core == row.core:
+                        if st.seq < row.seq:
+                            cand = st
+                    else:
+                        tied.append(st)
+            if relaxed:
+                own = own_newest.get((row.core, addr))
+                if own is not None and (cand is None
+                                        or own[0] > cand.physio_key()):
+                    cand = own[1]
+            newest = cand.value if cand is not None else initial_token(addr)
+            if row.value == newest:
+                continue
+            acceptable = {newest}
+            acceptable.update(st.value for st in tied)
+            if row.value not in acceptable:
+                out.append(Violation(
+                    "value",
+                    f"core {row.core} idx {row.idx} read {row.value} from "
+                    f"addr {addr}, newest visible store was {acceptable}"))
+        if relaxed:
+            for row in group:
+                if row.kind is OpKind.STORE:
+                    key = row.physio_key()
+                    own = own_newest.get((row.core, row.addr))
+                    if own is None or key > own[0]:
+                        own_newest[row.core, row.addr] = (key, row)
 
     # conflicting writes may not share a physiological instant (a tied
     # load is resolved by the value it returns; two tied stores have no

@@ -20,7 +20,6 @@ from .messages import LLC, Msg, MsgKind
 from .workloads import MemOp
 
 M, E, S = LineState.M, LineState.E, LineState.S
-HOME = -3   # pseudo-requester for capacity evictions
 
 
 class DirectoryCore(BaseCore):
@@ -198,8 +197,7 @@ class DirectoryLlc(BaseLlc):
         if line.owner is not None:
             self.busy[msg.addr] = _Txn("gets_fwd", req=msg,
                                        fwd_target=line.owner)
-            self.sim.send(Msg(MsgKind.FWD_GETS, msg.addr, LLC, line.owner,
-                              requester=msg.src))
+            self.sim.send(Msg(MsgKind.FWD_GETS, msg.addr, LLC, line.owner))
             return
         if self.sim.cfg.mesi and not line.sharers:
             line.owner = msg.src
@@ -216,8 +214,7 @@ class DirectoryLlc(BaseLlc):
         if line.owner is not None:
             self.busy[msg.addr] = _Txn("getm_fwd", req=msg,
                                        fwd_target=line.owner)
-            self.sim.send(Msg(MsgKind.FWD_GETM, msg.addr, LLC, line.owner,
-                              requester=msg.src))
+            self.sim.send(Msg(MsgKind.FWD_GETM, msg.addr, LLC, line.owner))
             return
         was = msg.src in line.sharers
         others = line.sharers - {msg.src}
@@ -315,7 +312,7 @@ class DirectoryLlc(BaseLlc):
         if victim is not None:
             self.busy[victim.addr] = _Txn("evict_fwd", fwd_target=victim.owner)
             self.sim.send(Msg(MsgKind.FWD_GETM, victim.addr, LLC,
-                              victim.owner, requester=HOME))
+                              victim.owner))
         return victim
 
     def state_key(self) -> tuple:

@@ -34,7 +34,7 @@ from .cachemem import (CacheLine, LineState, LlcLine, MainMemory,
                        SetAssocCache, ValueToken, initial_token)
 from .config import SimConfig, hop_table
 from .consistency import CoreClock, MemoryModel
-from .messages import LLC, MEM, Msg, MsgKind, traffic_class
+from .messages import LLC, MEM, TRAFFIC_CLASS, Msg, MsgKind
 from .workloads import MemOp, OpKind, Program
 
 
@@ -603,6 +603,7 @@ class Simulator:
         self.rng = random.Random(cfg.seed)
         self._pass_at = draw_threshold(cfg.skip_prob)
         self._hops = hop_table(cfg.cores)
+        self._flits = (1, 1 + cfg.data_flits)   # by whether a line rides along
         self.mem = MainMemory()
         self.ledger = TrafficLedger()
         self.counters = Counters(record_renewals=record_renewals)
@@ -621,8 +622,9 @@ class Simulator:
 
     def send(self, msg: Msg) -> None:
         cfg = self.cfg
-        flits = msg.flits(cfg.data_flits)
-        if msg.kind in (MsgKind.MEM_READ, MsgKind.MEM_DATA, MsgKind.MEM_WRITE):
+        flits = self._flits[msg.data]
+        cls = TRAFFIC_CLASS[msg.kind]
+        if cls == "dram":
             hops = 1
             half = cfg.dram_latency // 2
             latency = max(1, (cfg.dram_latency - half)
@@ -631,7 +633,7 @@ class Simulator:
             core_end = msg.src if msg.src >= 0 else msg.dst
             hops = self._hops[core_end][cfg.home_tile(msg.addr)]
             latency = max(1, hops * cfg.hop_cycles)
-        self.ledger.add(traffic_class(msg.kind), flits, hops)
+        self.ledger.add(cls, flits, hops)
         self._msg_seq += 1
         heapq.heappush(self._queue, (self.step + latency, self._msg_seq, msg))
 
@@ -702,6 +704,15 @@ class Simulator:
         return [cid for cid in order
                 if draw_numerator(words >> DRAW_BITS * cid) >= at]
 
+    def _head_parked(self) -> bool:
+        """Sequential schedule: whether the one core allowed to move, the
+        first that is not done, waits for a delivery (the cores behind
+        it stay ready without ever taking a turn)."""
+        for core in self.cores:
+            if not core.done:
+                return core.cid not in self._ready
+        return True
+
     def _skip_idle(self, limit: int) -> None:
         """No core is ready, so no tick before the next delivery does
         anything: move the clock to the tick before it, never past limit,
@@ -716,6 +727,7 @@ class Simulator:
     def run(self):
         from .metrics import build_report
         limit = self.cfg.max_steps
+        sequential = self.program.schedule == "sequential"
         # after every core is done, fire-and-forget traffic (freshness
         # checks, eviction writebacks triggered by the last fill) may
         # still be in flight; let it land
@@ -723,7 +735,7 @@ class Simulator:
             if self.step >= limit:
                 raise StepLimitError(f"exceeded {limit} steps\n{self._dump()}")
             self.tick()
-            if self._ready:
+            if self._ready and not (sequential and self._head_parked()):
                 continue
             if self._queue:
                 self._skip_idle(limit)
@@ -784,7 +796,7 @@ class _World(Simulator):
         self.rng = self._ready = None
 
     def send(self, msg: Msg) -> None:
-        self.ledger.add(traffic_class(msg.kind), msg.flits(self.cfg.data_flits), 1)
+        self.ledger.add(TRAFFIC_CLASS[msg.kind], self._flits[msg.data], 1)
         self.channels.setdefault((msg.src, msg.dst), []).append(msg)
 
     def trace_append(self, row: TraceOp) -> None:

@@ -51,19 +51,16 @@ class MsgKind(Enum):
     MEM_WRITE = auto()
 
 
-RENEW_CLASS = {MsgKind.RENEW_REQ, MsgKind.RENEW_RESP, MsgKind.CHECK_REQ, MsgKind.CHECK_RESP}
-INVAL_CLASS = {MsgKind.INV, MsgKind.INV_ACK, MsgKind.PUTS, MsgKind.PUTS_ACK}
-DRAM_CLASS = {MsgKind.MEM_READ, MsgKind.MEM_DATA, MsgKind.MEM_WRITE}
-
-
-def traffic_class(kind: MsgKind) -> str:
-    if kind in RENEW_CLASS:
-        return "renew"
-    if kind in INVAL_CLASS:
-        return "invalidation"
-    if kind in DRAM_CLASS:
-        return "dram"
-    return "common"
+# the accounting class of every message kind
+TRAFFIC_CLASS = dict.fromkeys(MsgKind, "common")
+TRAFFIC_CLASS.update(dict.fromkeys((MsgKind.RENEW_REQ, MsgKind.RENEW_RESP,
+                                    MsgKind.CHECK_REQ, MsgKind.CHECK_RESP),
+                                   "renew"))
+TRAFFIC_CLASS.update(dict.fromkeys((MsgKind.INV, MsgKind.INV_ACK,
+                                    MsgKind.PUTS, MsgKind.PUTS_ACK),
+                                   "invalidation"))
+TRAFFIC_CLASS.update(dict.fromkeys((MsgKind.MEM_READ, MsgKind.MEM_DATA,
+                                    MsgKind.MEM_WRITE), "dram"))
 
 
 # recall downgrade targets
@@ -91,12 +88,8 @@ class Msg:
     updated: bool = False           # check response
     downgrade: str = TO_S           # recall target state
     extend_ts: int | None = None    # recall: extend rts to extend_ts + lease
-    requester: int = -3             # directory fwd: the core being served
     have_line: bool = False         # store request: upgrade of a shared copy
     recalled: bool = False          # set at the home while queued behind a recall
-
-    def flits(self, data_flits: int) -> int:
-        return 1 + (data_flits if self.data else 0)
 
     def key(self) -> tuple:
         """Identity of this message in an enumeration state: every field,

@@ -6,9 +6,11 @@ from tardisim.audit import AuditError, CoherenceAuditor
 from tardisim.cachemem import CacheLine, LineState, ValueToken, initial_token
 from tardisim.config import preset
 from tardisim.engine import Simulator, TraceOp
-from tardisim.workloads import OpKind, WarmLine, builtin, parse_program
+from tardisim.workloads import (OpKind, SynthParams, WarmLine, builtin,
+                                parse_program, synth)
 
 from conftest import run
+from test_fingerprint import CAPACITY_CFG, CAPACITY_PINS, CAPACITY_SEEDS, MODELS
 
 
 def audited(text, **overrides):
@@ -139,3 +141,35 @@ def test_directory_stale_load_is_caught():
                     ts=0, step=99, seq=9)
     with pytest.raises(AuditError, match="last store"):
         aud.on_commit(stale)
+
+
+class _IndexChecked(Simulator):
+    """Compares the auditor's holder index with a scan of every L1 after
+    each tick."""
+
+    ticks_checked = 0
+
+    def tick(self):
+        super().tick()
+        scan = {}
+        for core in self.cores:
+            for line in core.l1.lines():
+                scan.setdefault(line.addr, {})[core.cid] = id(line)
+        index = {addr: {cid: id(line) for cid, line in held.items()}
+                 for addr, held in self.auditor.holders.items()}
+        assert index == scan, self.step
+        self.ticks_checked += 1
+
+
+@pytest.mark.parametrize("preset_name", sorted(CAPACITY_PINS))
+def test_holder_index_matches_every_l1_under_capacity_pressure(preset_name):
+    for model in MODELS:
+        for seed in CAPACITY_SEEDS:
+            sim = _IndexChecked(
+                preset(preset_name, model=model, seed=seed, **CAPACITY_CFG),
+                synth(SynthParams(cores=8, ops_per_core=40, hot_lines=2,
+                                  shared_lines=24, private_lines=8,
+                                  seed=seed)),
+                auditor=CoherenceAuditor())
+            sim.run()
+            assert sim.ticks_checked > 0

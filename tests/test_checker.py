@@ -1,12 +1,18 @@
 """Axiomatic trace checker and the small-program outcome oracle."""
 
+import hashlib
+import random
+from dataclasses import replace
+
 import pytest
 
+from tardisim.audit import CoherenceAuditor
 from tardisim.cachemem import ValueToken, initial_token
 from tardisim.checker import check_trace, ordered, oracle_outcomes
+from tardisim.config import preset
 from tardisim.consistency import MemoryModel
-from tardisim.engine import TraceOp
-from tardisim.workloads import OpKind, builtin, parse_program
+from tardisim.engine import Simulator, TraceOp
+from tardisim.workloads import OpKind, SynthParams, builtin, parse_program, synth
 
 SC, TSO, PSO, RC = (MemoryModel.SC, MemoryModel.TSO, MemoryModel.PSO,
                     MemoryModel.RC)
@@ -145,6 +151,106 @@ def test_tied_load_store_resolves_by_value():
         row(0, 0, LD, 0, ValueToken(1, 9, 9), ts=4, step=40),
     ]
     assert [v.rule for v in check_trace(trace, "sc")] == ["value"]
+
+
+def test_same_core_tie_is_decided_by_sequence():
+    # a same-core store sharing the load's instant is visible only when
+    # it committed first
+    v1 = ValueToken(0, 1, 1)
+    before = [row(0, 0, ST, 0, v1, ts=4, step=40, seq=1)]
+    for model in ("sc", "tso"):
+        assert check_trace(before + [row(0, 1, LD, 0, v1, ts=4, step=40,
+                                         seq=2)], model) == []
+        assert [v.rule for v in check_trace(
+            before + [row(0, 1, LD, 0, initial_token(0), ts=4, step=40,
+                          seq=2)], model)] == ["value"]
+    after = [row(0, 2, ST, 0, v1, ts=4, step=40, seq=3)]
+    for model in ("sc", "tso"):
+        assert check_trace(after + [row(0, 1, LD, 0, initial_token(0),
+                                        ts=4, step=40, seq=2)], model) == []
+        assert [v.rule for v in check_trace(
+            after + [row(0, 1, LD, 0, v1, ts=4, step=40, seq=2)],
+            model)] == ["value"]
+
+
+def test_cross_core_tie_admits_either_side_but_not_older_values():
+    v0, v1 = ValueToken(2, 1, 5), ValueToken(1, 1, 3)
+    stores = [row(2, 0, ST, 0, v0, ts=4, step=39),   # one step earlier
+              row(1, 0, ST, 0, v1, ts=4, step=40),   # tied with the load
+              row(2, 1, ST, 0, ValueToken(2, 2, 6), ts=4, step=41, seq=2)]
+    for read in (v0, v1):
+        assert check_trace(stores + [row(0, 0, LD, 0, read, ts=4, step=40)],
+                           "sc") == []
+    assert [v.rule for v in check_trace(
+        stores + [row(0, 0, LD, 0, initial_token(0), ts=4, step=40)],
+        "sc")] == ["value"]
+
+
+def test_program_earlier_own_store_with_later_timestamp():
+    # core 0's own store commits at ts 7, after core 1's at ts 3 and
+    # after its own load at ts 5: SC breaks program order and reads core
+    # 1's value, TSO forwards core 0's own
+    own, other = ValueToken(0, 1, 1), ValueToken(1, 1, 2)
+    trace = [row(0, 0, ST, 0, own, ts=7, step=70),
+             row(1, 0, ST, 0, other, ts=3, step=30)]
+    sc_ok = trace + [row(0, 1, LD, 0, other, ts=5, step=50, seq=2)]
+    tso_ok = trace + [row(0, 1, LD, 0, own, ts=5, step=50, seq=2)]
+    assert [v.rule for v in check_trace(sc_ok, "sc")] == ["program-order"]
+    assert [v.rule for v in check_trace(tso_ok, "sc")] == ["program-order",
+                                                           "value"]
+    assert check_trace(tso_ok, "tso") == []
+    assert [v.rule for v in check_trace(sc_ok, "tso")] == ["value"]
+
+
+# --- equivalence corpus -------------------------------------------------
+
+# sha256 over every violation, str() of each plus a newline, of the
+# corrupted-trace corpus below (traces in order, models in MODELS order
+# per trace), and the number of violations
+CORPUS_PIN = ("b0330d5307e114266780faf09adc159b5e11c8c814f3a8458f8590728dd58137",
+              7094)
+MODELS = ("sc", "tso", "pso", "rc")
+
+
+def _corrupted(trace, rng):
+    """A copy of trace with a few rows' values swapped, their ts, step
+    or idx nudged, or their instant tied with a same-address row's."""
+    rows = [replace(r) for r in trace]
+    valued = [r for r in rows if r.value is not None]
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.sample(valued, 2)
+        a.value, b.value = b.value, a.value
+    for _ in range(rng.randint(1, 4)):
+        r = rng.choice(rows)
+        field = rng.choice(("ts", "step", "idx", "instant"))
+        if field == "instant":
+            other = rng.choice([o for o in rows if o.addr == r.addr])
+            r.ts, r.step = other.ts, other.step
+        else:
+            setattr(r, field,
+                    max(0, getattr(r, field) + rng.choice((-2, -1, 1, 2))))
+    return rows
+
+
+def test_violations_match_pinned_corpus():
+    h = hashlib.sha256()
+    count = 0
+    for preset_name in ("tardis-live", "directory"):
+        for seed in range(5):
+            sim = Simulator(
+                preset(preset_name, model=MODELS[seed % 4], seed=seed),
+                synth(SynthParams(cores=4, ops_per_core=40, hot_lines=2,
+                                  shared_lines=4, seed=seed)),
+                auditor=CoherenceAuditor())
+            sim.run()
+            rng = random.Random(seed)
+            for _ in range(8):
+                bad = _corrupted(sim.trace, rng)
+                for model in MODELS:
+                    for v in check_trace(bad, model):
+                        h.update((str(v) + "\n").encode())
+                        count += 1
+    assert (h.hexdigest(), count) == CORPUS_PIN
 
 
 # --- the outcome oracle --------------------------------------------------

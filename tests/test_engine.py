@@ -187,6 +187,25 @@ def test_deadlock_detected_after_another_core_finishes():
     assert sim.step < 1_000
 
 
+def test_sequential_deadlock_behind_a_blocked_core_is_detected():
+    # core 2 stays ready behind the blocked core 1 but never gets a turn
+    prog = parse_program("""
+    [core 0]
+    Ld A -> r1
+    [core 1]
+    Ld B -> r2
+    [core 2]
+    Ld C -> r3
+    """)
+    prog.schedule = "sequential"
+    sim = _LosesCore1Loads(preset("tardis-base", max_steps=20_000), prog)
+    with pytest.raises(DeadlockError):
+        sim.run()
+    assert sim.cores[0].done and sim.cores[1].waiting is not None
+    assert sim.cores[2].pc == 0
+    assert sim.step < 1_000
+
+
 def test_step_limit_counts_skipped_ticks():
     # the load waits 400 ticks for DRAM with no core ready; the clock
     # skips ahead but stops at the limit

@@ -72,16 +72,16 @@ CAPACITY_SEEDS = (0, 2)
 CAPACITY_PINS = {
     "directory": (
         "01531722b0f7291d0d4894435d250a9909b1e3728bb43397f2077c941dccb16f",
-        "0ebcabc07287c8c902b22b6a2f83fe0078e95dbb0284de32fd442330d8ea8ac7"),
+        "9047f359c694fed1a43a560e951da24fc0443c5f067fc1e3b8e5191cb9cc3a7b"),
     "tardis-base": (
         "22bf07b0591b7e7793b948cca90c89333449948d9b38947cf5193dc312f9dd6b",
-        "e7af6ac8168fed331160dbb8f08c689ea5eb77099991b8315443f83725bfae3a"),
+        "0679e884c5ed5917017459b262b0c5dd375d11825ff891eb4f6fd253eebfedfb"),
     "tardis-live": (
         "4e911be98d51a82882ecc2b2883fe842de41fffe0184bf38521de470e7a5537d",
-        "e7af6ac8168fed331160dbb8f08c689ea5eb77099991b8315443f83725bfae3a"),
+        "0679e884c5ed5917017459b262b0c5dd375d11825ff891eb4f6fd253eebfedfb"),
     "tardis-opt": (
         "dd81e29fdec10b7520af6408d1aa8a99ece549caeeef54f810f3dad664ec9fe4",
-        "f1f35249baffadcfec29cb80e04d6ab8fd05459c44a4f81ed20591bf7220782b"),
+        "088d05f9798d744d87b550294671e631f6ef4651dc84b76717fb9b788dedca6c"),
 }
 
 # tardis-opt, synth, tso, seed 1
