@@ -157,6 +157,8 @@ def cmd_check(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = _config_from_args(args)
+    if args.repeat < 0:
+        raise ConfigError("--repeat must be >= 0")
     values = args.values.split(",")
     seeds = range(args.repeat) if args.repeat else [base.seed]
     rows = []

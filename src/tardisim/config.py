@@ -57,8 +57,14 @@ class SimConfig:
             raise ConfigError(f"unknown model {self.model!r}") from None
         if self.cores < 1:
             raise ConfigError("cores must be >= 1")
-        if self.static_lease < 1:
-            raise ConfigError("static_lease must be >= 1")
+        for key in ("static_lease", "ahb_entries", "l1_kb", "l1_ways",
+                    "llc_kb", "llc_ways", "line_bytes", "flit_bits"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        if self.store_buffer < 0:
+            raise ConfigError("store_buffer must be >= 0")
+        if not 0 <= self.skip_prob < 1:
+            raise ConfigError("skip_prob must be in [0, 1)")
         if self.lease_predictor and self.static_lease not in LEASE_VALUES:
             raise ConfigError(
                 f"lease_predictor needs static_lease in {LEASE_VALUES}")

@@ -12,10 +12,8 @@ checker treats them as sequentially consistent executions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cachemem import CacheLine, LineState, LlcLine, ValueToken
-from .engine import BaseCore, BaseLlc, HomeWait, StoreEntry, copy_record
+from .engine import BaseCore, BaseLlc, HomeWait, StoreEntry, Txn
 from .messages import LLC, Msg, MsgKind
 from .workloads import MemOp
 
@@ -30,10 +28,10 @@ class DirectoryCore(BaseCore):
     def _load(self, op: MemOp, step: int) -> None:
         line = self.l1.lookup(op.addr)
         if line is not None:
-            self._finish_load(op, self.pc, line.value, 0, step, 0)
+            self._finish_load(line.value, 0, step, 0)
             return
         self.sim.send(Msg(MsgKind.GETS, op.addr, self.cid, LLC))
-        self.waiting = {"op": op, "idx": self.pc, "addr": op.addr}
+        self.waiting = op.addr
 
     def _drain_issue(self, entry: StoreEntry, step: int) -> None:
         line = self.l1.lookup(entry.addr)
@@ -46,12 +44,11 @@ class DirectoryCore(BaseCore):
     def handle(self, msg: Msg, step: int) -> None:
         kind = msg.kind
         if kind is MsgKind.DATA_RESP:
-            ctx = self.waiting
-            assert ctx is not None and ctx["addr"] == msg.addr
+            assert self.waiting == msg.addr
             self.waiting = None
             line = self._install(CacheLine(
                 addr=msg.addr, state=E if msg.excl else S, value=msg.value))
-            self._finish_load(ctx["op"], ctx["idx"], line.value, 0, step, 0)
+            self._finish_load(line.value, 0, step, 0)
         elif kind is MsgKind.EXCL_RESP:
             self._store_granted(msg, step)
         elif kind is MsgKind.INV:
@@ -98,36 +95,16 @@ class DirectoryCore(BaseCore):
     def _store_ts(self, line: CacheLine, floor: int) -> int:
         return 0   # invalidation orders stores; lines carry no timestamps
 
-    def state_key(self) -> tuple:
-        lines = tuple(sorted(
-            (l.addr, l.state.value, l.value.as_tuple(), l.dirty)
-            for l in self.l1.lines()))
-        return super().state_key() + (lines,)
+    def _line_key(self, l: CacheLine) -> tuple:
+        return (l.addr, l.state.value, l.value.as_tuple(), l.dirty)
 
 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Txn:
-    kind: str                 # gets_fwd | getm_fwd | getm_inv | evict_fwd | evict_inv
-    req: Msg | None = None
-    need: int = 0
-    got: int = 0
-    fwd_target: int | None = None
-    was_sharer: bool = False
-
-    def clone(self) -> _Txn:
-        new = copy_record(self)
-        if self.req is not None:
-            new.req = copy_record(self.req)
-        return new
-
-
 class DirectoryLlc(BaseLlc):
-    def __init__(self, sim):
-        super().__init__(sim)
-        self.busy: dict[int, _Txn] = {}
+    """A line's transaction forwards to its owner (gets_fwd, getm_fwd,
+    evict_fwd) or collects invalidation acks (getm_inv, evict_inv)."""
 
     def warm_install(self, addr: int, value: ValueToken, wts: int,
                      rts: int, sharers=()) -> None:
@@ -140,18 +117,18 @@ class DirectoryLlc(BaseLlc):
         kind = msg.kind
         if kind in (MsgKind.GETS, MsgKind.GETM):
             self.sim.counters.llc_accesses += 1
-            if msg.addr in self.busy or msg.addr in self.waitq:
-                self.waitq.setdefault(msg.addr, HomeWait()).queue.append(msg)
+            wait = self.waitq.get(msg.addr)
+            if wait is not None:
+                wait.queue.append(msg)
             else:
                 self._admit(msg)
         elif kind is MsgKind.INV_ACK:
-            txn = self.busy[msg.addr]
+            txn = self.waitq[msg.addr].txn
             txn.got += 1
             if txn.got >= txn.need:
                 self._acks_done(msg.addr)
         elif kind is MsgKind.FWD_RESP:
-            txn = self.busy.get(msg.addr)
-            if txn is not None and txn.fwd_target == msg.src:
+            if self._awaits(msg.addr, msg.src):
                 self._fwd_done(msg.addr, msg if msg.data else None,
                                owner_kept_copy=True)
         elif kind is MsgKind.PUTS:
@@ -175,8 +152,7 @@ class DirectoryLlc(BaseLlc):
                 line.value = msg.value
             line.owner = None
             self.sim.touch(addr)
-            txn = self.busy.get(addr)
-            if txn is not None and txn.fwd_target == msg.src:
+            if self._awaits(addr, msg.src):
                 # the owner's eviction answered our forward for us
                 self._fwd_done(addr, None, owner_kept_copy=False)
         self.sim.send(Msg(MsgKind.PUTM_ACK, addr, LLC, msg.src))
@@ -195,8 +171,8 @@ class DirectoryLlc(BaseLlc):
 
     def _gets(self, msg: Msg, line: LlcLine) -> None:
         if line.owner is not None:
-            self.busy[msg.addr] = _Txn("gets_fwd", req=msg,
-                                       fwd_target=line.owner)
+            self.waitq.setdefault(msg.addr, HomeWait()).txn = Txn(
+                "gets_fwd", req=msg, target=line.owner)
             self.sim.send(Msg(MsgKind.FWD_GETS, msg.addr, LLC, line.owner))
             return
         if self.sim.cfg.mesi and not line.sharers:
@@ -212,15 +188,15 @@ class DirectoryLlc(BaseLlc):
 
     def _getm(self, msg: Msg, line: LlcLine) -> None:
         if line.owner is not None:
-            self.busy[msg.addr] = _Txn("getm_fwd", req=msg,
-                                       fwd_target=line.owner)
+            self.waitq.setdefault(msg.addr, HomeWait()).txn = Txn(
+                "getm_fwd", req=msg, target=line.owner)
             self.sim.send(Msg(MsgKind.FWD_GETM, msg.addr, LLC, line.owner))
             return
         was = msg.src in line.sharers
         others = line.sharers - {msg.src}
         if others:
-            self.busy[msg.addr] = _Txn("getm_inv", req=msg, need=len(others),
-                                       was_sharer=was)
+            self.waitq.setdefault(msg.addr, HomeWait()).txn = Txn(
+                "getm_inv", req=msg, need=len(others), was_sharer=was)
             for s in sorted(others):
                 self.sim.send(Msg(MsgKind.INV, msg.addr, LLC, s))
             return
@@ -236,10 +212,11 @@ class DirectoryLlc(BaseLlc):
     # -- transaction completion --------------------------------------------
 
     def _fwd_done(self, addr: int, data_msg, owner_kept_copy: bool) -> None:
-        txn = self.busy.pop(addr)
+        wait = self.waitq[addr]
+        txn, wait.txn = wait.txn, None
         line = self.lines.lookup(addr, touch=False)
         assert line is not None
-        old_owner = line.owner if line.owner is not None else txn.fwd_target
+        old_owner = line.owner if line.owner is not None else txn.target
         if data_msg is not None:
             line.value = data_msg.value
         line.owner = None
@@ -259,7 +236,8 @@ class DirectoryLlc(BaseLlc):
         self._drain(addr)
 
     def _acks_done(self, addr: int) -> None:
-        txn = self.busy.pop(addr)
+        wait = self.waitq[addr]
+        txn, wait.txn = wait.txn, None
         line = self.lines.lookup(addr, touch=False)
         assert line is not None
         if txn.kind == "getm_inv":
@@ -270,21 +248,8 @@ class DirectoryLlc(BaseLlc):
             line.sharers.clear()
             self._finish_eviction(addr)
 
-    def _drain(self, addr: int) -> None:
-        w = self.waitq.get(addr)
-        if w is None:
-            return
-        while w.queue:
-            if (addr in self.busy or w.fill_out
-                    or w.parked_fill is not None):
-                return
-            self._admit_queued(w.queue.pop(0))
-        if not w.fill_out and w.parked_fill is None:
-            del self.waitq[addr]
-
-    def _admit_queued(self, msg: Msg) -> None:
-        line = self.lines.lookup(msg.addr)
-        assert line is not None
+    def _replay(self, wait: HomeWait, line: LlcLine) -> None:
+        msg = wait.queue.pop(0)
         if msg.kind is MsgKind.GETS:
             self._gets(msg, line)
         else:
@@ -295,39 +260,23 @@ class DirectoryLlc(BaseLlc):
     def _clean(self, line: LlcLine) -> bool:
         return line.owner is None and not line.sharers
 
-    def _tied(self) -> set:
-        return super()._tied() | set(self.busy)
-
     def _reclaim(self, fill_addr: int, tied: set) -> LlcLine | None:
         victim = self.lines.lru_victim(
             fill_addr, avoid=lambda l: l.addr in tied or l.owner is not None)
         if victim is not None:
-            self.busy[victim.addr] = _Txn("evict_inv",
-                                          need=len(victim.sharers))
+            self.waitq[victim.addr] = HomeWait(
+                txn=Txn("evict_inv", need=len(victim.sharers)))
             for s in sorted(victim.sharers):
                 self.sim.send(Msg(MsgKind.INV, victim.addr, LLC, s))
             return victim
         victim = self.lines.lru_victim(fill_addr,
                                        avoid=lambda l: l.addr in tied)
         if victim is not None:
-            self.busy[victim.addr] = _Txn("evict_fwd", fwd_target=victim.owner)
+            self.waitq[victim.addr] = HomeWait(
+                txn=Txn("evict_fwd", target=victim.owner))
             self.sim.send(Msg(MsgKind.FWD_GETM, victim.addr, LLC,
                               victim.owner))
         return victim
 
-    def state_key(self) -> tuple:
-        lines = tuple(sorted(
-            (l.addr, l.value.as_tuple(), l.owner, tuple(sorted(l.sharers)))
-            for l in self.lines.lines()))
-        busy = tuple(sorted(
-            (a, t.kind, t.need, t.got, t.fwd_target, t.was_sharer,
-             t.req.key() if t.req else None) for a, t in self.busy.items()))
-        waits = tuple(sorted(
-            (a, tuple(m.key() for m in w.queue), w.fill_out,
-             w.parked_fill is not None) for a, w in self.waitq.items()))
-        return (lines, busy, waits, tuple(sorted(self.evict_wait.items())))
-
-    def clone(self, sim) -> DirectoryLlc:
-        new = super().clone(sim)
-        new.busy = {a: t.clone() for a, t in self.busy.items()}
-        return new
+    def _line_key(self, l: LlcLine) -> tuple:
+        return (l.addr, l.value.as_tuple(), l.owner, tuple(sorted(l.sharers)))

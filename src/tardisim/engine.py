@@ -188,7 +188,7 @@ class BaseCore:
         self.buffer: list[StoreEntry] = []
         self.buffer_cap = sim.cfg.store_buffer_size
         self.drain_inflight = False
-        self.waiting = None          # dict(op=, idx=, addr=) while blocked
+        self.waiting = None          # the blocked load's address; op at pc
         self.sleep_left = 0
         self.seq = 0                 # per-core commit counter
         self.store_seq = 0
@@ -275,8 +275,7 @@ class BaseCore:
             if entry.addr == op.addr:
                 pre = self.clock.read_ts
                 ts = self.clock.commit_load(0, dirty_by_self=True)
-                self._finish_load(op, self.pc, entry.token, ts, step, pre,
-                                  fwd=True)
+                self._finish_load(entry.token, ts, step, pre, fwd=True)
                 return
         self._load(op, step)
 
@@ -296,8 +295,11 @@ class BaseCore:
 
     # -- commit plumbing -----------------------------------------------
 
-    def _finish_load(self, op: MemOp, idx: int, token: ValueToken, ts: int,
-                     step: int, pre_read_ts: int, fwd: bool = False) -> None:
+    def _finish_load(self, token: ValueToken, ts: int, step: int,
+                     pre_read_ts: int, fwd: bool = False) -> None:
+        """Commit the load or spin at pc, which a blocked load holds."""
+        idx = self.pc
+        op = self.ops[idx]
         if op.kind is OpKind.SPIN:
             self.commit_memory(idx, op.kind, op.addr, token, ts, step,
                                pre_read_ts, fwd=fwd)
@@ -361,7 +363,7 @@ class BaseCore:
     def _install(self, line: CacheLine) -> CacheLine:
         l1 = self.l1
         if not l1.has_room(line.addr):
-            locked = self.waiting["addr"] if self.waiting else None
+            locked = self.waiting
             victim = l1.lru_victim(line.addr, avoid=lambda l: l.addr == locked)
             assert victim is not None, "every way locked"
             l1.remove(victim.addr)
@@ -391,14 +393,18 @@ class BaseCore:
         protocol that timestamps lines also stamps line with it."""
         raise NotImplementedError
 
+    def _line_key(self, line: CacheLine) -> tuple:
+        """The fields of an L1 line that the protocol reads."""
+        raise NotImplementedError
+
     def state_key(self) -> tuple:
         c = self.clock
         return (self.pc, tuple(sorted(self.regs.items())),
                 (c.pts, c.lts, c.sts, c.acquire_ts, c.release_ts, c.max_ts),
                 tuple((e.idx, e.addr, e.token.as_tuple()) for e in self.buffer),
-                self.drain_inflight,
-                self.waiting["idx"] if self.waiting else None,
-                self.sleep_left, self.store_seq)
+                self.drain_inflight, self.waiting,
+                self.sleep_left, self.store_seq,
+                tuple(sorted(map(self._line_key, self.l1.lines()))))
 
     def clone(self, sim) -> BaseCore:
         """An exact, independent copy of this core inside sim.  The op
@@ -409,8 +415,6 @@ class BaseCore:
         new.regs = dict(self.regs)
         new.clock = copy_record(self.clock)
         new.buffer = list(self.buffer)
-        if self.waiting is not None:
-            new.waiting = dict(self.waiting)
         return new
 
 
@@ -419,20 +423,48 @@ class BaseCore:
 
 
 @dataclass
+class Txn:
+    """A transaction the home has out to the cores for one line: a
+    Tardis recall, or a directory forward or invalidation round."""
+
+    kind: str        # recall | gets_fwd | getm_fwd | getm_inv | evict_fwd | evict_inv
+    req: Msg | None = None      # the request it serves
+    need: int = 0               # invalidation acks to collect
+    got: int = 0
+    target: int | None = None   # the core whose answer ends it
+    was_sharer: bool = False
+
+    def key(self) -> tuple:
+        return (self.kind, self.need, self.got, self.target, self.was_sharer,
+                self.req.key() if self.req else None)
+
+
+@dataclass
 class HomeWait:
-    """What the home holds for one line: requests queued behind a fill or
-    a transaction, whether a DRAM read is out, and a fill parked until an
-    eviction frees a way."""
+    """What the home holds for one line it is busy with: requests queued
+    behind a fill or a transaction, whether a DRAM read is out, a fill
+    parked until an eviction frees a way, and the transaction out to the
+    cores."""
 
     queue: list = field(default_factory=list)
     fill_out: bool = False
     parked_fill: Msg | None = None   # MEM_DATA waiting for an eviction
+    txn: Txn | None = None
+
+    def busy(self) -> bool:
+        """Whether the queue must wait."""
+        return (self.fill_out or self.parked_fill is not None
+                or self.txn is not None)
 
     def clone(self) -> HomeWait:
         new = copy_record(self)
         new.queue = [copy_record(m) for m in self.queue]
         if self.parked_fill is not None:
             new.parked_fill = copy_record(self.parked_fill)
+        if self.txn is not None:
+            txn = new.txn = copy_record(self.txn)
+            if txn.req is not None:
+                txn.req = copy_record(txn.req)
         return new
 
 
@@ -443,17 +475,18 @@ def _copy_llc_line(line: LlcLine) -> LlcLine:
 
 
 class BaseLlc:
-    """The shared-cache array, DRAM fills and capacity eviction.
+    """The shared-cache array, DRAM fills, capacity eviction and the one
+    record per busy line.
 
     A fill takes a free way, else the LRU clean line, else it parks while
     the home takes a line back from the cores; the victim's return
-    (_finish_eviction) installs it.  Protocol subclasses provide handle,
-    _clean (the line may leave without asking any core), _reclaim (start
-    taking a victim back, or None if every way is tied up) and _drain
-    (replay a line's queued requests).
+    (_finish_eviction) installs it.  Requests for a busy line queue in its
+    waitq record and _drain replays them once it is free.  Protocol
+    subclasses provide handle, _clean (the line may leave without asking
+    any core), _reclaim (start taking a victim back, or None if every way
+    is tied up), _replay (act on the head of a free line's queue) and
+    _line_key.
     """
-
-    Wait = HomeWait   # the per-line record; a protocol may extend it
 
     def __init__(self, sim):
         self.sim = sim
@@ -463,11 +496,34 @@ class BaseLlc:
         self.evict_wait: dict[int, int] = {}   # victim addr -> fill addr
 
     def _start_fill(self, msg: Msg) -> None:
-        wait = self.waitq.setdefault(msg.addr, self.Wait())
+        wait = self.waitq.setdefault(msg.addr, HomeWait())
         wait.queue.append(msg)
         if not wait.fill_out:
             wait.fill_out = True
             self.sim.send(Msg(MsgKind.MEM_READ, msg.addr, LLC, MEM))
+
+    def _awaits(self, addr: int, core: int) -> bool:
+        """Whether the line's transaction waits on an answer from core."""
+        wait = self.waitq.get(addr)
+        return (wait is not None and wait.txn is not None
+                and wait.txn.target == core)
+
+    def _drain(self, addr: int) -> None:
+        """Replay the line's queue while it is free; the record goes once
+        it holds nothing, and only here."""
+        wait = self.waitq.get(addr)
+        if wait is None:
+            return
+        while wait.queue and not wait.busy():
+            line = self.lines.lookup(addr)
+            if line is None:
+                # an evicted victim with demand queued on it
+                wait.fill_out = True
+                self.sim.send(Msg(MsgKind.MEM_READ, addr, LLC, MEM))
+                return
+            self._replay(wait, line)
+        if not (wait.queue or wait.busy()):
+            del self.waitq[addr]
 
     def _tied(self) -> set:
         """Lines a fill may not displace."""
@@ -502,10 +558,7 @@ class BaseLlc:
         self._install_fill(msg)
         self._drain(fill_addr)
         # demand traffic may have queued on the victim while it was going
-        leftover = self.waitq.get(victim_addr)
-        if leftover is not None and leftover.queue and not leftover.fill_out:
-            leftover.fill_out = True
-            self.sim.send(Msg(MsgKind.MEM_READ, victim_addr, LLC, MEM))
+        self._drain(victim_addr)
 
     def _evict(self, victim: LlcLine) -> None:
         self.lines.remove(victim.addr)
@@ -519,6 +572,14 @@ class BaseLlc:
                                   value=msg.value, e_bit=True,
                                   cur_lease=msg.lease))
         self.sim.touch(msg.addr)
+
+    def state_key(self) -> tuple:
+        waits = tuple(sorted(
+            (a, tuple(m.key() for m in w.queue), w.fill_out,
+             w.parked_fill is not None, w.txn.key() if w.txn else None)
+            for a, w in self.waitq.items()))
+        return (tuple(sorted(map(self._line_key, self.lines.lines()))), waits,
+                tuple(sorted(self.evict_wait.items())))
 
     def clone(self, sim) -> BaseLlc:
         """An exact, independent copy of this home node inside sim."""
@@ -537,7 +598,13 @@ class BaseLlc:
     def _reclaim(self, fill_addr: int, tied: set) -> LlcLine | None:
         raise NotImplementedError
 
-    def _drain(self, addr: int) -> None:
+    def _replay(self, wait: HomeWait, line: LlcLine) -> None:
+        """Act on wait.queue[0] for the free, resident line: serve it (and
+        pop it) or open a transaction."""
+        raise NotImplementedError
+
+    def _line_key(self, line: LlcLine) -> tuple:
+        """The fields of an LLC line that the protocol reads."""
         raise NotImplementedError
 
 
@@ -747,14 +814,27 @@ class Simulator:
             self.auditor.on_run_end()
         return build_report(self)
 
+    def in_flight(self) -> int:
+        return len(self._queue)
+
     def _dump(self) -> str:
-        lines = [f"step={self.step} queue={len(self._queue)}"
-                 f" ready={sorted(self._ready)}"]
+        """The cores and the home records, for a failure message."""
+        lines = [f"step={self.step} in_flight={self.in_flight()}"
+                 f" ready={sorted(self._ready or ())}"]
         for c in self.cores:
             lines.append(
                 f"  core {c.cid}: pc={c.pc}/{len(c.ops)} waiting={c.waiting}"
                 f" buffer={len(c.buffer)} inflight={c.drain_inflight}"
                 f" sleep={c.sleep_left}")
+        llc = self.llc
+        for addr, w in sorted(llc.waitq.items()):
+            txn = f"{w.txn.kind}->{w.txn.target}" if w.txn else None
+            lines.append(
+                f"  home {addr:#x}: queued={len(w.queue)} fill_out={w.fill_out}"
+                f" parked_fill={w.parked_fill is not None} txn={txn}")
+        if llc.evict_wait:
+            lines.append("  evicting (victim->fill): " + " ".join(
+                f"{v:#x}->{f:#x}" for v, f in sorted(llc.evict_wait.items())))
         return "\n".join(lines)
 
     def outcome(self) -> tuple:
@@ -801,6 +881,9 @@ class _World(Simulator):
 
     def trace_append(self, row: TraceOp) -> None:
         pass   # outcomes come from registers; a trace would only grow copies
+
+    def in_flight(self) -> int:
+        return sum(map(len, self.channels.values()))
 
     def actions(self) -> list:
         acts = []
@@ -917,7 +1000,7 @@ def enumerate_outcomes(program: Program, model: str, protocol: str = "tardis",
             continue
         acts = world.actions()
         if not acts:
-            raise DeadlockError(f"enumeration wedged: {world.key()}")
+            raise DeadlockError(f"enumeration wedged\n{world._dump()}")
         for action in acts:
             nxt = copy.deepcopy(world)
             nxt.apply(action)

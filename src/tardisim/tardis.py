@@ -15,10 +15,8 @@ rts and answers with a control message instead of a data transfer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cachemem import CacheLine, LineState, LlcLine, MIN_LEASE, ValueToken
-from .engine import BaseCore, BaseLlc, HomeWait, StoreEntry, copy_record
+from .engine import BaseCore, BaseLlc, HomeWait, StoreEntry, Txn, copy_record
 from .leasepred import READ, RENEW, WRITE, predict
 from .livelock import LivelockDetector
 from .messages import LLC, Msg, MsgKind, TO_I, TO_S
@@ -51,14 +49,14 @@ class TardisCore(BaseCore):
                 # window, no message needed
                 line.rts = ts
                 self.sim.touch(addr)
-            self._finish_load(op, self.pc, line.value, ts, step, pre)
+            self._finish_load(line.value, ts, step, pre)
             return
         if line is not None and line.state is S and clock.read_ts <= line.rts:
             ts = clock.commit_load(line.wts)
             if (self.detector is not None and clock.read_ts == pre
                     and self.detector.on_shared_load(addr)):
                 self._send_check(line)
-            self._finish_load(op, self.pc, line.value, ts, step, pre)
+            self._finish_load(line.value, ts, step, pre)
             return
         if line is not None and line.state is S:
             # expired: ask the home to stretch the lease
@@ -69,7 +67,7 @@ class TardisCore(BaseCore):
         else:
             self.sim.send(Msg(MsgKind.LOAD_REQ, addr, self.cid, LLC,
                               req_ts=clock.read_ts))
-        self.waiting = {"op": op, "idx": self.pc, "addr": addr}
+        self.waiting = addr
 
     def _send_check(self, line: CacheLine) -> None:
         self.sim.counters.checks_sent += 1
@@ -106,8 +104,7 @@ class TardisCore(BaseCore):
     def handle(self, msg: Msg, step: int) -> None:
         kind = msg.kind
         if kind is MsgKind.LOAD_RESP:
-            ctx = self.waiting
-            assert ctx is not None and ctx["addr"] == msg.addr
+            assert self.waiting == msg.addr
             self.waiting = None
             line = self._install(CacheLine(
                 addr=msg.addr, state=E if msg.excl else S, wts=msg.wts,
@@ -117,16 +114,15 @@ class TardisCore(BaseCore):
             if ts > line.rts:
                 assert line.state is E
                 line.rts = ts
-            self._finish_load(ctx["op"], ctx["idx"], line.value, ts, step, pre)
+            self._finish_load(line.value, ts, step, pre)
         elif kind is MsgKind.RENEW_RESP:
-            ctx = self.waiting
-            assert ctx is not None and ctx["addr"] == msg.addr
+            assert self.waiting == msg.addr
             self.waiting = None
             line = self.l1.lookup(msg.addr)
             assert line is not None and line.state is S
             if self.sim.counters.record_renewals:
                 self.sim.counters.renew_events.append(
-                    (self.cid, msg.addr, ctx["idx"], msg.success))
+                    (self.cid, msg.addr, self.pc, msg.success))
             if msg.success:
                 line.rts = max(line.rts, msg.rts)
             else:
@@ -136,7 +132,7 @@ class TardisCore(BaseCore):
             self.sim.touch(msg.addr)
             pre = self.clock.read_ts
             ts = self.clock.commit_load(line.wts)
-            self._finish_load(ctx["op"], ctx["idx"], line.value, ts, step, pre)
+            self._finish_load(line.value, ts, step, pre)
         elif kind is MsgKind.EXCL_RESP:
             self._store_granted(msg, step)
         elif kind is MsgKind.CHECK_RESP:
@@ -191,11 +187,12 @@ class TardisCore(BaseCore):
         line.wts = line.rts = ts
         return ts
 
+    def _line_key(self, l: CacheLine) -> tuple:
+        return (l.addr, l.state.value, l.wts, l.rts, l.value.as_tuple(),
+                l.dirty, l.lease)
+
     def state_key(self) -> tuple:
-        lines = tuple(sorted(
-            (l.addr, l.state.value, l.wts, l.rts, l.value.as_tuple(), l.dirty,
-             l.lease) for l in self.l1.lines()))
-        return super().state_key() + (lines, tuple(sorted(self.check_out)))
+        return super().state_key() + (tuple(sorted(self.check_out)),)
 
     def clone(self, sim) -> TardisCore:
         new = super().clone(sim)
@@ -209,14 +206,9 @@ class TardisCore(BaseCore):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Pending(HomeWait):
-    recall_out: bool = False
-    recall_target: int | None = None
-
-
 class TardisLlc(BaseLlc):
-    Wait = _Pending
+    """The home's one transaction kind is a recall: the line's owner is
+    asked to give it back before the head of its queue is served."""
 
     def warm_install(self, addr: int, value: ValueToken, wts: int,
                      rts: int, sharers=()) -> None:
@@ -234,16 +226,15 @@ class TardisLlc(BaseLlc):
             self.sim.counters.llc_accesses += 1
             pend = self.waitq.get(msg.addr)
             if pend is not None:
-                msg.recalled = pend.recall_out
+                msg.recalled = pend.txn is not None
                 pend.queue.append(msg)
                 return
             line = self.lines.lookup(msg.addr)
             if line is None:
                 self._start_fill(msg)
             elif line.owner is not None:
-                pend = self.waitq.setdefault(msg.addr, _Pending())
+                pend = self.waitq[msg.addr] = HomeWait([msg])
                 msg.recalled = True
-                pend.queue.append(msg)
                 if msg.addr not in self.evict_wait:
                     self._send_recall(line, msg, pend)
             else:
@@ -321,7 +312,7 @@ class TardisLlc(BaseLlc):
 
     # -- recalls and writebacks ---------------------------------------------
 
-    def _send_recall(self, line: LlcLine, first: Msg, pend: _Pending) -> None:
+    def _send_recall(self, line: LlcLine, first: Msg, pend: HomeWait) -> None:
         if first.kind is MsgKind.STORE_REQ:
             down, extend, lease = TO_I, None, MIN_LEASE
         elif first.kind is MsgKind.CHECK_REQ:
@@ -331,8 +322,7 @@ class TardisLlc(BaseLlc):
             extend = first.req_ts
             lease = (line.cur_lease if self.sim.cfg.lease_predictor
                      else self.sim.cfg.static_lease)
-        pend.recall_out = True
-        pend.recall_target = line.owner
+        pend.txn = Txn("recall", target=line.owner)
         self.sim.send(Msg(MsgKind.RECALL, line.addr, LLC, line.owner,
                           downgrade=down, extend_ts=extend, lease=lease))
 
@@ -346,8 +336,7 @@ class TardisLlc(BaseLlc):
             if line.owner != msg.src:
                 return  # eviction notice from a previous owner
         else:
-            wanted = pend is not None and pend.recall_out \
-                and pend.recall_target == msg.src
+            wanted = self._awaits(addr, msg.src)
             # a line being evicted keeps its owner until it is home
             evicting = addr in self.evict_wait and line.owner == msg.src
             if not (wanted or evicting):
@@ -360,27 +349,17 @@ class TardisLlc(BaseLlc):
         line.e_bit = True
         self.sim.touch(addr)
         if pend is not None:
-            pend.recall_out = False
-            pend.recall_target = None
+            pend.txn = None
         if addr in self.evict_wait:
             self._finish_eviction(addr)
         else:
             self._drain(addr)
 
-    def _drain(self, addr: int) -> None:
-        pend = self.waitq.get(addr)
-        if pend is None:
-            return
-        if pend.fill_out or pend.parked_fill is not None or pend.recall_out:
-            return
-        while pend.queue:
-            line = self.lines.lookup(addr)
-            assert line is not None
-            if line.owner is not None:
-                self._send_recall(line, pend.queue[0], pend)
-                return
-            self._serve(pend.queue.pop(0), line)
-        del self.waitq[addr]
+    def _replay(self, wait: HomeWait, line: LlcLine) -> None:
+        if line.owner is not None:
+            self._send_recall(line, wait.queue[0], wait)
+        else:
+            self._serve(wait.queue.pop(0), line)
 
     # -- capacity ------------------------------------------------------------
 
@@ -395,12 +374,6 @@ class TardisLlc(BaseLlc):
                               downgrade=TO_I, extend_ts=None))
         return victim
 
-    def state_key(self) -> tuple:
-        lines = tuple(sorted(
-            (l.addr, l.wts, l.rts, l.value.as_tuple(), l.owner, l.e_bit,
-             l.cur_lease) for l in self.lines.lines()))
-        pend = tuple(sorted(
-            (a, tuple(m.key() for m in p.queue), p.recall_out,
-             p.recall_target, p.fill_out, p.parked_fill is not None)
-            for a, p in self.waitq.items()))
-        return (lines, pend, tuple(sorted(self.evict_wait.items())))
+    def _line_key(self, l: LlcLine) -> tuple:
+        return (l.addr, l.wts, l.rts, l.value.as_tuple(), l.owner, l.e_bit,
+                l.cur_lease)

@@ -417,6 +417,12 @@ class SynthParams:
 
 def synth(params: SynthParams, line_bytes: int = 64) -> Program:
     """Deterministic random workload; same params+seed => same program."""
+    priv_frac = params.private_frac if params.private_lines > 0 else 0
+    if params.hot_frac > 0 and params.hot_lines < 1:
+        raise ParseError("synth: hot_frac > 0 needs hot_lines >= 1")
+    if params.hot_frac + priv_frac < 1 and params.shared_lines < 1:
+        raise ParseError("synth: some accesses go to shared lines, "
+                         "so shared_lines must be >= 1")
     rng = random.Random(params.seed)
     hot = [i * line_bytes for i in range(params.hot_lines)]
     shared = [(params.hot_lines + i) * line_bytes

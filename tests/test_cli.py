@@ -6,8 +6,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from tardisim.cli import main
-from tardisim.config import preset
+from tardisim.config import SimConfig, preset
 from tardisim.engine import Simulator
 from tardisim.workloads import builtin
 
@@ -145,3 +147,31 @@ def test_sim_log_env_enables_logging(tmp_path):
     assert quiet.returncode == 0 and chatty.returncode == 0
     assert "sweep static_lease=8" not in quiet.stderr
     assert "sweep static_lease=8" in chatty.stderr
+
+
+def _run_mp(*sets):
+    return ["run", "--program", "mp"] + [a for kv in sets for a in ("--set", kv)]
+
+
+@pytest.mark.parametrize("argv", [
+    _run_mp("flit_bits=0"), _run_mp("line_bytes=0"), _run_mp("l1_ways=0"),
+    _run_mp("llc_ways=0"), _run_mp("l1_kb=0"), _run_mp("llc_kb=0"),
+    ["run", "--preset", "tardis-live", "--program", "spin:delay=300",
+     "--set", "ahb_entries=0"],
+    _run_mp("store_buffer=-1"), _run_mp("skip_prob=1.0"),
+    _run_mp("skip_prob=nan"), _run_mp("skip_prob=-0.5"),
+    ["sweep", "--program", "mp", "--param", "static_lease", "--values", "8",
+     "--repeat", "-1"],
+    ["run", "--program", "synth:hot_lines=0"],
+    ["run", "--program", "synth:shared_lines=0"],
+], ids=lambda argv: " ".join(argv[2:]))
+def test_out_of_range_input_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_small_caches_stay_accepted():
+    for ways in (1, 2, 3, 4):
+        SimConfig(l1_kb=1, l1_ways=ways, llc_kb=1, llc_ways=ways)
+    SimConfig(line_bytes=1024, l1_kb=1, l1_ways=1, llc_kb=1, llc_ways=1,
+              store_buffer=0, skip_prob=0.0)

@@ -206,6 +206,50 @@ def test_sequential_deadlock_behind_a_blocked_core_is_detected():
     assert sim.step < 1_000
 
 
+_BOTH_STORE = """
+[core 0]
+St A 1
+[core 1]
+St A 2
+"""
+_STUCK_TXN = [("directory", MsgKind.FWD_RESP, "getm_fwd"),
+              ("tardis-base", MsgKind.WB_RESP, "recall")]
+
+
+class _Drops(Simulator):
+    """Loses every message of one kind."""
+
+    drop = None
+
+    def send(self, msg):
+        if msg.kind is not self.drop:
+            super().send(msg)
+
+
+@pytest.mark.parametrize("preset_name,drop,txn", _STUCK_TXN)
+def test_deadlock_dump_names_the_home_transaction(preset_name, drop, txn):
+    prog = parse_program(_BOTH_STORE)
+    sim = _Drops(preset(preset_name, max_steps=20_000), prog)
+    sim.drop = drop
+    # the second store's transaction waits on the first store's core
+    with pytest.raises(DeadlockError, match=(
+            r"in_flight=0 (.|\n)* home 0x0: queued=[01] fill_out=False "
+            rf"parked_fill=False txn={txn}->[01]")):
+        sim.run()
+
+
+@pytest.mark.parametrize("preset_name,drop,txn", _STUCK_TXN)
+def test_enumeration_deadlock_dumps_the_world(preset_name, drop, txn,
+                                              monkeypatch):
+    send = _World.send
+    monkeypatch.setattr(_World, "send",
+                        lambda w, msg: msg.kind is drop or send(w, msg))
+    cfg = preset(preset_name)
+    with pytest.raises(DeadlockError, match=rf"home 0x0: .* txn={txn}->"):
+        enumerate_outcomes(parse_program(_BOTH_STORE), "tso",
+                           protocol=cfg.protocol, cfg=cfg)
+
+
 def test_step_limit_counts_skipped_ticks():
     # the load waits 400 ticks for DRAM with no core ready; the clock
     # skips ahead but stops at the limit
@@ -424,7 +468,9 @@ def test_world_copies_are_exact_and_independent(preset_name, one_set,
             "message in flight": w.channels,
             "request queued at the home": any(
                 h.queue for h in llc.waitq.values()),
-            "directory transaction": getattr(llc, "busy", None),
+            "directory transaction": any(
+                h.txn is not None and h.txn.kind != "recall"
+                for h in llc.waitq.values()),
             "livelock history": any(
                 c.detector is not None and c.detector.ahb for c in w.cores),
             "check out": any(getattr(c, "check_out", None) for c in w.cores),

@@ -220,8 +220,11 @@ class _Recording(Simulator):
             self.paths.add("parked fill")
             if victim in llc.waitq and llc.waitq[victim].queue:
                 self.paths.add("queued on victim")
-            if victim in getattr(llc, "busy", {}):
-                self.paths.add(llc.busy[victim].kind)
+            if victim in llc.waitq and llc.waitq[victim].txn is not None:
+                self.paths.add(llc.waitq[victim].txn.kind)
+        for addr, wait in llc.waitq.items():
+            # an idle record would queue every later request forever
+            assert wait.queue or wait.busy(), f"idle record for {addr:#x}"
         super().route(msg)
 
 
