@@ -14,11 +14,12 @@ touches and fails fast when a structural invariant breaks:
   "every load returns the last committed store".
 
 These are brute-force checks over the actual cache structures, kept
-affordable by only visiting addresses that changed this tick, and only
-the cores whose L1 holds the line.  The auditor learns the holders from
-the L1s it is attached to: attach swaps each one's class for a subclass
-that reports every insert and remove, so an unaudited cache does no
-extra work.
+affordable by only visiting addresses that may have changed this tick,
+and only the cores whose L1 holds the line.  The protocols report
+nothing: the simulator collects the addresses of the tick's deliveries
+and commits, and attach swaps the class of every L1 and of the LLC for
+a subclass that adds each address it inserts or removes (an L1 also
+keeps the holders index), so an unaudited cache does no extra work.
 """
 
 from __future__ import annotations
@@ -33,21 +34,29 @@ class AuditError(AssertionError):
     pass
 
 
-class _WatchedL1(SetAssocCache):
-    """An L1 that keeps holders[addr], {cid: line} of the cores holding
-    addr, up to date for the auditor; attach gives it holders and cid."""
+class _Watched(SetAssocCache):
+    """A cache that adds every address it inserts or removes to touched,
+    the simulator's re-check set.  An L1 (holders set) also keeps
+    holders[addr], {cid: line} of the cores holding addr; attach gives it
+    touched, holders and cid."""
+
+    holders = None
 
     def insert(self, line) -> None:
         super().insert(line)
-        self.holders.setdefault(line.addr, {})[self.cid] = line
+        self.touched.add(line.addr)
+        if self.holders is not None:
+            self.holders.setdefault(line.addr, {})[self.cid] = line
 
     def remove(self, addr: int):
         line = super().remove(addr)
         if line is not None:
-            held = self.holders[addr]
-            del held[self.cid]
-            if not held:
-                del self.holders[addr]
+            self.touched.add(addr)
+            if self.holders is not None:
+                held = self.holders[addr]
+                del held[self.cid]
+                if not held:
+                    del self.holders[addr]
         return line
 
 
@@ -68,8 +77,11 @@ class CoherenceAuditor:
             l1 = core.l1
             for line in l1.lines():
                 self.holders.setdefault(line.addr, {})[core.cid] = line
-            l1.__class__ = _WatchedL1
-            l1.holders, l1.cid = self.holders, core.cid
+            l1.__class__ = _Watched
+            l1.touched, l1.holders = sim._touched, self.holders
+            l1.cid = core.cid
+        sim.llc.lines.__class__ = _Watched
+        sim.llc.lines.touched = sim._touched
 
     def _held(self, addr: int) -> list:
         """(cid, line) for every core whose L1 holds addr, in core order."""

@@ -159,12 +159,15 @@ def cmd_sweep(args) -> int:
     base = _config_from_args(args)
     if args.repeat < 0:
         raise ConfigError("--repeat must be >= 0")
+    if args.param == "seed" and args.repeat:
+        raise ConfigError("--param seed already sets the seeds; drop --repeat")
     values = args.values.split(",")
     seeds = range(args.repeat) if args.repeat else [base.seed]
     rows = []
     for val in values:
         for seed in seeds:
-            cfg = with_overrides(base, {args.param: val, "seed": seed})
+            # the swept value comes last, so it wins over seed as well
+            cfg = with_overrides(base, {"seed": seed, args.param: val})
             program = resolve_program(args.program,
                                       line_bytes=cfg.line_bytes)
             sim = Simulator(cfg, program)

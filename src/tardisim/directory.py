@@ -56,7 +56,6 @@ class DirectoryCore(BaseCore):
             if line is not None:
                 assert line.state is S, "invalidation hit an owned line"
                 self.l1.remove(msg.addr)
-                self.sim.touch(msg.addr)
             self.sim.send(Msg(MsgKind.INV_ACK, msg.addr, self.cid, LLC))
         elif kind is MsgKind.FWD_GETS:
             line = self.l1.lookup(msg.addr, touch=False)
@@ -66,7 +65,6 @@ class DirectoryCore(BaseCore):
                 return
             line.state = S
             line.dirty = False
-            self.sim.touch(msg.addr)
             self.sim.send(Msg(MsgKind.FWD_RESP, msg.addr, self.cid, LLC,
                               data=True, value=line.value))
         elif kind is MsgKind.FWD_GETM:
@@ -77,7 +75,6 @@ class DirectoryCore(BaseCore):
                 return
             value = line.value
             self.l1.remove(msg.addr)
-            self.sim.touch(msg.addr)
             self.sim.send(Msg(MsgKind.FWD_RESP, msg.addr, self.cid, LLC,
                               data=True, value=value))
         elif kind in (MsgKind.PUTS_ACK, MsgKind.PUTM_ACK):
@@ -135,7 +132,6 @@ class DirectoryLlc(BaseLlc):
             line = self.lines.lookup(msg.addr, touch=False)
             if line is not None:
                 line.sharers.discard(msg.src)
-                self.sim.touch(msg.addr)
             self.sim.send(Msg(MsgKind.PUTS_ACK, msg.addr, LLC, msg.src))
         elif kind is MsgKind.PUTM:
             self._putm(msg)
@@ -151,7 +147,6 @@ class DirectoryLlc(BaseLlc):
             if msg.data:
                 line.value = msg.value
             line.owner = None
-            self.sim.touch(addr)
             if self._awaits(addr, msg.src):
                 # the owner's eviction answered our forward for us
                 self._fwd_done(addr, None, owner_kept_copy=False)
@@ -177,12 +172,10 @@ class DirectoryLlc(BaseLlc):
             return
         if self.sim.cfg.mesi and not line.sharers:
             line.owner = msg.src
-            self.sim.touch(msg.addr)
             self.sim.send(Msg(MsgKind.DATA_RESP, msg.addr, LLC, msg.src,
                               data=True, excl=True, value=line.value))
             return
         line.sharers.add(msg.src)
-        self.sim.touch(msg.addr)
         self.sim.send(Msg(MsgKind.DATA_RESP, msg.addr, LLC, msg.src,
                           data=True, value=line.value))
 
@@ -205,7 +198,6 @@ class DirectoryLlc(BaseLlc):
     def _grant_m(self, msg: Msg, line: LlcLine, was_sharer: bool) -> None:
         line.sharers.clear()
         line.owner = msg.src
-        self.sim.touch(msg.addr)
         self.sim.send(Msg(MsgKind.EXCL_RESP, msg.addr, LLC, msg.src,
                           data=not was_sharer, value=line.value))
 
@@ -220,7 +212,6 @@ class DirectoryLlc(BaseLlc):
         if data_msg is not None:
             line.value = data_msg.value
         line.owner = None
-        self.sim.touch(addr)
         if txn.kind == "gets_fwd":
             if owner_kept_copy:
                 line.sharers.add(old_owner)

@@ -35,7 +35,7 @@ from .cachemem import (CacheLine, LineState, LlcLine, MainMemory,
 from .config import SimConfig, hop_table
 from .consistency import CoreClock, MemoryModel
 from .messages import LLC, MEM, TRAFFIC_CLASS, Msg, MsgKind
-from .workloads import MemOp, OpKind, Program
+from .workloads import MemOp, OpKind, ParseError, Program
 
 
 class SimulationError(RuntimeError):
@@ -77,29 +77,42 @@ class TraceOp:
         return (self.ts, self.step, self.core, self.seq)
 
     def to_json(self) -> str:
-        d = {"core": self.core, "i": self.idx, "op": _KIND_STR[self.kind],
-             "ts": self.ts, "pt": self.step, "seq": self.seq}
-        if self.addr is not None:
-            d["addr"] = self.addr
-        if self.value is not None:
-            d["val"] = list(self.value.as_tuple())
-        if self.fwd:
-            d["fwd"] = True
-        return json.dumps(d, sort_keys=True)
+        """The line json.dumps(sort_keys=True) writes for this row's
+        fields, built directly."""
+        addr = "" if self.addr is None else f'"addr": {self.addr}, '
+        fwd = '"fwd": true, ' if self.fwd else ""
+        val = ("" if self.value is None
+               else ', "val": [%d, %d, %d]' % self.value.as_tuple())
+        return (f'{{{addr}"core": {self.core}, {fwd}"i": {self.idx}, '
+                f'"op": "{_KIND_STR[self.kind]}", "pt": {self.step}, '
+                f'"seq": {self.seq}, "ts": {self.ts}{val}}}')
 
 
 def trace_from_json(lines) -> list[TraceOp]:
+    """The rows TraceOp.to_json wrote, one a line; a line that is not
+    such a row raises ParseError naming it."""
     out = []
-    for raw in lines:
+    for n, raw in enumerate(lines, 1):
         raw = raw.strip()
         if not raw:
             continue
-        d = json.loads(raw)
-        val = d.get("val")
-        out.append(TraceOp(
-            core=d["core"], idx=d["i"], kind=_STR_KIND[d["op"]],
-            addr=d.get("addr"), value=ValueToken(*val) if val else None,
-            ts=d["ts"], step=d["pt"], seq=d["seq"], fwd=d.get("fwd", False)))
+        try:
+            d = json.loads(raw)
+            core, idx, ts, step, seq = (d["core"], d["i"], d["ts"], d["pt"],
+                                        d["seq"])
+            kind = _STR_KIND[d["op"]]
+            addr, val, fwd = d.get("addr"), d.get("val"), d.get("fwd", False)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(f"trace line {n}: {exc!r}") from None
+        if not (int is type(core) is type(idx) is type(ts) is type(step)
+                is type(seq) and (addr is None or type(addr) is int)
+                and type(fwd) is bool
+                and (val is None or type(val) is list and len(val) == 3
+                     and int is type(val[0]) is type(val[1]) is type(val[2]))):
+            raise ParseError(f"trace line {n}: a field has the wrong type")
+        out.append(TraceOp(core, idx, kind, addr,
+                           None if val is None else ValueToken(*val),
+                           ts, step, seq, fwd))
     return out
 
 
@@ -140,8 +153,6 @@ class Counters:
     renew_ok: int = 0
     renew_fail: int = 0
     checks_sent: int = 0
-    renew_events: list = field(default_factory=list)  # (core, addr, op_idx, ok)
-    record_renewals: bool = False
 
 
 @dataclass(frozen=True)
@@ -343,7 +354,6 @@ class BaseCore:
         line.state = LineState.M
         line.value = entry.token
         line.dirty = True
-        self.sim.touch(entry.addr)
         self.buffer.pop(0)
         self.commit_memory(entry.idx, OpKind.STORE, entry.addr, entry.token,
                            ts, step, pre_read_ts)
@@ -367,10 +377,8 @@ class BaseCore:
             victim = l1.lru_victim(line.addr, avoid=lambda l: l.addr == locked)
             assert victim is not None, "every way locked"
             l1.remove(victim.addr)
-            self.sim.touch(victim.addr)
             self._evicted(victim)
         l1.insert(line)
-        self.sim.touch(line.addr)
         return line
 
     # -- protocol hooks -------------------------------------------------
@@ -562,7 +570,6 @@ class BaseLlc:
 
     def _evict(self, victim: LlcLine) -> None:
         self.lines.remove(victim.addr)
-        self.sim.touch(victim.addr)
         self.sim.send(Msg(MsgKind.MEM_WRITE, victim.addr, LLC, MEM, data=True,
                           value=victim.value, wts=victim.wts, rts=victim.rts,
                           lease=victim.cur_lease))
@@ -571,7 +578,6 @@ class BaseLlc:
         self.lines.insert(LlcLine(addr=msg.addr, wts=msg.wts, rts=msg.rts,
                                   value=msg.value, e_bit=True,
                                   cur_lease=msg.lease))
-        self.sim.touch(msg.addr)
 
     def state_key(self) -> tuple:
         waits = tuple(sorted(
@@ -661,24 +667,29 @@ def burn_draws(rng: random.Random, n: int) -> None:
 
 class Simulator:
     def __init__(self, cfg: SimConfig, program: Program,
-                 auditor=None, record_renewals: bool = False):
+                 auditor=None):
         if program.n_cores != cfg.cores:
             cfg = replace(cfg, cores=program.n_cores)
         self.cfg = cfg
         self.program = program
         self.step = 0
         self.rng = random.Random(cfg.seed)
-        self._pass_at = draw_threshold(cfg.skip_prob)
+        # lockstep is the seeded schedule with no core ever sitting out
+        self._pass_at = (0 if program.schedule == "lockstep"
+                         else draw_threshold(cfg.skip_prob))
         self._hops = hop_table(cfg.cores)
         self._flits = (1, 1 + cfg.data_flits)   # by whether a line rides along
         self.mem = MainMemory()
         self.ledger = TrafficLedger()
-        self.counters = Counters(record_renewals=record_renewals)
+        self.counters = Counters()
         self.trace: list[TraceOp] = []
         self._queue: list = []
         self._msg_seq = 0
         self.auditor = auditor
-        self._touched: set[int] = set()
+        # the addresses the auditor re-checks at the end of this tick:
+        # every delivery's, every commit's, and every address an
+        # audited cache inserts or removes
+        self._touched: set[int] | None = None if auditor is None else set()
         self.cores, self.llc = _build_parts(self, program)
         self._ready = set(range(len(self.cores)))
         _apply_warm(self)
@@ -706,13 +717,10 @@ class Simulator:
 
     def trace_append(self, row: TraceOp) -> None:
         self.trace.append(row)
-        self.touch(row.addr)
         if self.auditor is not None:
+            if row.addr is not None:
+                self._touched.add(row.addr)
             self.auditor.on_commit(row)
-
-    def touch(self, addr) -> None:
-        if self.auditor is not None and addr is not None:
-            self._touched.add(addr)
 
     # -- run loop --------------------------------------------------------
 
@@ -721,21 +729,23 @@ class Simulator:
 
     def tick(self) -> None:
         self.step = step = self.step + 1
-        queue, ready = self._queue, self._ready
+        queue, ready, touched = self._queue, self._ready, self._touched
         while queue and queue[0][0] <= step:
             msg = heapq.heappop(queue)[2]
             self.route(msg)
             if msg.dst >= 0:
                 ready.add(msg.dst)   # a delivery may unpark its core
+            if touched is not None and msg.dst != MEM:
+                touched.add(msg.addr)
         cores = self.cores
         for cid in self._turn_order():
             core = cores[cid]
             core.turn(step)
             if core.parked():
                 ready.discard(cid)
-        if self.auditor is not None and self._touched:
-            self.auditor.on_tick(self._touched)
-            self._touched.clear()
+        if touched:
+            self.auditor.on_tick(touched)
+            touched.clear()
 
     def route(self, msg: Msg) -> None:
         if msg.dst == MEM:
@@ -762,13 +772,10 @@ class Simulator:
                 if not core.done:
                     return [core.cid] if core.cid in self._ready else []
             return []
-        order = sorted(self._ready)
-        if sched == "lockstep":
-            return order
         # one draw per core, ready or not
         words = self.rng.getrandbits(DRAW_BITS * len(self.cores))
         at = self._pass_at
-        return [cid for cid in order
+        return [cid for cid in sorted(self._ready)
                 if draw_numerator(words >> DRAW_BITS * cid) >= at]
 
     def _head_parked(self) -> bool:
@@ -788,7 +795,7 @@ class Simulator:
         if k <= 0:
             return
         self.step += k
-        if self.program.schedule not in ("sequential", "lockstep"):
+        if self.program.schedule != "sequential":
             burn_draws(self.rng, k * len(self.cores))
 
     def run(self):
@@ -937,11 +944,9 @@ class _World(Simulator):
         ledger.flits = dict(ledger.flits)
         ledger.flit_hops = dict(ledger.flit_hops)
         ledger.messages = dict(ledger.messages)
-        counters = new.counters = copy_record(self.counters)
-        counters.renew_events = list(counters.renew_events)
+        new.counters = copy_record(self.counters)
         new.trace = list(self.trace)
         new._queue = list(self._queue)
-        new._touched = set(self._touched)
         new.cores = [c.clone(new) for c in self.cores]
         new.llc = self.llc.clone(new)
         return new

@@ -48,7 +48,6 @@ class TardisCore(BaseCore):
                 # local lease extension: the owner stretches its own
                 # window, no message needed
                 line.rts = ts
-                self.sim.touch(addr)
             self._finish_load(line.value, ts, step, pre)
             return
         if line is not None and line.state is S and clock.read_ts <= line.rts:
@@ -120,16 +119,12 @@ class TardisCore(BaseCore):
             self.waiting = None
             line = self.l1.lookup(msg.addr)
             assert line is not None and line.state is S
-            if self.sim.counters.record_renewals:
-                self.sim.counters.renew_events.append(
-                    (self.cid, msg.addr, self.pc, msg.success))
             if msg.success:
                 line.rts = max(line.rts, msg.rts)
             else:
                 line.wts, line.rts = msg.wts, msg.rts
                 line.value = msg.value
             line.lease = msg.lease
-            self.sim.touch(msg.addr)
             pre = self.clock.read_ts
             ts = self.clock.commit_load(line.wts)
             self._finish_load(line.value, ts, step, pre)
@@ -145,7 +140,6 @@ class TardisCore(BaseCore):
                     line.wts, line.rts = msg.wts, msg.rts
                     line.value = msg.value
                     line.lease = msg.lease
-                    self.sim.touch(msg.addr)
         elif kind is MsgKind.RECALL:
             self._recall(msg)
         else:
@@ -168,7 +162,6 @@ class TardisCore(BaseCore):
                 line.lease = msg.lease
         else:
             self.l1.remove(msg.addr)
-        self.sim.touch(msg.addr)
         self.sim.send(Msg(MsgKind.WB_RESP, msg.addr, self.cid, LLC,
                           data=was_dirty, value=line.value,
                           wts=line.wts, rts=line.rts))
@@ -261,7 +254,6 @@ class TardisLlc(BaseLlc):
             if cfg.mesi and line.e_bit and not msg.recalled:
                 line.e_bit = False
                 line.owner = msg.src
-                self.sim.touch(msg.addr)
                 self.sim.send(Msg(MsgKind.LOAD_RESP, msg.addr, LLC, msg.src,
                                   data=True, excl=True, value=line.value,
                                   wts=line.wts, rts=line.rts,
@@ -270,14 +262,12 @@ class TardisLlc(BaseLlc):
             lease = self._lease_for(line, msg)
             line.rts = max(line.rts, msg.req_ts + lease)
             line.e_bit = False
-            self.sim.touch(msg.addr)
             self.sim.send(Msg(MsgKind.LOAD_RESP, msg.addr, LLC, msg.src,
                               data=True, value=line.value, wts=line.wts,
                               rts=line.rts, lease=lease))
         elif kind is MsgKind.RENEW_REQ:
             lease = self._lease_for(line, msg)
             line.rts = max(line.rts, msg.req_ts + lease)
-            self.sim.touch(msg.addr)
             if msg.req_wts == line.wts:
                 self.sim.counters.renew_ok += 1
                 self.sim.send(Msg(MsgKind.RENEW_RESP, msg.addr, LLC, msg.src,
@@ -304,7 +294,6 @@ class TardisLlc(BaseLlc):
             self._lease_for(line, msg)
             line.owner = msg.src
             line.e_bit = False
-            self.sim.touch(msg.addr)
             self.sim.send(Msg(MsgKind.EXCL_RESP, msg.addr, LLC, msg.src,
                               data=not msg.have_line, floor=floor))
         else:
@@ -347,7 +336,6 @@ class TardisLlc(BaseLlc):
         line.rts = max(line.rts, msg.rts)
         line.owner = None
         line.e_bit = True
-        self.sim.touch(addr)
         if pend is not None:
             pend.txn = None
         if addr in self.evict_wait:

@@ -14,6 +14,8 @@ from tardisim.audit import CoherenceAuditor
 from tardisim.checker import check_trace, oracle_outcomes
 from tardisim.config import preset
 from tardisim.engine import Simulator, enumerate_outcomes
+from tardisim.messages import MsgKind
+from tardisim.tardis import TardisCore
 from tardisim.workloads import (LITMUS_NAMES, OpKind, SynthParams, builtin,
                                 synth)
 
@@ -170,20 +172,29 @@ def test_criterion_06_livelock_detector_bounds_staleness():
         assert rep.outcome == {"c0.r1": 1}
 
 
-def _renewals_of_a(cfg, iterations=128, lo=20, hi=120):
-    sim = Simulator(cfg, builtin("lease_case", iterations=iterations),
-                    record_renewals=True)
-    sim.run()
-    return sum(1 for cid, addr, idx, ok in sim.counters.renew_events
+def _renewals_of_a(monkeypatch, cfg, iterations=128, lo=20, hi=120):
+    events = []   # (core, addr, op_idx, ok) of every RENEW_RESP handled
+    handle = TardisCore.handle
+
+    def recording(core, msg, step):
+        if msg.kind is MsgKind.RENEW_RESP:
+            events.append((core.cid, msg.addr, core.pc, msg.success))
+        handle(core, msg, step)
+
+    with monkeypatch.context() as m:
+        m.setattr(TardisCore, "handle", recording)
+        Simulator(cfg, builtin("lease_case", iterations=iterations)).run()
+    return sum(1 for cid, addr, idx, ok in events
                if ok and addr == 0 and lo <= idx // 4 <= hi)
 
 
-def test_criterion_07_lease_predictor_quells_renewals():
+def test_criterion_07_lease_predictor_quells_renewals(monkeypatch):
     with gate(7, 30.0):
         for seed in (0, 1, 2):
-            static = _renewals_of_a(preset("tardis-base", seed=seed))
-            predicted = _renewals_of_a(
-                preset("tardis-base", lease_predictor=True, seed=seed))
+            static = _renewals_of_a(monkeypatch,
+                                    preset("tardis-base", seed=seed))
+            predicted = _renewals_of_a(monkeypatch, preset(
+                "tardis-base", lease_predictor=True, seed=seed))
             assert static > 0
             assert predicted <= 0.25 * static, \
                 f"seed {seed}: {predicted} vs static {static}"

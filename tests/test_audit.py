@@ -9,7 +9,7 @@ from tardisim.engine import Simulator, TraceOp
 from tardisim.workloads import (OpKind, SynthParams, WarmLine, builtin,
                                 parse_program, synth)
 
-from conftest import run
+from conftest import ONE_SET_CACHES, run
 from test_fingerprint import CAPACITY_CFG, CAPACITY_PINS, CAPACITY_SEEDS, MODELS
 
 
@@ -173,3 +173,60 @@ def test_holder_index_matches_every_l1_under_capacity_pressure(preset_name):
                 auditor=CoherenceAuditor())
             sim.run()
             assert sim.ticks_checked > 0
+
+
+class _RecordingAuditor(CoherenceAuditor):
+    """Adds the addresses handed to on_tick to audited, a set the caller
+    resets."""
+
+    def on_tick(self, touched):
+        self.audited |= touched
+        super().on_tick(touched)
+
+
+def _line_fields(sim) -> dict:
+    """The fields the auditor reads of every L1 and LLC line, keyed by
+    (cid or "llc", addr)."""
+    out = {}
+    for core in sim.cores:
+        for l in core.l1.lines():
+            out[core.cid, l.addr] = (l.state, l.wts, l.rts, l.value, l.dirty)
+    for l in sim.llc.lines.lines():
+        out["llc", l.addr] = (l.wts, l.rts, l.value, l.owner,
+                              frozenset(l.sharers))
+    return out
+
+
+class _CoverageChecked(Simulator):
+    """After each tick, every address whose line changed anywhere (it
+    appeared, went, or changed a field the auditor reads) must be among
+    the addresses the auditor re-checked in that tick."""
+
+    changes_seen = 0
+
+    def tick(self):
+        before = _line_fields(self)
+        self.auditor.audited = set()
+        super().tick()
+        after = _line_fields(self)
+        changed = {addr for where, addr in before.keys() | after.keys()
+                   if before.get((where, addr)) != after.get((where, addr))}
+        missed = changed - self.auditor.audited
+        assert not missed, f"step {self.step}: {sorted(missed)} not audited"
+        self.changes_seen += len(changed)
+
+
+@pytest.mark.parametrize("preset_name", sorted(CAPACITY_PINS))
+def test_audited_set_covers_every_changed_line(preset_name):
+    runs = [(preset(preset_name, model=model, seed=seed, **CAPACITY_CFG),
+             synth(SynthParams(cores=8, ops_per_core=40, hot_lines=2,
+                               shared_lines=24, private_lines=8, seed=seed)))
+            for model in MODELS for seed in CAPACITY_SEEDS]
+    # one-set caches make lease_case evict shared lines from the L1s
+    runs += [(preset(preset_name, model=model, **caches), builtin(name, **kw))
+             for model in MODELS for caches in ({}, ONE_SET_CACHES)
+             for name, kw in (("spin", {"delay": 200}), ("lease_case", {}))]
+    for cfg, program in runs:
+        sim = _CoverageChecked(cfg, program, auditor=_RecordingAuditor())
+        sim.run()
+        assert sim.changes_seen > 0

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from tardisim.cli import main
+import tardisim
+from tardisim.cli import main, resolve_program
 from tardisim.config import SimConfig, preset
 from tardisim.engine import Simulator
 from tardisim.workloads import builtin
@@ -98,6 +99,24 @@ def test_check_missing_trace_file(capsys):
     assert main(["check", "--trace", "/no/such/file.jsonl"]) == 2
 
 
+_ROW = {"addr": 0, "core": 0, "i": 0, "op": "St", "pt": 1, "seq": 1, "ts": 1,
+        "val": [0, 1, 1]}
+
+
+@pytest.mark.parametrize("bad", [
+    "{}", {**_ROW, "op": "Nope"}, {**_ROW, "val": [1]}, [1, 2],
+    {**_ROW, "ts": 1.5}, {**_ROW, "core": "0"}, {**_ROW, "addr": True},
+    {**_ROW, "val": [0, 1, None]}, "not json",
+], ids=["empty", "unknown-op", "short-val", "list", "float-ts", "str-core",
+        "bool-addr", "null-in-val", "not-json"])
+def test_check_rejects_malformed_trace_line(bad, tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    bad = bad if isinstance(bad, str) else json.dumps(bad)
+    trace.write_text(json.dumps(_ROW) + "\n" + bad + "\n")
+    assert main(["check", "--trace", str(trace)]) == 2
+    assert capsys.readouterr().err.startswith("error: trace line 2: ")
+
+
 def test_sweep_writes_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--program", "mp", "--param", "static_lease",
@@ -108,6 +127,18 @@ def test_sweep_writes_csv(tmp_path):
     assert len(rows) == 4
     assert rows[0]["static_lease"] == "8" and rows[3]["static_lease"] == "16"
     assert {"flits_total", "renew_rate", "steps"} <= set(rows[0])
+
+
+def test_sweep_over_seed_runs_each_seed(capsys):
+    program = "synth:cores=4,ops_per_core=30"
+    assert main(["sweep", "--program", program, "--param", "seed",
+                 "--values", "1,2,3"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [row["seed"] for row in rows] == ["1", "2", "3"]
+    for row in rows:
+        cfg = preset("tardis-base", seed=int(row["seed"]))
+        flat = Simulator(cfg, resolve_program(program)).run().flat()
+        assert row == {k: str(v) for k, v in flat.items()}
 
 
 def test_compare_prints_table(capsys):
@@ -140,10 +171,14 @@ def test_sim_log_env_enables_logging(tmp_path):
     argv = [sys.executable, "-m", "tardisim.cli", "sweep", "--program", "mp",
             "--param", "static_lease", "--values", "8",
             "--csv", str(tmp_path / "s.csv")]
+    # the child imports the package this process imports
+    src = os.path.dirname(os.path.dirname(tardisim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     quiet = subprocess.run(argv, capture_output=True, text=True,
-                           env={**os.environ, "SIM_LOG": ""})
+                           env={**env, "SIM_LOG": ""})
     chatty = subprocess.run(argv, capture_output=True, text=True,
-                            env={**os.environ, "SIM_LOG": "INFO"})
+                            env={**env, "SIM_LOG": "INFO"})
     assert quiet.returncode == 0 and chatty.returncode == 0
     assert "sweep static_lease=8" not in quiet.stderr
     assert "sweep static_lease=8" in chatty.stderr
@@ -162,6 +197,8 @@ def _run_mp(*sets):
     _run_mp("skip_prob=nan"), _run_mp("skip_prob=-0.5"),
     ["sweep", "--program", "mp", "--param", "static_lease", "--values", "8",
      "--repeat", "-1"],
+    ["sweep", "--program", "mp", "--param", "seed", "--values", "1,2",
+     "--repeat", "2"],
     ["run", "--program", "synth:hot_lines=0"],
     ["run", "--program", "synth:shared_lines=0"],
 ], ids=lambda argv: " ".join(argv[2:]))

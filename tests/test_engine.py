@@ -302,9 +302,6 @@ class _Sandbox:
     def trace_append(self, row):
         self.effects.append(row)
 
-    def touch(self, addr):
-        pass
-
 
 class _ReadyChecked(Simulator):
     """After every tick, each core outside the ready set must be parked,
