@@ -7,7 +7,7 @@ value axiom of every memory model without simulating real bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 # The four lease values a 2-bit lease field can encode.
@@ -34,6 +34,17 @@ class ValueToken:
 
 def initial_token(addr: int) -> ValueToken:
     return ValueToken(-1, addr, 0)
+
+
+def copy_record(obj, **changes):
+    """A shallow copy of a plain attribute record (a dataclass, a
+    message) with changes set on it, without the reduce protocol
+    copy.copy goes through."""
+    new = object.__new__(type(obj))
+    new.__dict__ = obj.__dict__.copy()
+    if changes:
+        new.__dict__.update(changes)
+    return new
 
 
 class LineState(str, Enum):
@@ -74,8 +85,8 @@ class LlcLine:
     owner: int | None = None
     e_bit: bool = False
     cur_lease: int = MIN_LEASE
-    # directory bookkeeping; unused in tardis mode
-    sharers: set = field(default_factory=set)
+    # directory bookkeeping (replaced, never changed); unused in tardis
+    sharers: frozenset = frozenset()
     lru: int = 0
 
 
@@ -148,11 +159,11 @@ class SetAssocCache:
         for idx in sorted(self.sets):
             yield from self.sets[idx].values()
 
-    def clone(self, copy_line) -> SetAssocCache:
-        """An independent copy holding copy_line(line) for every line."""
-        new = object.__new__(SetAssocCache)
-        new.__dict__ = self.__dict__.copy()
-        new.sets = {idx: {a: copy_line(l) for a, l in s.items()}
+    def clone(self) -> SetAssocCache:
+        """An independent copy.  A line's fields are all immutable, so a
+        shallow copy of each line is exact."""
+        new = copy_record(self)
+        new.sets = {idx: {a: copy_record(l) for a, l in s.items()}
                     for idx, s in self.sets.items()}
         return new
 

@@ -58,7 +58,8 @@ class SimConfig:
         if self.cores < 1:
             raise ConfigError("cores must be >= 1")
         for key in ("static_lease", "ahb_entries", "l1_kb", "l1_ways",
-                    "llc_kb", "llc_ways", "line_bytes", "flit_bits"):
+                    "llc_kb", "llc_ways", "line_bytes", "flit_bits",
+                    "dram_latency", "hop_cycles", "max_steps"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
         if self.store_buffer < 0:

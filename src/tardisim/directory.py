@@ -92,9 +92,6 @@ class DirectoryCore(BaseCore):
     def _store_ts(self, line: CacheLine, floor: int) -> int:
         return 0   # invalidation orders stores; lines carry no timestamps
 
-    def _line_key(self, l: CacheLine) -> tuple:
-        return (l.addr, l.state.value, l.value.as_tuple(), l.dirty)
-
 
 # ---------------------------------------------------------------------------
 
@@ -106,7 +103,7 @@ class DirectoryLlc(BaseLlc):
     def warm_install(self, addr: int, value: ValueToken, wts: int,
                      rts: int, sharers=()) -> None:
         self.lines.insert(LlcLine(addr=addr, wts=0, rts=0, value=value,
-                                  sharers=set(sharers)))
+                                  sharers=frozenset(sharers)))
 
     # -- entry ---------------------------------------------------------
 
@@ -131,7 +128,7 @@ class DirectoryLlc(BaseLlc):
         elif kind is MsgKind.PUTS:
             line = self.lines.lookup(msg.addr, touch=False)
             if line is not None:
-                line.sharers.discard(msg.src)
+                line.sharers -= {msg.src}
             self.sim.send(Msg(MsgKind.PUTS_ACK, msg.addr, LLC, msg.src))
         elif kind is MsgKind.PUTM:
             self._putm(msg)
@@ -175,7 +172,7 @@ class DirectoryLlc(BaseLlc):
             self.sim.send(Msg(MsgKind.DATA_RESP, msg.addr, LLC, msg.src,
                               data=True, excl=True, value=line.value))
             return
-        line.sharers.add(msg.src)
+        line.sharers |= {msg.src}
         self.sim.send(Msg(MsgKind.DATA_RESP, msg.addr, LLC, msg.src,
                           data=True, value=line.value))
 
@@ -196,7 +193,7 @@ class DirectoryLlc(BaseLlc):
         self._grant_m(msg, line, was)
 
     def _grant_m(self, msg: Msg, line: LlcLine, was_sharer: bool) -> None:
-        line.sharers.clear()
+        line.sharers = frozenset()
         line.owner = msg.src
         self.sim.send(Msg(MsgKind.EXCL_RESP, msg.addr, LLC, msg.src,
                           data=not was_sharer, value=line.value))
@@ -214,8 +211,8 @@ class DirectoryLlc(BaseLlc):
         line.owner = None
         if txn.kind == "gets_fwd":
             if owner_kept_copy:
-                line.sharers.add(old_owner)
-            line.sharers.add(txn.req.src)
+                line.sharers |= {old_owner}
+            line.sharers |= {txn.req.src}
             self.sim.send(Msg(MsgKind.DATA_RESP, addr, LLC, txn.req.src,
                               data=True, value=line.value))
         elif txn.kind == "getm_fwd":
@@ -236,7 +233,7 @@ class DirectoryLlc(BaseLlc):
             self._drain(addr)
         else:
             assert txn.kind == "evict_inv"
-            line.sharers.clear()
+            line.sharers = frozenset()
             self._finish_eviction(addr)
 
     def _replay(self, wait: HomeWait, line: LlcLine) -> None:
@@ -268,6 +265,3 @@ class DirectoryLlc(BaseLlc):
             self.sim.send(Msg(MsgKind.FWD_GETM, victim.addr, LLC,
                               victim.owner))
         return victim
-
-    def _line_key(self, l: LlcLine) -> tuple:
-        return (l.addr, l.value.as_tuple(), l.owner, tuple(sorted(l.sharers)))

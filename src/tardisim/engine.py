@@ -28,10 +28,11 @@ import heapq
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 from .cachemem import (CacheLine, LineState, LlcLine, MainMemory,
-                       SetAssocCache, ValueToken, initial_token)
+                       SetAssocCache, ValueToken, copy_record, initial_token)
 from .config import SimConfig, hop_table
 from .consistency import CoreClock, MemoryModel
 from .messages import LLC, MEM, TRAFFIC_CLASS, Msg, MsgKind
@@ -57,6 +58,8 @@ class StepLimitError(SimulationError):
 _KIND_STR = {OpKind.LOAD: "Ld", OpKind.STORE: "St", OpKind.FENCE: "Fence",
              OpKind.ACQUIRE: "Acq", OpKind.RELEASE: "Rel", OpKind.SPIN: "Spin"}
 _STR_KIND = {v: k for k, v in _KIND_STR.items()}
+_MEMORY_KINDS = {OpKind.LOAD, OpKind.STORE, OpKind.SPIN}   # rows with addr, val
+_LOAD_KINDS = {OpKind.LOAD, OpKind.SPIN}                   # rows that may fwd
 
 
 @dataclass
@@ -90,7 +93,8 @@ class TraceOp:
 
 def trace_from_json(lines) -> list[TraceOp]:
     """The rows TraceOp.to_json wrote, one a line; a line that is not
-    such a row raises ParseError naming it."""
+    such a row, or whose fields do not fit its op, raises ParseError
+    naming it."""
     out = []
     for n, raw in enumerate(lines, 1):
         raw = raw.strip()
@@ -110,6 +114,13 @@ def trace_from_json(lines) -> list[TraceOp]:
                 and (val is None or type(val) is list and len(val) == 3
                      and int is type(val[0]) is type(val[1]) is type(val[2]))):
             raise ParseError(f"trace line {n}: a field has the wrong type")
+        memory = kind in _MEMORY_KINDS
+        if (addr is not None, val is not None) != (memory, memory):
+            raise ParseError(f"trace line {n}: a {d['op']} row " + (
+                "needs addr and val" if memory else "takes no addr or val"))
+        if fwd and kind not in _LOAD_KINDS:
+            raise ParseError(f"trace line {n}: a {d['op']} row is never "
+                             "forwarded")
         out.append(TraceOp(core, idx, kind, addr,
                            None if val is None else ValueToken(*val),
                            ts, step, seq, fwd))
@@ -162,12 +173,10 @@ class StoreEntry:
     token: ValueToken
 
 
-def copy_record(obj):
-    """A shallow copy of a plain attribute record (a dataclass, a
-    message), without the reduce protocol copy.copy goes through."""
-    new = object.__new__(type(obj))
-    new.__dict__ = obj.__dict__.copy()
-    return new
+# a line's part of an enumeration state: every field but the LRU stamp
+_L1_LINE_KEY, _LLC_LINE_KEY = (
+    attrgetter(*(f.name for f in fields(cls) if f.name != "lru"))
+    for cls in (CacheLine, LlcLine))
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +226,14 @@ class BaseCore:
 
     def parked(self) -> bool:
         """Whether turn() can do nothing until a message arrives: the
-        core is done, or it is not sleeping, has no store to start
-        draining, and waits on a response or cannot issue."""
+        core is done, or it is not sleeping and can neither drain nor
+        issue."""
         if self.done:
             return True
-        if self.sleep_left > 0 or (self.buffer and not self.drain_inflight):
-            return False
-        return (self.waiting is not None or self.pc >= len(self.ops)
-                or not self.can_issue())
+        return not (self.sleep_left > 0 or self.can_drain()
+                    or self.can_exec())
 
-    # -- per-tick entry points -----------------------------------------
+    # -- the next move: a turn, and each enumerated action -------------
 
     def turn(self, step: int) -> None:
         if self.done or self.committed_step == step:
@@ -234,19 +241,22 @@ class BaseCore:
         if self.sleep_left > 0:
             self.sleep_left -= 1
             return
-        self.try_drain(step)
-        if self.committed_step == step or self.waiting is not None:
-            return
-        if self.pc < len(self.ops) and self.can_issue():
+        if self.can_drain():
+            self._drain_issue(self.buffer[0], step)
+            if self.committed_step == step:
+                return
+        if self.can_exec():
             self.exec_op(step)
 
-    def try_drain(self, step: int) -> None:
-        if not self.buffer or self.drain_inflight or self.committed_step == step:
-            return
-        self._drain_issue(self.buffer[0], step)
+    def can_drain(self) -> bool:
+        """Whether the store buffer head can start retiring now."""
+        return bool(self.buffer) and not self.drain_inflight
 
-    def can_issue(self) -> bool:
-        """Whether the store buffer lets the op at pc issue now."""
+    def can_exec(self) -> bool:
+        """Whether the op at pc can issue now: no load is blocked and
+        the store buffer lets it."""
+        if self.waiting is not None or self.pc >= len(self.ops):
+            return False
         if self.buffer_cap == 0 and self.buffer:
             return False  # unbuffered mode: a store in flight blocks everything
         k = self.ops[self.pc].kind
@@ -259,7 +269,7 @@ class BaseCore:
         return True
 
     def exec_op(self, step: int) -> None:
-        """Issue the op at pc; the caller has checked can_issue()."""
+        """Issue the op at pc; the caller has checked can_exec()."""
         op = self.ops[self.pc]
         k = op.kind
         if k is OpKind.STORE:
@@ -401,10 +411,6 @@ class BaseCore:
         protocol that timestamps lines also stamps line with it."""
         raise NotImplementedError
 
-    def _line_key(self, line: CacheLine) -> tuple:
-        """The fields of an L1 line that the protocol reads."""
-        raise NotImplementedError
-
     def state_key(self) -> tuple:
         c = self.clock
         return (self.pc, tuple(sorted(self.regs.items())),
@@ -412,14 +418,14 @@ class BaseCore:
                 tuple((e.idx, e.addr, e.token.as_tuple()) for e in self.buffer),
                 self.drain_inflight, self.waiting,
                 self.sleep_left, self.store_seq,
-                tuple(sorted(map(self._line_key, self.l1.lines()))))
+                tuple(sorted(map(_L1_LINE_KEY, self.l1.lines()))))
 
     def clone(self, sim) -> BaseCore:
         """An exact, independent copy of this core inside sim.  The op
         list and the buffered stores are immutable, so they are shared."""
         new = copy_record(self)
         new.sim = sim
-        new.l1 = self.l1.clone(copy_record)
+        new.l1 = self.l1.clone()
         new.regs = dict(self.regs)
         new.clock = copy_record(self.clock)
         new.buffer = list(self.buffer)
@@ -465,21 +471,14 @@ class HomeWait:
                 or self.txn is not None)
 
     def clone(self) -> HomeWait:
+        """An independent copy.  Messages never change once sent, so the
+        queued ones, the parked fill and the transaction's request are
+        shared; the transaction is copied because its ack count moves."""
         new = copy_record(self)
-        new.queue = [copy_record(m) for m in self.queue]
-        if self.parked_fill is not None:
-            new.parked_fill = copy_record(self.parked_fill)
+        new.queue = list(self.queue)
         if self.txn is not None:
-            txn = new.txn = copy_record(self.txn)
-            if txn.req is not None:
-                txn.req = copy_record(txn.req)
+            new.txn = copy_record(self.txn)
         return new
-
-
-def _copy_llc_line(line: LlcLine) -> LlcLine:
-    new = copy_record(line)
-    new.sharers = set(line.sharers)
-    return new
 
 
 class BaseLlc:
@@ -492,8 +491,7 @@ class BaseLlc:
     waitq record and _drain replays them once it is free.  Protocol
     subclasses provide handle, _clean (the line may leave without asking
     any core), _reclaim (start taking a victim back, or None if every way
-    is tied up), _replay (act on the head of a free line's queue) and
-    _line_key.
+    is tied up) and _replay (act on the head of a free line's queue).
     """
 
     def __init__(self, sim):
@@ -584,14 +582,14 @@ class BaseLlc:
             (a, tuple(m.key() for m in w.queue), w.fill_out,
              w.parked_fill is not None, w.txn.key() if w.txn else None)
             for a, w in self.waitq.items()))
-        return (tuple(sorted(map(self._line_key, self.lines.lines()))), waits,
+        return (tuple(sorted(map(_LLC_LINE_KEY, self.lines.lines()))), waits,
                 tuple(sorted(self.evict_wait.items())))
 
     def clone(self, sim) -> BaseLlc:
         """An exact, independent copy of this home node inside sim."""
         new = copy_record(self)
         new.sim = sim
-        new.lines = self.lines.clone(_copy_llc_line)
+        new.lines = self.lines.clone()
         new.waitq = {a: w.clone() for a, w in self.waitq.items()}
         new.evict_wait = dict(self.evict_wait)
         return new
@@ -607,10 +605,6 @@ class BaseLlc:
     def _replay(self, wait: HomeWait, line: LlcLine) -> None:
         """Act on wait.queue[0] for the free, resident line: serve it (and
         pop it) or open a transaction."""
-        raise NotImplementedError
-
-    def _line_key(self, line: LlcLine) -> tuple:
-        """The fields of an LLC line that the protocol reads."""
         raise NotImplementedError
 
 
@@ -874,16 +868,16 @@ def run_program(cfg: SimConfig, program: Program, **kw):
 class _World(Simulator):
     """Fabric for enumeration.  It differs from Simulator only in
     delivery: messages sit in per-channel FIFOs until the search
-    delivers them, so there is no clock, schedule or trace."""
+    delivers them, so there is no clock, schedule, traffic ledger or
+    trace."""
 
     def __init__(self, cfg: SimConfig, program: Program):
         self.channels: dict[tuple, list] = {}
         super().__init__(cfg, program)
-        # the search picks every step; nothing to copy
-        self.rng = self._ready = None
+        # the search picks every step and reads only registers
+        self.ledger = self.trace = self._queue = self.rng = self._ready = None
 
     def send(self, msg: Msg) -> None:
-        self.ledger.add(TRAFFIC_CLASS[msg.kind], self._flits[msg.data], 1)
         self.channels.setdefault((msg.src, msg.dst), []).append(msg)
 
     def trace_append(self, row: TraceOp) -> None:
@@ -893,15 +887,11 @@ class _World(Simulator):
         return sum(map(len, self.channels.values()))
 
     def actions(self) -> list:
-        acts = []
-        for ch, q in sorted(self.channels.items()):
-            if q:
-                acts.append(("deliver", ch))
+        acts = [("deliver", ch) for ch in sorted(self.channels)]
         for core in self.cores:
-            if (core.waiting is None and core.pc < len(core.ops)
-                    and core.can_issue()):
+            if core.can_exec():
                 acts.append(("op", core.cid))
-            if core.buffer and not core.drain_inflight:
+            if core.can_drain():
                 acts.append(("drain", core.cid))
         return acts
 
@@ -915,14 +905,7 @@ class _World(Simulator):
                 del self.channels[arg]
             self.route(msg)
         elif what == "op":
-            core = self.cores[arg]
-            # skip pure waits instantly: enumeration has no clock
-            while (core.pc < len(core.ops)
-                   and core.ops[core.pc].kind is OpKind.SLEEP):
-                core.pc += 1
-            if core.pc < len(core.ops) and core.can_issue():
-                core.exec_op(self.step)
-            core.sleep_left = 0
+            self.cores[arg].exec_op(self.step)
         else:
             core = self.cores[arg]
             core._drain_issue(core.buffer[0], self.step)
@@ -932,29 +915,20 @@ class _World(Simulator):
 
     def __deepcopy__(self, memo) -> _World:
         """The exact copy the search branches with.  The config, the
-        program and its op lists never change, so they are shared; every
-        in-flight message is copied, because the home marks a delivered
-        request recalled in place."""
+        program and its op lists never change, and neither does a
+        message once sent, so they are shared."""
         new = copy_record(self)
-        new.channels = {ch: [copy_record(m) for m in q]
-                        for ch, q in self.channels.items()}
+        new.channels = {ch: list(q) for ch, q in self.channels.items()}
         mem = new.mem = copy_record(self.mem)
         mem.lines = dict(mem.lines)   # MemLine is immutable
-        ledger = new.ledger = copy_record(self.ledger)
-        ledger.flits = dict(ledger.flits)
-        ledger.flit_hops = dict(ledger.flit_hops)
-        ledger.messages = dict(ledger.messages)
         new.counters = copy_record(self.counters)
-        new.trace = list(self.trace)
-        new._queue = list(self._queue)
         new.cores = [c.clone(new) for c in self.cores]
         new.llc = self.llc.clone(new)
         return new
 
     def key(self) -> tuple:
-        chans = tuple(
-            (ch, tuple(m.key() for m in q))
-            for ch, q in sorted(self.channels.items()) if q)
+        chans = tuple((ch, tuple(m.key() for m in q))
+                      for ch, q in sorted(self.channels.items()))
         return (tuple(c.state_key() for c in self.cores),
                 self.llc.state_key(),
                 tuple(sorted((a, l.value.as_tuple(), l.wts, l.rts)
@@ -986,7 +960,10 @@ def enumerate_outcomes(program: Program, model: str, protocol: str = "tardis",
         cfg = replace(cfg, protocol=protocol, model=model,
                       cores=max(1, program.n_cores),
                       self_increment_period=10**9)
-    prog = Program(program.name, program.cores, warm=program.warm,
+    # a sleep only passes time, and enumeration has no clock
+    cores = [[op for op in ops if op.kind is not OpKind.SLEEP]
+             for ops in program.cores]
+    prog = Program(program.name, cores, warm=program.warm,
                    schedule=None, addr_names=program.addr_names)
     root = _World(cfg, prog)
     seen = set()

@@ -180,10 +180,6 @@ class TardisCore(BaseCore):
         line.wts = line.rts = ts
         return ts
 
-    def _line_key(self, l: CacheLine) -> tuple:
-        return (l.addr, l.state.value, l.wts, l.rts, l.value.as_tuple(),
-                l.dirty, l.lease)
-
     def state_key(self) -> tuple:
         return super().state_key() + (tuple(sorted(self.check_out)),)
 
@@ -219,15 +215,17 @@ class TardisLlc(BaseLlc):
             self.sim.counters.llc_accesses += 1
             pend = self.waitq.get(msg.addr)
             if pend is not None:
-                msg.recalled = pend.txn is not None
-                pend.queue.append(msg)
+                # behind a recall, queue a marked copy: the delivered
+                # message is shared with other enumerated worlds
+                pend.queue.append(msg if pend.txn is None
+                                  else copy_record(msg, recalled=True))
                 return
             line = self.lines.lookup(msg.addr)
             if line is None:
                 self._start_fill(msg)
             elif line.owner is not None:
+                msg = copy_record(msg, recalled=True)
                 pend = self.waitq[msg.addr] = HomeWait([msg])
-                msg.recalled = True
                 if msg.addr not in self.evict_wait:
                     self._send_recall(line, msg, pend)
             else:
@@ -361,7 +359,3 @@ class TardisLlc(BaseLlc):
             self.sim.send(Msg(MsgKind.RECALL, victim.addr, LLC, victim.owner,
                               downgrade=TO_I, extend_ts=None))
         return victim
-
-    def _line_key(self, l: LlcLine) -> tuple:
-        return (l.addr, l.wts, l.rts, l.value.as_tuple(), l.owner, l.e_bit,
-                l.cur_lease)

@@ -117,6 +117,31 @@ def test_check_rejects_malformed_trace_line(bad, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: trace line 2: ")
 
 
+def _without(row, *keys):
+    return {k: v for k, v in row.items() if k not in keys}
+
+
+_FENCE = _without(_ROW, "addr", "val") | {"op": "Fence"}
+
+
+@pytest.mark.parametrize("bad", [
+    _without(_ROW, "addr"), _without(_ROW, "val"),
+    _without(_ROW, "addr", "val") | {"op": "Ld"},
+    _without(_ROW, "val") | {"op": "Ld"},
+    _without(_ROW, "addr") | {"op": "Spin"},
+    _ROW | {"op": "Fence"}, _FENCE | {"op": "Acq", "addr": 0},
+    _FENCE | {"op": "Rel", "val": [0, 1, 1]},
+    _ROW | {"fwd": True}, _FENCE | {"fwd": True},
+], ids=["st-no-addr", "st-no-val", "ld-no-addr-or-val", "ld-no-val",
+        "spin-no-addr", "fence-with-addr-and-val", "acq-with-addr",
+        "rel-with-val", "fwd-st", "fwd-fence"])
+def test_check_rejects_row_fields_its_op_does_not_fit(bad, tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(json.dumps(_ROW) + "\n" + json.dumps(bad) + "\n")
+    assert main(["check", "--trace", str(trace)]) == 2
+    assert capsys.readouterr().err.startswith("error: trace line 2: ")
+
+
 def test_sweep_writes_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--program", "mp", "--param", "static_lease",
@@ -194,6 +219,9 @@ def _run_mp(*sets):
     ["run", "--preset", "tardis-live", "--program", "spin:delay=300",
      "--set", "ahb_entries=0"],
     _run_mp("store_buffer=-1"), _run_mp("skip_prob=1.0"),
+    _run_mp("max_steps=0"), _run_mp("max_steps=-5"),
+    _run_mp("dram_latency=0"), _run_mp("hop_cycles=0"),
+    _run_mp("hop_cycles=-2"),
     _run_mp("skip_prob=nan"), _run_mp("skip_prob=-0.5"),
     ["sweep", "--program", "mp", "--param", "static_lease", "--values", "8",
      "--repeat", "-1"],

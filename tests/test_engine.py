@@ -14,7 +14,7 @@ from tardisim.engine import (DRAW_BITS, ENUM_OP_LIMIT, DeadlockError,
                              Simulator, StepLimitError, _World, burn_draws,
                              draw_numerator, draw_threshold,
                              enumerate_outcomes, trace_from_json)
-from tardisim.messages import MsgKind
+from tardisim.messages import Msg, MsgKind
 from tardisim.workloads import (OpKind, SynthParams, WarmLine, builtin,
                                 parse_program, synth)
 from conftest import ONE_SET_CACHES, run
@@ -325,18 +325,50 @@ class _ReadyChecked(Simulator):
             self.parked_seen += 1
 
 
-@pytest.mark.parametrize("preset_name", sorted({p for p, _ in RUN_PINS}))
-def test_ready_set_only_drops_parked_cores(preset_name):
-    runs = [(preset(preset_name, model=model, seed=seed, **CAPACITY_CFG),
+PRESETS = sorted({p for p, _ in RUN_PINS})
+
+
+def _capacity_runs(preset_name):
+    """The (config, program) pairs of the capacity matrix of
+    test_fingerprint under one preset."""
+    return [(preset(preset_name, model=model, seed=seed, **CAPACITY_CFG),
              synth(SynthParams(cores=8, ops_per_core=40, hot_lines=2,
                                shared_lines=24, private_lines=8, seed=seed)))
             for model in MODELS for seed in CAPACITY_SEEDS]
+
+
+@pytest.mark.parametrize("preset_name", PRESETS)
+def test_ready_set_only_drops_parked_cores(preset_name):
+    runs = _capacity_runs(preset_name)
     runs += [(preset(preset_name, model=model, seed=0), PROGRAMS[name]())
              for model in MODELS for name in ("spin", "lease_case")]
     for cfg, program in runs:
         sim = _ReadyChecked(cfg, program)
         sim.run()
         assert sim.parked_seen, (cfg.model, program.name)
+
+
+class _SentKept(Simulator):
+    """Keeps every sent message with its key at the time of sending."""
+
+    def __init__(self, cfg, program):
+        self.sent = []
+        super().__init__(cfg, program)
+
+    def send(self, msg):
+        self.sent.append((msg, msg.key()))
+        super().send(msg)
+
+
+@pytest.mark.parametrize("preset_name", PRESETS)
+def test_messages_never_change_once_sent(preset_name):
+    """Enumerated worlds share messages, which is exact only while no
+    handler writes into one it was delivered."""
+    for cfg, program in _capacity_runs(preset_name):
+        sim = _SentKept(cfg, program)
+        sim.run()
+        changed = sum(msg.key() != key for msg, key in sim.sent)
+        assert changed == 0, (cfg.model, cfg.seed, changed, len(sim.sent))
 
 
 def test_enumerate_rejects_big_and_conditional_programs():
@@ -356,6 +388,17 @@ def test_enumerate_covers_every_seeded_run():
         sim.run()
         seen.add(sim.outcome())
     assert seen <= outs
+
+
+def test_enumeration_skips_sleeps():
+    plain = "[core 0]\nSt A 1\nSt B 1\n[core 1]\nLd B -> r1\nLd A -> r2"
+    slept = ("[core 0]\nSleep 5\nSt A 1\nSt B 1\n"
+             "[core 1]\nLd B -> r1\nSleep 3\nLd A -> r2\nSleep 1")
+    assert parse_program(slept).dynamic_ops() == 7
+    for model in MODELS:
+        assert (enumerate_outcomes(parse_program(slept), model)
+                == enumerate_outcomes(parse_program(plain), model)
+                == {(0, 0), (0, 1), (1, 1)}), model
 
 
 # Three addresses, so that one-set caches make the home evict and park
@@ -406,8 +449,9 @@ def _popped_worlds(monkeypatch, program, cfg, n):
 def _graph(root, shared=frozenset()):
     """Everything reachable from root through attributes and container
     items, as nested tuples, plus the ids of every object visited and of
-    the mutable ones among them.  Objects whose id is in shared stand in
-    by id only."""
+    the mutable ones among them.  A message is visited in full but does
+    not count as mutable: none may change once sent, so worlds share
+    them.  Objects whose id is in shared stand in by id only."""
     number, mutable = {}, set()
 
     def visit(obj):
@@ -427,7 +471,8 @@ def _graph(root, shared=frozenset()):
             return kind, tuple(sorted(map(visit, obj), key=repr))
         if isinstance(obj, (list, tuple)):
             return kind, tuple(map(visit, obj))
-        if not (is_dataclass(obj) and obj.__dataclass_params__.frozen):
+        if not (is_dataclass(obj) and obj.__dataclass_params__.frozen
+                or isinstance(obj, Msg)):
             mutable.add(id(obj))
         return kind, tuple((k, visit(v)) for k, v in vars(obj).items())
 
@@ -445,7 +490,8 @@ def test_world_copies_are_exact_and_independent(preset_name, one_set,
     worlds = _popped_worlds(monkeypatch, _clone_program(), cfg, 200)
     reached = set()
     for w in worlds:
-        # the config, the program and its op lists may be shared
+        # the config, the program and its op lists may be shared, and
+        # so may messages (see _graph)
         shared = set()
         for part in (w.cfg, w.program, *(c.ops for c in w.cores)):
             shared |= _graph(part)[1]

@@ -10,13 +10,17 @@ alters behaviour on purpose, and say why in CHANGES.md.
 """
 
 import hashlib
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from tardisim.audit import CoherenceAuditor
+from tardisim.checker import check_trace
 from tardisim.config import preset
 from tardisim.directory import DirectoryCore
 from tardisim.engine import Simulator, _World, enumerate_outcomes
+from tardisim.messages import MsgKind
 from tardisim.tardis import TardisCore
 from tardisim.workloads import SynthParams, builtin, synth
 from conftest import ONE_SET_CACHES
@@ -83,6 +87,14 @@ CAPACITY_PINS = {
         "dd81e29fdec10b7520af6408d1aa8a99ece549caeeef54f810f3dad664ec9fe4",
         "088d05f9798d744d87b550294671e631f6ef4651dc84b76717fb9b788dedca6c"),
 }
+
+# lease_case under directory with ONE_SET_CACHES, audited, seed 0, over
+# MODELS: the two hashes as in CAPACITY_PINS.  Its L1 victims include
+# shared lines, which the capacity matrix's never are, so the home gets
+# PUTS.
+SHARED_EVICTION_PIN = (
+    "15b0befd7d2b7a0550713179d5699a681e0782953a0974de1907b87c6d22d9f2",
+    "e00e10c0804974ded32b0dff58b6e2d9ba73614dc2d33766f17e14e75f551dc0")
 
 # tardis-opt, synth, tso, seed 1
 FLAT_PIN = [
@@ -201,16 +213,18 @@ def test_run_matrix_bytes(preset_name, program):
 
 
 class _Recording(Simulator):
-    """Keeps every sent message and notes which capacity paths the home
-    is on whenever a message is delivered."""
+    """Keeps every sent message, counts them by kind and notes which
+    capacity paths the home is on whenever a message is delivered."""
 
-    def __init__(self, cfg, program):
+    def __init__(self, cfg, program, auditor=None):
         self.sent = []
+        self.kinds = Counter()
         self.paths = set()
-        super().__init__(cfg, program)
+        super().__init__(cfg, program, auditor=auditor)
 
     def send(self, msg):
         self.sent.append(repr(msg.key()) + "\n")
+        self.kinds[msg.kind] += 1
         super().send(msg)
 
     def route(self, msg):
@@ -247,6 +261,19 @@ def test_capacity_matrix_bytes_and_messages(preset_name):
     if preset_name == "directory":
         want |= {"evict_inv", "evict_fwd"}
     assert want <= paths
+
+
+def test_directory_shared_evictions_bytes_and_messages():
+    runs, sent = hashlib.sha256(), hashlib.sha256()
+    for model in MODELS:
+        sim = _Recording(
+            preset("directory", model=model, seed=0, **ONE_SET_CACHES),
+            builtin("lease_case"), auditor=CoherenceAuditor())
+        runs.update(run_bytes(sim))
+        sent.update("".join(sim.sent).encode())
+        assert sim.kinds[MsgKind.PUTS] == sim.kinds[MsgKind.PUTS_ACK] > 0
+        assert check_trace(sim.trace, model) == [], model
+    assert (runs.hexdigest(), sent.hexdigest()) == SHARED_EVICTION_PIN
 
 
 def test_flat_report_columns_and_values():
