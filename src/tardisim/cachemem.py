@@ -193,3 +193,13 @@ class MainMemory:
     def write(self, addr: int, value: ValueToken, wts: int, rts: int,
               lease: int = MIN_LEASE) -> None:
         self.lines[addr] = MemLine(value=value, wts=wts, rts=rts, lease=lease)
+
+    def state_key(self) -> tuple:
+        return tuple(sorted((a, l.value.as_tuple(), l.wts, l.rts)
+                            for a, l in self.lines.items()))
+
+    def clone(self) -> MainMemory:
+        """An independent copy; a MemLine is immutable, so it is shared."""
+        new = copy_record(self)
+        new.lines = dict(self.lines)
+        return new

@@ -130,7 +130,16 @@ def _report_violations(violations: list[Violation], n_ops: int) -> int:
 
 def cmd_enumerate(args) -> int:
     program = resolve_program(args.program)
-    got = enumerate_outcomes(program, args.model, protocol=args.protocol)
+    stats = {} if args.stats else None
+    try:
+        got = enumerate_outcomes(program, args.model, protocol=args.protocol,
+                                 stats=stats)
+    finally:
+        if stats:
+            rate = stats["unique"] / stats["seconds"] if stats["seconds"] else 0
+            print(f"search: popped={stats['popped']} unique={stats['unique']}"
+                  f" peak_frontier={stats['peak_frontier']}"
+                  f" states_per_s={rate:.0f}", file=sys.stderr)
     regs = [f"c{c}.{r}" for c, r in program.registers()]
     print("registers: " + " ".join(regs))
     for o in sorted(got):
@@ -234,6 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["tardis", "directory"])
     p.add_argument("--oracle", action="store_true",
                    help="also compute the axiomatic outcome set and compare")
+    p.add_argument("--stats", action="store_true",
+                   help="print the search size and speed to stderr")
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("check", help="check a dumped trace")

@@ -28,6 +28,7 @@ import heapq
 import json
 import math
 import random
+import time
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 
@@ -659,6 +660,9 @@ def burn_draws(rng: random.Random, n: int) -> None:
         n -= chunk
 
 
+_END = {LLC: "llc", MEM: "mem"}   # endpoint names in a dump; cores by id
+
+
 class Simulator:
     def __init__(self, cfg: SimConfig, program: Program,
                  auditor=None):
@@ -815,18 +819,27 @@ class Simulator:
             self.auditor.on_run_end()
         return build_report(self)
 
-    def in_flight(self) -> int:
-        return len(self._queue)
+    def in_flight(self) -> list:
+        """(due step, message) for each message in flight, in delivery
+        order."""
+        return [(due, msg) for due, _, msg in sorted(self._queue)]
 
     def _dump(self) -> str:
-        """The cores and the home records, for a failure message."""
-        lines = [f"step={self.step} in_flight={self.in_flight()}"
+        """The cores, the messages in flight and the home records, for a
+        failure message."""
+        flying = self.in_flight()
+        lines = [f"step={self.step} in_flight={len(flying)}"
                  f" ready={sorted(self._ready or ())}"]
         for c in self.cores:
             lines.append(
                 f"  core {c.cid}: pc={c.pc}/{len(c.ops)} waiting={c.waiting}"
                 f" buffer={len(c.buffer)} inflight={c.drain_inflight}"
                 f" sleep={c.sleep_left}")
+        for due, msg in flying:
+            lines.append(f"  msg {msg.kind.name} {msg.addr:#x} "
+                         f"{_END.get(msg.src, msg.src)}->"
+                         f"{_END.get(msg.dst, msg.dst)}"
+                         + ("" if due is None else f" due={due}"))
         llc = self.llc
         for addr, w in sorted(llc.waitq.items()):
             txn = f"{w.txn.kind}->{w.txn.target}" if w.txn else None
@@ -869,22 +882,39 @@ class _World(Simulator):
     """Fabric for enumeration.  It differs from Simulator only in
     delivery: messages sit in per-channel FIFOs until the search
     delivers them, so there is no clock, schedule, traffic ledger or
-    trace."""
+    trace.
+
+    A copy shares every component (each core, the home and main memory)
+    with the world it was copied from.  apply() first clones the one
+    component its action changes, since a handler reaches past its own
+    component only through the world's send, counters and
+    trace_append.  A shared component's sim is thus a back-reference to
+    the world that cloned it.  Each component's state key is cached in
+    the world until the component is cloned."""
 
     def __init__(self, cfg: SimConfig, program: Program):
-        self.channels: dict[tuple, list] = {}
+        self.channels: dict[tuple, tuple] = {}
         super().__init__(cfg, program)
         # the search picks every step and reads only registers
         self.ledger = self.trace = self._queue = self.rng = self._ready = None
+        # state keys of the cores, the home and memory (at LLC and MEM,
+        # which are -1 and -2); None until computed since the last clone
+        self._keys = [None] * (len(self.cores) + 2)
 
     def send(self, msg: Msg) -> None:
-        self.channels.setdefault((msg.src, msg.dst), []).append(msg)
+        # a channel is a tuple, so copies of a world share it until one
+        # of them sends on it or delivers from it
+        ch = (msg.src, msg.dst)
+        self.channels[ch] = self.channels.get(ch, ()) + (msg,)
 
     def trace_append(self, row: TraceOp) -> None:
         pass   # outcomes come from registers; a trace would only grow copies
 
-    def in_flight(self) -> int:
-        return sum(map(len, self.channels.values()))
+    def in_flight(self) -> list:
+        """(None, message) for each message in flight, channel by
+        channel: a world has no clock."""
+        return [(None, msg) for _, q in sorted(self.channels.items())
+                for msg in q]
 
     def actions(self) -> list:
         acts = [("deliver", ch) for ch in sorted(self.channels)]
@@ -899,51 +929,73 @@ class _World(Simulator):
         self.step += 1
         what, arg = action
         if what == "deliver":
-            q = self.channels[arg]
-            msg = q.pop(0)
-            if not q:
-                del self.channels[arg]
-            self.route(msg)
-        elif what == "op":
-            self.cores[arg].exec_op(self.step)
+            q = self.channels.pop(arg)
+            if len(q) > 1:
+                self.channels[arg] = q[1:]
+            self._own(q[0].dst)
+            self.route(q[0])
+            return
+        self._own(arg)
+        core = self.cores[arg]
+        if what == "op":
+            core.exec_op(self.step)
         else:
-            core = self.cores[arg]
             core._drain_issue(core.buffer[0], self.step)
+
+    def _own(self, target: int) -> None:
+        """Replace the component at target (a core id, LLC or MEM) with a
+        clone only this world holds, and drop its cached key."""
+        self._keys[target] = None
+        if target == MEM:
+            self.mem = self.mem.clone()
+        elif target == LLC:
+            self.llc = self.llc.clone(self)
+        else:
+            self.cores[target] = self.cores[target].clone(self)
 
     def terminal(self) -> bool:
         return not self.channels and all(c.done for c in self.cores)
 
     def __deepcopy__(self, memo) -> _World:
-        """The exact copy the search branches with.  The config, the
-        program and its op lists never change, and neither does a
-        message once sent, so they are shared."""
+        """The copy the search branches with: its own channel map, counters,
+        core list and key cache, and every component shared until apply
+        clones it.  The config, the program and its op lists never
+        change, and neither does a message once sent."""
         new = copy_record(self)
-        new.channels = {ch: list(q) for ch, q in self.channels.items()}
-        mem = new.mem = copy_record(self.mem)
-        mem.lines = dict(mem.lines)   # MemLine is immutable
+        new.channels = self.channels.copy()
         new.counters = copy_record(self.counters)
-        new.cores = [c.clone(new) for c in self.cores]
-        new.llc = self.llc.clone(new)
+        new.cores = self.cores.copy()
+        new._keys = self._keys.copy()
         return new
 
     def key(self) -> tuple:
+        keys = self._keys
+        if None in keys:
+            parts = [*self.cores, self.mem, self.llc]   # at MEM and LLC
+            for i, k in enumerate(keys):
+                if k is None:
+                    keys[i] = parts[i].state_key()
         chans = tuple((ch, tuple(m.key() for m in q))
                       for ch, q in sorted(self.channels.items()))
-        return (tuple(c.state_key() for c in self.cores),
-                self.llc.state_key(),
-                tuple(sorted((a, l.value.as_tuple(), l.wts, l.rts)
-                             for a, l in self.mem.lines.items())),
-                chans)
+        return tuple(keys[:-2]), keys[LLC], keys[MEM], chans
 
 
 ENUM_OP_LIMIT = 10
 
 
-def enumerate_outcomes(program: Program, model: str, protocol: str = "tardis",
+def enumerate_outcomes(program: Program, model: str,
+                       protocol: str | None = None,
                        cfg: SimConfig | None = None,
-                       state_limit: int = 2_000_000) -> set:
+                       state_limit: int = 2_000_000,
+                       stats: dict | None = None) -> set:
     """Every register outcome reachable under the protocol, over all
-    interleavings of core micro-steps and message deliveries."""
+    interleavings of core micro-steps and message deliveries.
+
+    The protocol is cfg's when a cfg is given (an explicit protocol must
+    agree with it), else protocol, by default tardis.  A stats dict, if
+    given, receives the size of the search, also when it fails: the
+    worlds popped, the unique states, the peak frontier (the most worlds
+    on the stack at once) and the seconds taken."""
     if program.dynamic_ops() > ENUM_OP_LIMIT:
         raise ValueError(f"enumeration is limited to {ENUM_OP_LIMIT} ops, "
                          f"program has {program.dynamic_ops()}")
@@ -952,39 +1004,52 @@ def enumerate_outcomes(program: Program, model: str, protocol: str = "tardis",
             if op.kind is OpKind.SPIN:
                 raise ValueError("conditional spins cannot be enumerated")
     if cfg is None:
-        cfg = SimConfig(protocol=protocol, model=model,
-                        cores=max(1, program.n_cores), mesi=False,
-                        livelock_detector=False, lease_predictor=False,
-                        self_increment_period=10**9)
+        cfg = SimConfig(protocol="tardis" if protocol is None else protocol,
+                        model=model, cores=max(1, program.n_cores),
+                        mesi=False, livelock_detector=False,
+                        lease_predictor=False, self_increment_period=10**9)
+    elif protocol not in (None, cfg.protocol):
+        raise ValueError(f"protocol {protocol!r} conflicts with the config's "
+                         f"{cfg.protocol!r}")
     else:
-        cfg = replace(cfg, protocol=protocol, model=model,
-                      cores=max(1, program.n_cores),
+        cfg = replace(cfg, model=model, cores=max(1, program.n_cores),
                       self_increment_period=10**9)
     # a sleep only passes time, and enumeration has no clock
     cores = [[op for op in ops if op.kind is not OpKind.SLEEP]
              for ops in program.cores]
     prog = Program(program.name, cores, warm=program.warm,
                    schedule=None, addr_names=program.addr_names)
+    start = time.perf_counter()
     root = _World(cfg, prog)
     seen = set()
     outcomes = set()
     stack = [root]
-    while stack:
-        world = stack.pop()
-        key = world.key()
-        if key in seen:
-            continue
-        seen.add(key)
-        if len(seen) > state_limit:
-            raise SimulationError("enumeration state limit exceeded")
-        if world.terminal():
-            outcomes.add(world.outcome())
-            continue
-        acts = world.actions()
-        if not acts:
-            raise DeadlockError(f"enumeration wedged\n{world._dump()}")
-        for action in acts:
-            nxt = copy.deepcopy(world)
-            nxt.apply(action)
-            stack.append(nxt)
+    popped = peak = 0   # kept only for stats
+    try:
+        while stack:
+            if stats is not None:
+                popped += 1
+                peak = max(peak, len(stack))
+            world = stack.pop()
+            n = len(seen)
+            seen.add(world.key())   # hashes the key once, where `in` twice
+            if len(seen) == n:
+                continue
+            if n >= state_limit:
+                raise SimulationError("enumeration state limit exceeded")
+            if world.terminal():
+                outcomes.add(world.outcome())
+                continue
+            acts = world.actions()
+            if not acts:
+                raise DeadlockError(f"enumeration wedged\n{world._dump()}")
+            for action in acts:
+                nxt = copy.deepcopy(world)
+                nxt.apply(action)
+                stack.append(nxt)
+    finally:
+        if stats is not None:
+            stats.update(popped=popped, unique=len(seen),
+                         peak_frontier=peak,
+                         seconds=time.perf_counter() - start)
     return outcomes

@@ -82,6 +82,15 @@ def test_enumerate_with_oracle_agrees(capsys):
     assert "admitted" in out
 
 
+def test_enumerate_stats_go_to_stderr(capsys):
+    assert main(["enumerate", "--program", "mp", "--model", "tso",
+                 "--stats"]) == 0
+    out, err = capsys.readouterr()
+    # the search size tests/test_fingerprint.py pins for mp under tso
+    assert "search: popped=402 unique=211 peak_frontier=" in err
+    assert "states_per_s=" in err and "popped" not in out
+
+
 def test_enumerate_rejects_spinning_programs(capsys):
     assert main(["enumerate", "--program", "spin", "--model", "tso"]) == 2
 

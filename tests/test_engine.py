@@ -10,16 +10,18 @@ from enum import Enum
 import pytest
 
 from tardisim.config import preset
+from tardisim.directory import DirectoryLlc
 from tardisim.engine import (DRAW_BITS, ENUM_OP_LIMIT, DeadlockError,
                              Simulator, StepLimitError, _World, burn_draws,
                              draw_numerator, draw_threshold,
                              enumerate_outcomes, trace_from_json)
-from tardisim.messages import Msg, MsgKind
+from tardisim.messages import LLC, MEM, Msg, MsgKind
 from tardisim.workloads import (OpKind, SynthParams, WarmLine, builtin,
                                 parse_program, synth)
 from conftest import ONE_SET_CACHES, run
-from test_fingerprint import (CAPACITY_CFG, CAPACITY_SEEDS, MODELS,
-                              PROGRAMS, RUN_PINS)
+from test_fingerprint import (CAPACITY_CFG, CAPACITY_SEEDS,
+                              ENUM_SEARCH_PINS, MODELS, PROGRAMS, RUN_PINS,
+                              searched)
 
 
 CONTended = SynthParams(cores=4, ops_per_core=60, hot_lines=2,
@@ -244,10 +246,12 @@ def test_enumeration_deadlock_dumps_the_world(preset_name, drop, txn,
     send = _World.send
     monkeypatch.setattr(_World, "send",
                         lambda w, msg: msg.kind is drop or send(w, msg))
-    cfg = preset(preset_name)
+    stats = {}
     with pytest.raises(DeadlockError, match=rf"home 0x0: .* txn={txn}->"):
         enumerate_outcomes(parse_program(_BOTH_STORE), "tso",
-                           protocol=cfg.protocol, cfg=cfg)
+                           cfg=preset(preset_name), stats=stats)
+    # the size of the failed search is still reported
+    assert stats["popped"] >= stats["unique"] > 1
 
 
 def test_step_limit_counts_skipped_ticks():
@@ -259,7 +263,9 @@ def test_step_limit_counts_skipped_ticks():
     """)
     sim = Simulator(preset("tardis-base", dram_latency=400, max_steps=50),
                     prog)
-    with pytest.raises(StepLimitError):
+    # the dump names the DRAM read still out, and when it lands
+    with pytest.raises(StepLimitError,
+                       match=r"\n  msg MEM_READ 0x0 llc->mem due=202\n"):
         sim.run()
     assert sim.step == 50
 
@@ -371,6 +377,24 @@ def test_messages_never_change_once_sent(preset_name):
         assert changed == 0, (cfg.model, cfg.seed, changed, len(sim.sent))
 
 
+def test_enumeration_takes_the_protocol_from_the_config(monkeypatch):
+    cfg = preset("directory")
+    [world] = _popped_worlds(monkeypatch, builtin("mp"), cfg, 1)
+    assert world.cfg.protocol == "directory"
+    assert isinstance(world.llc, DirectoryLlc)
+    with pytest.raises(ValueError, match="conflicts"):
+        enumerate_outcomes(builtin("mp"), "tso", protocol="tardis", cfg=cfg)
+
+
+def test_enumeration_stats_count_the_search(searched):
+    stats = {}
+    _, size = searched(builtin("mp"), "tso", stats=stats)
+    assert (stats["popped"], stats["unique"]) == size
+    assert size == ENUM_SEARCH_PINS[("mp", "tardis")][MODELS.index("tso")]
+    assert 1 < stats["peak_frontier"] < stats["unique"]
+    assert stats["seconds"] > 0
+
+
 def test_enumerate_rejects_big_and_conditional_programs():
     big = synth(SynthParams(cores=2, ops_per_core=ENUM_OP_LIMIT, seed=0))
     with pytest.raises(ValueError):
@@ -427,11 +451,16 @@ class _Enough(Exception):
 
 
 def _popped_worlds(monkeypatch, program, cfg, n):
-    """The first n worlds the enumerator pops, in search order."""
+    """The first n worlds the enumerator pops, in search order.  At each
+    pop, every component key the world has cached must be the key its
+    component has now."""
     worlds = []
     key = _World.key
 
     def collect(world):
+        parts = [*world.cores, world.mem, world.llc]   # at MEM and LLC
+        for cached, part in zip(world._keys, parts):
+            assert cached is None or cached == part.state_key(), part
         worlds.append(world)
         if len(worlds) == n:
             raise _Enough
@@ -440,7 +469,7 @@ def _popped_worlds(monkeypatch, program, cfg, n):
     with monkeypatch.context() as m:
         m.setattr(_World, "key", collect)
         try:
-            enumerate_outcomes(program, "tso", protocol=cfg.protocol, cfg=cfg)
+            enumerate_outcomes(program, "tso", cfg=cfg)
         except _Enough:
             pass
     return worlds
@@ -451,7 +480,9 @@ def _graph(root, shared=frozenset()):
     items, as nested tuples, plus the ids of every object visited and of
     the mutable ones among them.  A message is visited in full but does
     not count as mutable: none may change once sent, so worlds share
-    them.  Objects whose id is in shared stand in by id only."""
+    them.  A component's sim is a back-reference to the world that
+    cloned it, not state, so it is not followed.  Objects whose id is in
+    shared stand in by id only."""
     number, mutable = {}, set()
 
     def visit(obj):
@@ -474,9 +505,27 @@ def _graph(root, shared=frozenset()):
         if not (is_dataclass(obj) and obj.__dataclass_params__.frozen
                 or isinstance(obj, Msg)):
             mutable.add(id(obj))
-        return kind, tuple((k, visit(v)) for k, v in vars(obj).items())
+        return kind, tuple((k, "back-reference" if k == "sim" else visit(v))
+                           for k, v in vars(obj).items())
 
     return visit(root), set(number), mutable
+
+
+def _isolated(world):
+    """A copy of world that shares no component with it, its keys
+    computed anew."""
+    new = copy.deepcopy(world)
+    for target in (*range(len(world.cores)), LLC, MEM):
+        new._own(target)
+    new.key()
+    return new
+
+
+def _fresh_key(world):
+    """world.key() with no component key taken from the cache."""
+    probe = copy.deepcopy(world)
+    probe._keys = [None] * len(world._keys)
+    return probe.key()
 
 
 @pytest.mark.parametrize("one_set", (False, True))
@@ -484,6 +533,10 @@ def _graph(root, shared=frozenset()):
                          ("tardis-base", "tardis-opt", "directory"))
 def test_world_copies_are_exact_and_independent(preset_name, one_set,
                                                 monkeypatch):
+    """A copy shares every component with its parent until an action
+    clones the one it changes.  Branching must still be exact: each
+    sibling ends as an isolated copy given the same action would, and
+    neither the parent nor any other sibling changes meanwhile."""
     cfg = preset(preset_name, thresh_min=1)
     if one_set:
         cfg = replace(cfg, **ONE_SET_CACHES)
@@ -495,17 +548,38 @@ def test_world_copies_are_exact_and_independent(preset_name, one_set,
         shared = set()
         for part in (w.cfg, w.program, *(c.ops for c in w.cores)):
             shared |= _graph(part)[1]
-        before, _, mine = _graph(w, shared)
         key = w.key()
-        dup = copy.deepcopy(w)
-        after, _, theirs = _graph(dup, shared)
+        assert _fresh_key(w) == key
+        # every component's clone is exact and shares nothing mutable
+        before, _, mine = _graph(w, shared)
+        iso = _isolated(w)
+        after, _, theirs = _graph(iso, shared)
         assert after == before
-        assert dup.key() == key
-        assert not mine & theirs, "a copy shares mutable state"
-        for action in w.actions():
-            copy.deepcopy(w).apply(action)
-        assert w.key() == key
-        assert _graph(w, shared)[0] == before
+        assert _fresh_key(iso) == key
+        assert not mine & theirs, "a clone shares mutable state"
+        assert all(c.sim is iso for c in iso.cores + [iso.llc])
+        # one sibling per action, each applied in turn; an isolated
+        # copy given the same action is what the sibling must become
+        acts = w.actions()
+        family = [w] + [copy.deepcopy(w) for _ in acts]
+        graphs = [_graph(x, shared)[0] for x in family]
+        keys = [key] * len(family)
+        for i, action in enumerate(acts, 1):
+            sib = family[i]
+            sib.apply(action)
+            ref = _isolated(w)
+            ref.apply(action)
+            keys[i] = ref.key()
+            graphs[i] = _graph(ref, shared)[0]
+            for x, graph, k in zip(family, graphs, keys):
+                assert x.key() == _fresh_key(x) == k, (action, x is sib)
+                assert _graph(x, shared)[0] == graph, (action, x is sib)
+            # the action cloned exactly its target, into the sibling
+            parents = (*w.cores, w.llc, w.mem)
+            own = [c for c in (*sib.cores, sib.llc, sib.mem)
+                   if all(c is not p for p in parents)]
+            assert len(own) == 1, action
+            assert getattr(own[0], "sim", sib) is sib
         llc = w.llc
         reached |= {name for name, hit in {
             "message in flight": w.channels,
