@@ -10,7 +10,7 @@ from .checker import Violation, check_trace, oracle_outcomes, ordered
 from .config import ConfigError, PRESETS, SimConfig, load_config, preset
 from .consistency import CoreClock, MemoryModel
 from .engine import (DeadlockError, SimulationError, Simulator, TraceOp,
-                     enumerate_outcomes, run_program, trace_from_json)
+                     enumerate_outcomes, trace_from_json)
 from .metrics import Report
 from .workloads import (BUILTIN_NAMES, LITMUS_NAMES, MemOp, OpKind, Program,
                         SynthParams, builtin, load_program, parse_program,
@@ -23,7 +23,7 @@ __all__ = [
     "oracle_outcomes", "ordered", "ConfigError", "PRESETS", "SimConfig",
     "load_config", "preset", "CoreClock", "MemoryModel", "DeadlockError",
     "SimulationError", "Simulator", "TraceOp", "enumerate_outcomes",
-    "run_program", "trace_from_json", "Report", "BUILTIN_NAMES",
+    "trace_from_json", "Report", "BUILTIN_NAMES",
     "LITMUS_NAMES", "MemOp", "OpKind", "Program", "SynthParams", "builtin",
     "load_program", "parse_program", "synth", "__version__",
 ]

@@ -103,7 +103,7 @@ class SetAssocCache:
     def __init__(self, size_kb: int, ways: int, line_bytes: int):
         self.ways = ways
         self.line_bytes = line_bytes
-        self.n_sets = max(1, (size_kb * 1024) // (ways * line_bytes))
+        self.n_sets = (size_kb * 1024) // (ways * line_bytes)
         self.sets: dict[int, dict] = {}   # set index -> {addr: line}
         self._tick = 0
 

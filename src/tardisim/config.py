@@ -9,7 +9,7 @@ with livelock detection, and fully optimized tardis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 from .cachemem import LEASE_VALUES
@@ -46,7 +46,6 @@ class SimConfig:
     skip_prob: float = 0.25             # seeded schedule: chance a core sits out a step
     max_steps: int = 5_000_000
     seed: int = 0
-    fence_each_op: bool = False         # treat every memory op as also a fence
 
     def __post_init__(self):
         if self.protocol not in ("tardis", "directory"):
@@ -62,6 +61,11 @@ class SimConfig:
                     "dram_latency", "hop_cycles", "max_steps"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
+        for kb, ways, level in ((self.l1_kb, self.l1_ways, "l1"),
+                                (self.llc_kb, self.llc_ways, "llc")):
+            if kb * 1024 < ways * self.line_bytes:
+                raise ConfigError(f"{level}_kb={kb} holds less than one set "
+                                  f"of {ways} {self.line_bytes}-byte lines")
         if self.store_buffer < 0:
             raise ConfigError("store_buffer must be >= 0")
         if not 0 <= self.skip_prob < 1:
@@ -86,7 +90,7 @@ class SimConfig:
     @property
     def store_buffer_size(self) -> int:
         """Effective store buffer entries; SC drains every store."""
-        if self.memory_model is MemoryModel.SC or self.fence_each_op:
+        if self.memory_model is MemoryModel.SC:
             return 0
         return self.store_buffer
 
@@ -118,7 +122,7 @@ def hop_table(cores: int) -> tuple[tuple[int, ...], ...]:
                        for b in range(cores)) for a in range(cores))
 
 
-_BOOL_KEYS = {"mesi", "lease_predictor", "livelock_detector", "fence_each_op"}
+_BOOL_KEYS = {"mesi", "lease_predictor", "livelock_detector"}
 _ON = {"on", "true", "1", "yes"}
 _OFF = {"off", "false", "0", "no"}
 

@@ -110,7 +110,6 @@ class DirectoryLlc(BaseLlc):
     def handle(self, msg: Msg, step: int) -> None:
         kind = msg.kind
         if kind in (MsgKind.GETS, MsgKind.GETM):
-            self.sim.counters.llc_accesses += 1
             wait = self.waitq.get(msg.addr)
             if wait is not None:
                 wait.queue.append(msg)

@@ -29,6 +29,7 @@ import json
 import math
 import random
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 
@@ -36,7 +37,7 @@ from .cachemem import (CacheLine, LineState, LlcLine, MainMemory,
                        SetAssocCache, ValueToken, copy_record, initial_token)
 from .config import SimConfig, hop_table
 from .consistency import CoreClock, MemoryModel
-from .messages import LLC, MEM, TRAFFIC_CLASS, Msg, MsgKind
+from .messages import LLC, MEM, Msg, MsgKind
 from .workloads import MemOp, OpKind, ParseError, Program
 
 
@@ -126,45 +127,6 @@ def trace_from_json(lines) -> list[TraceOp]:
                            None if val is None else ValueToken(*val),
                            ts, step, seq, fwd))
     return out
-
-
-# ---------------------------------------------------------------------------
-# traffic accounting
-
-
-TRAFFIC_CLASSES = ("common", "renew", "invalidation", "dram")
-
-
-class TrafficLedger:
-    def __init__(self):
-        self.flits = {c: 0 for c in TRAFFIC_CLASSES}
-        self.flit_hops = {c: 0 for c in TRAFFIC_CLASSES}
-        self.messages = {c: 0 for c in TRAFFIC_CLASSES}
-
-    def add(self, cls: str, flits: int, hops: int) -> None:
-        self.flits[cls] += flits
-        self.flit_hops[cls] += flits * hops
-        self.messages[cls] += 1
-
-    @property
-    def total_flits(self) -> int:
-        return sum(self.flits.values())
-
-    @property
-    def total_flit_hops(self) -> int:
-        return sum(self.flit_hops.values())
-
-
-@dataclass
-class Counters:
-    loads: int = 0
-    stores: int = 0
-    fences: int = 0
-    llc_accesses: int = 0
-    renew_reqs: int = 0
-    renew_ok: int = 0
-    renew_fail: int = 0
-    checks_sent: int = 0
 
 
 @dataclass(frozen=True)
@@ -282,7 +244,6 @@ class BaseCore:
         if k in (OpKind.FENCE, OpKind.ACQUIRE, OpKind.RELEASE):
             ts = self._sync_commit(k)
             self.seq += 1
-            self.sim.counters.fences += 1
             self.sim.trace_append(TraceOp(self.cid, self.pc, k, None, None,
                                           ts, step, self.seq))
             self.committed_step = step
@@ -338,26 +299,17 @@ class BaseCore:
 
     def commit_memory(self, idx: int, kind: OpKind, addr: int,
                       token: ValueToken, ts: int, step: int,
-                      pre_read_ts: int, fwd: bool = False) -> TraceOp:
+                      pre_read_ts: int, fwd: bool = False) -> None:
         self.seq += 1
-        row = TraceOp(self.cid, idx, kind, addr, token, ts, step, self.seq,
-                      fwd=fwd)
-        self.sim.trace_append(row)
+        self.sim.trace_append(TraceOp(self.cid, idx, kind, addr, token, ts,
+                                      step, self.seq, fwd=fwd))
         self.committed_step = step
-        if kind is OpKind.STORE:
-            self.sim.counters.stores += 1
-        else:
-            self.sim.counters.loads += 1
         if self.detector is not None and self.clock.read_ts > pre_read_ts:
             self.detector.reset_on_ts_advance()
         self.access_count += 1
         if self.access_count >= self.si_period and self.waiting is None:
             self.clock.self_increment()
             self.access_count = 0
-        if self.sim.cfg.fence_each_op and self.clock.model in (
-                MemoryModel.TSO, MemoryModel.PSO):
-            self.clock.fence()
-        return row
 
     def _commit_store(self, entry: StoreEntry, line: CacheLine, ts: int,
                       step: int, pre_read_ts: int) -> None:
@@ -676,10 +628,10 @@ class Simulator:
         self._pass_at = (0 if program.schedule == "lockstep"
                          else draw_threshold(cfg.skip_prob))
         self._hops = hop_table(cfg.cores)
-        self._flits = (1, 1 + cfg.data_flits)   # by whether a line rides along
         self.mem = MainMemory()
-        self.ledger = TrafficLedger()
-        self.counters = Counters()
+        # (kind, carries a line) -> [messages sent, hops they travelled];
+        # the report derives every message count and the traffic from it
+        self.tally: defaultdict[tuple, list] = defaultdict(lambda: [0, 0])
         self.trace: list[TraceOp] = []
         self._queue: list = []
         self._msg_seq = 0
@@ -698,9 +650,7 @@ class Simulator:
 
     def send(self, msg: Msg) -> None:
         cfg = self.cfg
-        flits = self._flits[msg.data]
-        cls = TRAFFIC_CLASS[msg.kind]
-        if cls == "dram":
+        if msg.dst == MEM or msg.src == MEM:   # dram traffic
             hops = 1
             half = cfg.dram_latency // 2
             latency = max(1, (cfg.dram_latency - half)
@@ -709,7 +659,9 @@ class Simulator:
             core_end = msg.src if msg.src >= 0 else msg.dst
             hops = self._hops[core_end][cfg.home_tile(msg.addr)]
             latency = max(1, hops * cfg.hop_cycles)
-        self.ledger.add(cls, flits, hops)
+        tally = self.tally[msg.kind, msg.data]
+        tally[0] += 1
+        tally[1] += hops
         self._msg_seq += 1
         heapq.heappush(self._queue, (self.step + latency, self._msg_seq, msg))
 
@@ -868,12 +820,6 @@ def _apply_warm(fabric) -> None:
             fabric.cores[cid].l1.insert(line)
 
 
-def run_program(cfg: SimConfig, program: Program, **kw):
-    sim = Simulator(cfg, program, **kw)
-    report = sim.run()
-    return sim, report
-
-
 # ---------------------------------------------------------------------------
 # exhaustive enumeration
 
@@ -881,22 +827,22 @@ def run_program(cfg: SimConfig, program: Program, **kw):
 class _World(Simulator):
     """Fabric for enumeration.  It differs from Simulator only in
     delivery: messages sit in per-channel FIFOs until the search
-    delivers them, so there is no clock, schedule, traffic ledger or
+    delivers them, so there is no clock, schedule, send tally or
     trace.
 
     A copy shares every component (each core, the home and main memory)
     with the world it was copied from.  apply() first clones the one
     component its action changes, since a handler reaches past its own
-    component only through the world's send, counters and
-    trace_append.  A shared component's sim is thus a back-reference to
-    the world that cloned it.  Each component's state key is cached in
-    the world until the component is cloned."""
+    component only through the world's send and trace_append.  A shared
+    component's sim is thus a back-reference to the world that cloned
+    it.  Each component's state key is cached in the world until the
+    component is cloned."""
 
     def __init__(self, cfg: SimConfig, program: Program):
         self.channels: dict[tuple, tuple] = {}
         super().__init__(cfg, program)
         # the search picks every step and reads only registers
-        self.ledger = self.trace = self._queue = self.rng = self._ready = None
+        self.tally = self.trace = self._queue = self.rng = self._ready = None
         # state keys of the cores, the home and memory (at LLC and MEM,
         # which are -1 and -2); None until computed since the last clone
         self._keys = [None] * (len(self.cores) + 2)
@@ -957,13 +903,12 @@ class _World(Simulator):
         return not self.channels and all(c.done for c in self.cores)
 
     def __deepcopy__(self, memo) -> _World:
-        """The copy the search branches with: its own channel map, counters,
-        core list and key cache, and every component shared until apply
+        """The copy the search branches with: its own channel map, core
+        list and key cache, and every component shared until apply
         clones it.  The config, the program and its op lists never
         change, and neither does a message once sent."""
         new = copy_record(self)
         new.channels = self.channels.copy()
-        new.counters = copy_record(self.counters)
         new.cores = self.cores.copy()
         new._keys = self._keys.copy()
         return new
@@ -981,12 +926,12 @@ class _World(Simulator):
 
 
 ENUM_OP_LIMIT = 10
+ENUM_STATE_LIMIT = 2_000_000   # unique states a search may visit
 
 
 def enumerate_outcomes(program: Program, model: str,
                        protocol: str | None = None,
                        cfg: SimConfig | None = None,
-                       state_limit: int = 2_000_000,
                        stats: dict | None = None) -> set:
     """Every register outcome reachable under the protocol, over all
     interleavings of core micro-steps and message deliveries.
@@ -1035,7 +980,7 @@ def enumerate_outcomes(program: Program, model: str,
             seen.add(world.key())   # hashes the key once, where `in` twice
             if len(seen) == n:
                 continue
-            if n >= state_limit:
+            if n >= ENUM_STATE_LIMIT:
                 raise SimulationError("enumeration state limit exceeded")
             if world.terminal():
                 outcomes.add(world.outcome())

@@ -51,7 +51,8 @@ class MsgKind(Enum):
     MEM_WRITE = auto()
 
 
-# the accounting class of every message kind
+# the accounting classes, in report order, and the class of every kind
+TRAFFIC_CLASSES = ("common", "renew", "invalidation", "dram")
 TRAFFIC_CLASS = dict.fromkeys(MsgKind, "common")
 TRAFFIC_CLASS.update(dict.fromkeys((MsgKind.RENEW_REQ, MsgKind.RENEW_RESP,
                                     MsgKind.CHECK_REQ, MsgKind.CHECK_RESP),

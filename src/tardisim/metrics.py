@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, fields
 
-from .engine import TRAFFIC_CLASSES
+from .messages import TRAFFIC_CLASS, TRAFFIC_CLASSES, MsgKind
+from .workloads import OpKind
 
 
 @dataclass
@@ -56,42 +58,57 @@ class Report:
         return d
 
 
+# the requests a home serves, one LLC access each
+_LLC_REQUESTS = (MsgKind.LOAD_REQ, MsgKind.STORE_REQ, MsgKind.RENEW_REQ,
+                 MsgKind.CHECK_REQ, MsgKind.GETS, MsgKind.GETM)
+
+
 def build_report(sim) -> Report:
-    c = sim.counters
-    led = sim.ledger
-    traffic = {}
-    for cls in TRAFFIC_CLASSES:
-        traffic[cls] = {"messages": led.messages[cls],
-                        "flits": led.flits[cls],
-                        "flit_hops": led.flit_hops[cls]}
-    traffic["total"] = {"messages": sum(led.messages.values()),
-                        "flits": led.total_flits,
-                        "flit_hops": led.total_flit_hops}
-    mem_ops = c.loads + c.stores
+    """The report of a finished run.  Op counts come from the trace and
+    message counts from the send tally; run() returns only once the
+    network has drained, so every message sent was also delivered."""
+    cfg = sim.cfg
+    rows = Counter([row.kind for row in sim.trace])
+    sent = Counter()   # messages by kind, and by (kind, carries a line)
+    traffic = {cls: {"messages": 0, "flits": 0, "flit_hops": 0}
+               for cls in (*TRAFFIC_CLASSES, "total")}
+    for (kind, data), (n, hops) in sim.tally.items():
+        sent[kind] += n
+        sent[kind, data] = n
+        flits = 1 + cfg.data_flits if data else 1
+        for t in (traffic[TRAFFIC_CLASS[kind]], traffic["total"]):
+            t["messages"] += n
+            t["flits"] += n * flits
+            t["flit_hops"] += hops * flits
+    loads = rows[OpKind.LOAD] + rows[OpKind.SPIN]
+    mem_ops = loads + rows[OpKind.STORE]
+    llc_accesses = sum(sent[k] for k in _LLC_REQUESTS)
     ts_per_core = [core.clock.current_max for core in sim.cores]
     ts_max = max(ts_per_core) if ts_per_core else 0
     outcome = {f"c{cid}.{reg}": sim.cores[cid].regs.get(reg, 0)
                for cid, reg in sim.program.registers()}
     return Report(
         program=sim.program.name,
-        protocol=sim.cfg.protocol,
-        model=sim.cfg.model,
+        protocol=cfg.protocol,
+        model=cfg.model,
         cores=len(sim.cores),
-        seed=sim.cfg.seed,
+        seed=cfg.seed,
         steps=sim.step,
-        loads=c.loads,
-        stores=c.stores,
-        fences=c.fences,
-        llc_accesses=c.llc_accesses,
-        renew_requests=c.renew_reqs,
-        renew_ok=c.renew_ok,
-        renew_fail=c.renew_fail,
-        checks_sent=c.checks_sent,
-        renew_rate=c.renew_reqs / c.llc_accesses if c.llc_accesses else 0.0,
+        loads=loads,
+        stores=rows[OpKind.STORE],
+        fences=rows[OpKind.FENCE] + rows[OpKind.ACQUIRE]
+        + rows[OpKind.RELEASE],
+        llc_accesses=llc_accesses,
+        renew_requests=sent[MsgKind.RENEW_REQ],
+        renew_ok=sent[MsgKind.RENEW_RESP, False],
+        renew_fail=sent[MsgKind.RENEW_RESP, True],
+        checks_sent=sent[MsgKind.CHECK_REQ],
+        renew_rate=(sent[MsgKind.RENEW_REQ] / llc_accesses if llc_accesses
+                    else 0.0),
         ts_per_core=ts_per_core,
         ts_max=ts_max,
         ts_increase_rate=ts_max / mem_ops if mem_ops else 0.0,
         traffic=traffic,
         outcome=outcome,
-        config=sim.cfg.identity(),
+        config=cfg.identity(),
     )

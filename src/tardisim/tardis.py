@@ -59,7 +59,6 @@ class TardisCore(BaseCore):
             return
         if line is not None and line.state is S:
             # expired: ask the home to stretch the lease
-            self.sim.counters.renew_reqs += 1
             self.sim.send(Msg(MsgKind.RENEW_REQ, addr, self.cid, LLC,
                               req_ts=clock.read_ts, req_wts=line.wts,
                               req_lease=line.lease))
@@ -69,7 +68,6 @@ class TardisCore(BaseCore):
         self.waiting = addr
 
     def _send_check(self, line: CacheLine) -> None:
-        self.sim.counters.checks_sent += 1
         self.check_out.add(line.addr)
         self.sim.send(Msg(MsgKind.CHECK_REQ, line.addr, self.cid, LLC,
                           req_wts=line.wts))
@@ -181,7 +179,11 @@ class TardisCore(BaseCore):
         return ts
 
     def state_key(self) -> tuple:
-        return super().state_key() + (tuple(sorted(self.check_out)),)
+        det = self.detector   # its AHB's items run in LRU order
+        return super().state_key() + (tuple(sorted(self.check_out)), None
+                                      if det is None else
+                                      (det.thresh_count, det.check_count,
+                                       tuple(det.ahb.items())))
 
     def clone(self, sim) -> TardisCore:
         new = super().clone(sim)
@@ -212,7 +214,6 @@ class TardisLlc(BaseLlc):
         elif kind is MsgKind.MEM_DATA:
             self._fill(msg)
         else:
-            self.sim.counters.llc_accesses += 1
             pend = self.waitq.get(msg.addr)
             if pend is not None:
                 # behind a recall, queue a marked copy: the delivered
@@ -267,14 +268,12 @@ class TardisLlc(BaseLlc):
             lease = self._lease_for(line, msg)
             line.rts = max(line.rts, msg.req_ts + lease)
             if msg.req_wts == line.wts:
-                self.sim.counters.renew_ok += 1
                 self.sim.send(Msg(MsgKind.RENEW_RESP, msg.addr, LLC, msg.src,
                                   success=True, data=False, rts=line.rts,
                                   lease=lease))
             else:
                 # stale data: the lease still moves, but the reply must
                 # carry the current version
-                self.sim.counters.renew_fail += 1
                 self.sim.send(Msg(MsgKind.RENEW_RESP, msg.addr, LLC, msg.src,
                                   success=False, data=True, value=line.value,
                                   wts=line.wts, rts=line.rts, lease=lease))

@@ -232,6 +232,7 @@ def _run_mp(*sets):
     _run_mp("dram_latency=0"), _run_mp("hop_cycles=0"),
     _run_mp("hop_cycles=-2"),
     _run_mp("skip_prob=nan"), _run_mp("skip_prob=-0.5"),
+    _run_mp("line_bytes=4096", "l1_kb=1"), _run_mp("llc_kb=1", "llc_ways=32"),
     ["sweep", "--program", "mp", "--param", "static_lease", "--values", "8",
      "--repeat", "-1"],
     ["sweep", "--program", "mp", "--param", "seed", "--values", "1,2",

@@ -39,8 +39,8 @@ def test_store_upgrades_exclusive_line_silently():
     line = sim.cores[0].l1.lookup(0, touch=False)
     assert line.state is M and line.dirty
     # the E->M flip never touched the network: same traffic as the bare load
-    lone, _ = run(parse_program("[core 0]\nLd A -> r1"), "directory", seed=0)
-    assert sim.ledger.messages == lone.ledger.messages
+    _, lone = run(parse_program("[core 0]\nLd A -> r1"), "directory", seed=0)
+    assert rep.traffic == lone.traffic
 
 
 def test_getm_invalidates_every_sharer():
@@ -60,7 +60,7 @@ def test_getm_invalidates_every_sharer():
     llc = sim.llc.lines.lookup(0, touch=False)
     assert llc.owner == 0 and not llc.sharers
     # one INV out, one INV_ACK back
-    assert sim.ledger.messages["invalidation"] == 2
+    assert rep.traffic["invalidation"]["messages"] == 2
     assert swmr_holds(sim)
 
 
@@ -105,11 +105,11 @@ def test_shared_eviction_sends_puts():
     # 1 KiB direct-mapped L1 -> 16 sets, so addresses 1024 apart collide
     p = parse_program("[core 0]\nLd A -> r1\nLd 1024 -> r2")
     p.schedule = "sequential"
-    sim, _ = run(p, "directory", mesi=False, l1_kb=1, l1_ways=1, seed=0)
+    sim, rep = run(p, "directory", mesi=False, l1_kb=1, l1_ways=1, seed=0)
     assert sim.cores[0].l1.lookup(0, touch=False) is None
     assert sim.llc.lines.lookup(0, touch=False).sharers == set()
     # PUTS + PUTS_ACK are accounted as invalidation-class traffic
-    assert sim.ledger.messages["invalidation"] == 2
+    assert rep.traffic["invalidation"]["messages"] == 2
 
 
 def test_owned_eviction_writes_back_dirty_data():
@@ -117,7 +117,7 @@ def test_owned_eviction_writes_back_dirty_data():
     p.schedule = "sequential"
     sim, rep = run(p, "directory", l1_kb=1, l1_ways=1, seed=0)
     assert rep.outcome == {"c0.r1": 9}     # PUTM carried the 9 home
-    assert sim.ledger.messages["invalidation"] == 0
+    assert rep.traffic["invalidation"]["messages"] == 0
     llc = sim.llc.lines.lookup(0, touch=False)
     assert llc.value.literal == 9
 
@@ -149,5 +149,5 @@ def test_directory_commits_in_physical_order():
             sim, rep = run(p, "directory", seed=seed)
             assert all(r.ts == 0 for r in sim.trace)
             assert check_trace(sim.trace, sim.cfg.model) == []
-            assert sim.ledger.messages["renew"] == 0
+            assert rep.traffic["renew"]["messages"] == 0
             assert swmr_holds(sim)

@@ -9,12 +9,14 @@ from enum import Enum
 
 import pytest
 
+from tardisim import engine
 from tardisim.config import preset
 from tardisim.directory import DirectoryLlc
 from tardisim.engine import (DRAW_BITS, ENUM_OP_LIMIT, DeadlockError,
-                             Simulator, StepLimitError, _World, burn_draws,
-                             draw_numerator, draw_threshold,
-                             enumerate_outcomes, trace_from_json)
+                             SimulationError, Simulator, StepLimitError,
+                             _World, burn_draws, draw_numerator,
+                             draw_threshold, enumerate_outcomes,
+                             trace_from_json)
 from tardisim.messages import LLC, MEM, Msg, MsgKind
 from tardisim.workloads import (OpKind, SynthParams, WarmLine, builtin,
                                 parse_program, synth)
@@ -91,27 +93,6 @@ def test_fence_drains_buffer():
     assert st.step < fence.step < ld.step
     assert not ld.fwd and ld.ts >= st.ts
     assert rep.fences == 1
-
-
-def test_fence_each_op_makes_tso_sequential():
-    prog = parse_program("""
-    [core 0]
-    St A 1
-    Ld B -> r1
-    Ld A -> r2
-
-    [core 1]
-    St B 1
-    Ld A -> r3
-    """)
-    sim, _ = run(prog, model="tso", fence_each_op=True, seed=4)
-    for row in sim.trace:
-        assert not row.fwd
-    # every commit behaves like SC: per-core timestamps never step back
-    per_core = {}
-    for row in sorted(sim.trace, key=lambda r: (r.core, r.seq)):
-        assert row.ts >= per_core.get(row.core, 0)
-        per_core[row.core] = row.ts
 
 
 def test_sleep_defers_the_next_op():
@@ -299,7 +280,6 @@ class _Sandbox:
 
     def __init__(self, sim):
         self.cfg = sim.cfg
-        self.counters = copy.copy(sim.counters)
         self.effects = []
 
     def send(self, msg):
@@ -401,6 +381,14 @@ def test_enumerate_rejects_big_and_conditional_programs():
         enumerate_outcomes(big, "tso", "tardis")
     with pytest.raises(ValueError):
         enumerate_outcomes(builtin("spin"), "tso", "tardis")
+
+
+def test_enumeration_stops_past_the_state_limit(monkeypatch):
+    monkeypatch.setattr(engine, "ENUM_STATE_LIMIT", 5)
+    stats = {}
+    with pytest.raises(SimulationError, match="state limit"):
+        enumerate_outcomes(builtin("mp"), "tso", stats=stats)
+    assert stats["unique"] == 6   # the sixth unique state is one too many
 
 
 def test_enumerate_covers_every_seeded_run():

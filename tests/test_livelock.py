@@ -1,6 +1,9 @@
 """Address history buffer and adaptive check threshold."""
 
+from tardisim.config import preset
+from tardisim.engine import Simulator
 from tardisim.livelock import LivelockDetector
+from tardisim.workloads import builtin
 
 
 def spin_until_check(det, addr=0):
@@ -67,3 +70,20 @@ def test_ahb_evicts_least_recent_address():
         for addr in range(8):
             fired += det.on_shared_load(addr)
     assert fired == 8
+
+
+def test_core_state_key_holds_the_detector():
+    """The enumerator must not merge cores whose next check differs:
+    clones that differ in one AHB count, in the AHB's LRU order or in
+    the threshold have different keys."""
+    sim = Simulator(preset("tardis-live", thresh_min=1), builtin("mp"))
+    core = sim.cores[0]
+    core.detector.on_shared_load(0)
+    core.detector.on_shared_load(64)
+    same, count, order, thresh = (core.clone(sim) for _ in range(4))
+    count.detector.ahb[64] += 1
+    order.detector.ahb.move_to_end(0)
+    thresh.detector.thresh_count *= 2
+    keys = [c.state_key() for c in (core, same, count, order, thresh)]
+    assert keys[0] == keys[1]
+    assert len(set(keys)) == 4

@@ -82,10 +82,10 @@ def test_store_claims_timestamp_above_every_lease():
     [core 0]
     St A 5
     """, warm=[("A", 3, 42, ())])
-    sim, _ = run(p, model="tso", seed=0)
+    sim, rep = run(p, model="tso", seed=0)
     st = sim.trace[0]
     assert st.ts == 43                     # rts + 1, no invalidation needed
-    assert sim.ledger.messages["invalidation"] == 0
+    assert rep.traffic["invalidation"]["messages"] == 0
 
 
 def test_exclusive_to_modified_is_silent():
