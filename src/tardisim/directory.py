@@ -218,7 +218,7 @@ class DirectoryLlc(BaseLlc):
             self._grant_m(txn.req, line, was_sharer=False)
         else:
             assert txn.kind == "evict_fwd"
-            self._finish_eviction(addr)
+            self._finish_eviction(addr, txn.fill)
             return
         self._drain(addr)
 
@@ -233,7 +233,7 @@ class DirectoryLlc(BaseLlc):
         else:
             assert txn.kind == "evict_inv"
             line.sharers = frozenset()
-            self._finish_eviction(addr)
+            self._finish_eviction(addr, txn.fill)
 
     def _replay(self, wait: HomeWait, line: LlcLine) -> None:
         msg = wait.queue.pop(0)
@@ -247,20 +247,20 @@ class DirectoryLlc(BaseLlc):
     def _clean(self, line: LlcLine) -> bool:
         return line.owner is None and not line.sharers
 
-    def _reclaim(self, fill_addr: int, tied: set) -> LlcLine | None:
-        victim = self.lines.lru_victim(
-            fill_addr, avoid=lambda l: l.addr in tied or l.owner is not None)
+    def _reclaim(self, fill_addr: int) -> LlcLine | None:
+        victim = self.lines.lru_victim(fill_addr, avoid=lambda l: (
+            l.addr in self.waitq or l.owner is not None))
         if victim is not None:
-            self.waitq[victim.addr] = HomeWait(
-                txn=Txn("evict_inv", need=len(victim.sharers)))
+            self.waitq[victim.addr] = HomeWait(txn=Txn(
+                "evict_inv", need=len(victim.sharers), fill=fill_addr))
             for s in sorted(victim.sharers):
                 self.sim.send(Msg(MsgKind.INV, victim.addr, LLC, s))
             return victim
         victim = self.lines.lru_victim(fill_addr,
-                                       avoid=lambda l: l.addr in tied)
+                                       avoid=lambda l: l.addr in self.waitq)
         if victim is not None:
-            self.waitq[victim.addr] = HomeWait(
-                txn=Txn("evict_fwd", target=victim.owner))
+            self.waitq[victim.addr] = HomeWait(txn=Txn(
+                "evict_fwd", target=victim.owner, fill=fill_addr))
             self.sim.send(Msg(MsgKind.FWD_GETM, victim.addr, LLC,
                               victim.owner))
         return victim

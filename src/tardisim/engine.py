@@ -391,46 +391,40 @@ class BaseCore:
 
 @dataclass
 class Txn:
-    """A transaction the home has out to the cores for one line: a
-    Tardis recall, or a directory forward or invalidation round."""
+    """Why the home is busy with one line: a DRAM read out (fill), a
+    fill waiting for a victim to come home (parked) or for a way (blocked),
+    or a transaction out to the cores: a Tardis recall or evict, or a
+    directory gets_fwd, getm_fwd, getm_inv, evict_fwd or evict_inv."""
 
-    kind: str        # recall | gets_fwd | getm_fwd | getm_inv | evict_fwd | evict_inv
-    req: Msg | None = None      # the request it serves
+    kind: str
+    req: Msg | None = None      # the request it serves, or a waiting fill
     need: int = 0               # invalidation acks to collect
     got: int = 0
     target: int | None = None   # the core whose answer ends it
     was_sharer: bool = False
+    fill: int | None = None     # an eviction's: the line that takes the way
 
     def key(self) -> tuple:
         return (self.kind, self.need, self.got, self.target, self.was_sharer,
-                self.req.key() if self.req else None)
+                self.fill, self.req.key() if self.req else None)
 
 
 @dataclass
 class HomeWait:
-    """What the home holds for one line it is busy with: requests queued
-    behind a fill or a transaction, whether a DRAM read is out, a fill
-    parked until an eviction frees a way, and the transaction out to the
-    cores."""
+    """What the home holds for one line it is busy with: the requests
+    queued on it and its one transaction.  A record is busy exactly when
+    txn is set, and at rest every record holds one."""
 
     queue: list = field(default_factory=list)
-    fill_out: bool = False
-    parked_fill: Msg | None = None   # MEM_DATA waiting for an eviction
     txn: Txn | None = None
-
-    def busy(self) -> bool:
-        """Whether the queue must wait."""
-        return (self.fill_out or self.parked_fill is not None
-                or self.txn is not None)
 
     def clone(self) -> HomeWait:
         """An independent copy.  Messages never change once sent, so the
-        queued ones, the parked fill and the transaction's request are
-        shared; the transaction is copied because its ack count moves."""
+        queued ones and the transaction's request are shared; the
+        transaction is copied because its ack count moves."""
         new = copy_record(self)
         new.queue = list(self.queue)
-        if self.txn is not None:
-            new.txn = copy_record(self.txn)
+        new.txn = copy_record(self.txn)
         return new
 
 
@@ -440,11 +434,14 @@ class BaseLlc:
 
     A fill takes a free way, else the LRU clean line, else it parks while
     the home takes a line back from the cores; the victim's return
-    (_finish_eviction) installs it.  Requests for a busy line queue in its
-    waitq record and _drain replays them once it is free.  Protocol
-    subclasses provide handle, _clean (the line may leave without asking
-    any core), _reclaim (start taking a victim back, or None if every way
-    is tied up) and _replay (act on the head of a free line's queue).
+    (_finish_eviction) installs it.  A fill that finds every way of its
+    set busy waits in blocked until a record in that set goes.  Requests
+    for a busy line queue in its waitq record and _drain replays them
+    once it is free.  Protocol subclasses provide handle, _clean (the
+    line may leave without asking any core), _reclaim (give a line with
+    no record an eviction record and start taking it back, or None if
+    every way is busy) and _replay (act on the head of a free line's
+    queue).
     """
 
     def __init__(self, sim):
@@ -452,20 +449,16 @@ class BaseLlc:
         cfg = sim.cfg
         self.lines = SetAssocCache(cfg.llc_kb, cfg.llc_ways, cfg.line_bytes)
         self.waitq: dict[int, HomeWait] = {}
-        self.evict_wait: dict[int, int] = {}   # victim addr -> fill addr
+        self.blocked: list[int] = []   # blocked fill addrs, oldest first
 
     def _start_fill(self, msg: Msg) -> None:
-        wait = self.waitq.setdefault(msg.addr, HomeWait())
-        wait.queue.append(msg)
-        if not wait.fill_out:
-            wait.fill_out = True
-            self.sim.send(Msg(MsgKind.MEM_READ, msg.addr, LLC, MEM))
+        self.waitq[msg.addr] = HomeWait([msg], Txn("fill"))
+        self.sim.send(Msg(MsgKind.MEM_READ, msg.addr, LLC, MEM))
 
     def _awaits(self, addr: int, core: int) -> bool:
         """Whether the line's transaction waits on an answer from core."""
         wait = self.waitq.get(addr)
-        return (wait is not None and wait.txn is not None
-                and wait.txn.target == core)
+        return wait is not None and wait.txn.target == core
 
     def _drain(self, addr: int) -> None:
         """Replay the line's queue while it is free; the record goes once
@@ -473,49 +466,51 @@ class BaseLlc:
         wait = self.waitq.get(addr)
         if wait is None:
             return
-        while wait.queue and not wait.busy():
+        while wait.queue and wait.txn is None:
             line = self.lines.lookup(addr)
             if line is None:
                 # an evicted victim with demand queued on it
-                wait.fill_out = True
+                wait.txn = Txn("fill")
                 self.sim.send(Msg(MsgKind.MEM_READ, addr, LLC, MEM))
                 return
             self._replay(wait, line)
-        if not (wait.queue or wait.busy()):
+        if wait.txn is None:
             del self.waitq[addr]
+            if self.blocked and self.lines.lookup(addr, touch=False):
+                self._unblock(addr)
 
-    def _tied(self) -> set:
-        """Lines a fill may not displace."""
-        return set(self.waitq) | set(self.evict_wait)
+    def _unblock(self, addr: int) -> None:
+        """Run again the oldest fill blocked on addr's set, which the
+        resident line addr no longer ties up."""
+        s = self.lines.set_index(addr)
+        for i, fill in enumerate(self.blocked):
+            if self.lines.set_index(fill) == s:
+                del self.blocked[i]
+                self._fill(self.waitq[fill].txn.req)
+                return
 
     def _fill(self, msg: Msg) -> None:
         addr = msg.addr
-        wait = self.waitq.get(addr)
-        assert wait is not None and wait.fill_out
-        wait.fill_out = False
+        wait = self.waitq[addr]
         if not self.lines.has_room(addr):
-            tied = self._tied()
-            victim = self.lines.lru_victim(
-                addr, avoid=lambda l: l.addr in tied or not self._clean(l))
+            victim = self.lines.lru_victim(addr, avoid=lambda l: (
+                l.addr in self.waitq or not self._clean(l)))
             if victim is None:
                 # every candidate is held by a core: take one back and
-                # park the fill until it is home
-                victim = self._reclaim(addr, tied)
-                assert victim is not None, "home set wedged on busy lines"
-                wait.parked_fill = msg
-                self.evict_wait[victim.addr] = addr
+                # park the fill until it is home, or wait for a way
+                victim = self._reclaim(addr)
+                wait.txn = Txn("parked" if victim else "blocked", req=msg)
+                if victim is None:
+                    self.blocked.append(addr)
                 return
             self._evict(victim)
+        wait.txn = None
         self._install_fill(msg)
         self._drain(addr)
 
-    def _finish_eviction(self, victim_addr: int) -> None:
-        fill_addr = self.evict_wait.pop(victim_addr)
+    def _finish_eviction(self, victim_addr: int, fill_addr: int) -> None:
         self._evict(self.lines.lookup(victim_addr, touch=False))
-        wait = self.waitq[fill_addr]
-        msg, wait.parked_fill = wait.parked_fill, None
-        self._install_fill(msg)
-        self._drain(fill_addr)
+        self._fill(self.waitq[fill_addr].txn.req)
         # demand traffic may have queued on the victim while it was going
         self._drain(victim_addr)
 
@@ -532,11 +527,10 @@ class BaseLlc:
 
     def state_key(self) -> tuple:
         waits = tuple(sorted(
-            (a, tuple(m.key() for m in w.queue), w.fill_out,
-             w.parked_fill is not None, w.txn.key() if w.txn else None)
+            (a, tuple(m.key() for m in w.queue), w.txn.key())
             for a, w in self.waitq.items()))
         return (tuple(sorted(map(_LLC_LINE_KEY, self.lines.lines()))), waits,
-                tuple(sorted(self.evict_wait.items())))
+                tuple(self.blocked))
 
     def clone(self, sim) -> BaseLlc:
         """An exact, independent copy of this home node inside sim."""
@@ -544,7 +538,7 @@ class BaseLlc:
         new.sim = sim
         new.lines = self.lines.clone()
         new.waitq = {a: w.clone() for a, w in self.waitq.items()}
-        new.evict_wait = dict(self.evict_wait)
+        new.blocked = list(self.blocked)
         return new
 
     # -- protocol hooks -------------------------------------------------
@@ -552,7 +546,7 @@ class BaseLlc:
     def _clean(self, line: LlcLine) -> bool:
         raise NotImplementedError
 
-    def _reclaim(self, fill_addr: int, tied: set) -> LlcLine | None:
+    def _reclaim(self, fill_addr: int) -> LlcLine | None:
         raise NotImplementedError
 
     def _replay(self, wait: HomeWait, line: LlcLine) -> None:
@@ -792,15 +786,12 @@ class Simulator:
                          f"{_END.get(msg.src, msg.src)}->"
                          f"{_END.get(msg.dst, msg.dst)}"
                          + ("" if due is None else f" due={due}"))
-        llc = self.llc
-        for addr, w in sorted(llc.waitq.items()):
-            txn = f"{w.txn.kind}->{w.txn.target}" if w.txn else None
+        for addr, w in sorted(self.llc.waitq.items()):
+            txn = w.txn
             lines.append(
-                f"  home {addr:#x}: queued={len(w.queue)} fill_out={w.fill_out}"
-                f" parked_fill={w.parked_fill is not None} txn={txn}")
-        if llc.evict_wait:
-            lines.append("  evicting (victim->fill): " + " ".join(
-                f"{v:#x}->{f:#x}" for v, f in sorted(llc.evict_wait.items())))
+                f"  home {addr:#x}: queued={len(w.queue)}"
+                f" txn={txn.kind}->{txn.target}"
+                + ("" if txn.fill is None else f" fill={txn.fill:#x}"))
         return "\n".join(lines)
 
     def outcome(self) -> tuple:

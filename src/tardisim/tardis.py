@@ -216,10 +216,14 @@ class TardisLlc(BaseLlc):
         else:
             pend = self.waitq.get(msg.addr)
             if pend is not None:
-                # behind a recall, queue a marked copy: the delivered
-                # message is shared with other enumerated worlds
-                pend.queue.append(msg if pend.txn is None
-                                  else copy_record(msg, recalled=True))
+                # behind a recall, queue a marked copy (the delivered
+                # message is shared with other enumerated worlds).  A
+                # line being taken back keeps its owner, so its first
+                # request is marked as on any owned line; a fill's
+                # record always holds the request that opened it.
+                pend.queue.append(
+                    copy_record(msg, recalled=True)
+                    if pend.txn.kind == "recall" or not pend.queue else msg)
                 return
             line = self.lines.lookup(msg.addr)
             if line is None:
@@ -227,8 +231,7 @@ class TardisLlc(BaseLlc):
             elif line.owner is not None:
                 msg = copy_record(msg, recalled=True)
                 pend = self.waitq[msg.addr] = HomeWait([msg])
-                if msg.addr not in self.evict_wait:
-                    self._send_recall(line, msg, pend)
+                self._send_recall(line, msg, pend)
             else:
                 self._serve(msg, line)
 
@@ -317,28 +320,24 @@ class TardisLlc(BaseLlc):
         line = self.lines.lookup(addr, touch=False)
         if line is None:
             return  # answer for a line the home has already evicted
-        pend = self.waitq.get(addr)
         if msg.kind is MsgKind.WRITEBACK:
             if line.owner != msg.src:
                 return  # eviction notice from a previous owner
-        else:
-            wanted = self._awaits(addr, msg.src)
-            # a line being evicted keeps its owner until it is home
-            evicting = addr in self.evict_wait and line.owner == msg.src
-            if not (wanted or evicting):
-                return  # a writeback already settled this recall
+        elif not self._awaits(addr, msg.src):
+            return  # a writeback already settled this recall or eviction
         if msg.data:
             line.value = msg.value
             line.wts = msg.wts
         line.rts = max(line.rts, msg.rts)
         line.owner = None
         line.e_bit = True
+        pend = self.waitq.get(addr)
         if pend is not None:
-            pend.txn = None
-        if addr in self.evict_wait:
-            self._finish_eviction(addr)
-        else:
-            self._drain(addr)
+            txn, pend.txn = pend.txn, None
+            if txn.kind == "evict":
+                self._finish_eviction(addr, txn.fill)
+                return
+        self._drain(addr)
 
     def _replay(self, wait: HomeWait, line: LlcLine) -> None:
         if line.owner is not None:
@@ -351,10 +350,12 @@ class TardisLlc(BaseLlc):
     def _clean(self, line: LlcLine) -> bool:
         return line.owner is None
 
-    def _reclaim(self, fill_addr: int, tied: set) -> LlcLine | None:
+    def _reclaim(self, fill_addr: int) -> LlcLine | None:
         victim = self.lines.lru_victim(fill_addr,
-                                       avoid=lambda l: l.addr in tied)
+                                       avoid=lambda l: l.addr in self.waitq)
         if victim is not None:
+            self.waitq[victim.addr] = HomeWait(txn=Txn(
+                "evict", target=victim.owner, fill=fill_addr))
             self.sim.send(Msg(MsgKind.RECALL, victim.addr, LLC, victim.owner,
                               downgrade=TO_I, extend_ts=None))
         return victim

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum, auto
 
 
@@ -139,7 +139,10 @@ def parse_program(text: str, name: str = "program",
             elif head in ("rel", "release"):
                 current.append(MemOp(OpKind.RELEASE))
             elif head == "sleep":
-                current.append(MemOp(OpKind.SLEEP, n=int(toks[1])))
+                n = int(toks[1])
+                if n < 0:
+                    raise ParseError(f"line {ln}: negative sleep {n}")
+                current.append(MemOp(OpKind.SLEEP, n=n))
             elif head == "spinuntil":
                 m = _SPIN.match(line)
                 if not m:
@@ -170,8 +173,22 @@ def load_program(path: str, line_bytes: int = 64) -> Program:
 # builtin programs
 
 
+# the parameters each builtin takes; the others take none
+_BUILTIN_PARAMS = {"spin": ("delay",), "lease_case": ("iterations",)}
+
+
+def _count(params: dict, key: str, default: int) -> int:
+    n = int(params.get(key, default))
+    if n < 0:
+        raise ParseError(f"{key} must be >= 0, got {n}")
+    return n
+
+
 def builtin(name: str, line_bytes: int = 64, **params) -> Program:
     """Builtin programs by name; see BUILTIN_NAMES."""
+    for key in params:
+        if key not in _BUILTIN_PARAMS.get(name, ()):
+            raise ParseError(f"builtin {name!r} takes no parameter {key!r}")
     a, b = 0, line_bytes
     c = 2 * line_bytes
     d = 3 * line_bytes
@@ -364,7 +381,7 @@ def builtin(name: str, line_bytes: int = 64, **params) -> Program:
         """)
 
     if name == "spin":
-        delay = int(params.get("delay", 2000))
+        delay = _count(params, "delay", 2000)
         p = Program(name, [
             [MemOp(OpKind.SPIN, d, value=1),
              MemOp(OpKind.LOAD, d, reg="r1")],
@@ -379,7 +396,7 @@ def builtin(name: str, line_bytes: int = 64, **params) -> Program:
         return p
 
     if name == "lease_case":
-        iters = int(params.get("iterations", 10))
+        iters = _count(params, "iterations", 10)
         body = [MemOp(OpKind.LOAD, a, reg=None),    # print(A)
                 MemOp(OpKind.LOAD, b, reg=None),    # B++
                 MemOp(OpKind.STORE, b, value=1),
@@ -417,6 +434,11 @@ class SynthParams:
 
 def synth(params: SynthParams, line_bytes: int = 64) -> Program:
     """Deterministic random workload; same params+seed => same program."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if f.name != "seed" and (value < 0 or "frac" in f.name
+                                 and not value <= 1):
+            raise ParseError(f"synth: {f.name}={value} is out of range")
     priv_frac = params.private_frac if params.private_lines > 0 else 0
     if params.hot_frac > 0 and params.hot_lines < 1:
         raise ParseError("synth: hot_frac > 0 needs hot_lines >= 1")

@@ -9,6 +9,9 @@ from tardisim.workloads import builtin
 # home evict.
 ONE_SET_CACHES = {"line_bytes": 1024, "l1_kb": 1, "l1_ways": 1,
                   "llc_kb": 2, "llc_ways": 2}
+# The same with a one-way LLC: a fill finds the home's only way busy
+# whenever that line has a record, and waits for it to go.
+ONE_WAY_CACHES = {**ONE_SET_CACHES, "llc_kb": 1, "llc_ways": 1}
 
 
 def run(program, preset_name="tardis-base", auditor=None, **overrides):

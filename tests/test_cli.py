@@ -239,8 +239,18 @@ def _run_mp(*sets):
      "--repeat", "2"],
     ["run", "--program", "synth:hot_lines=0"],
     ["run", "--program", "synth:shared_lines=0"],
+    ["run", "--program", "mp:foo=1"], ["run", "--program", "spin:dealy=300"],
+    ["run", "--program", "spin:delay=-5"],
+    ["run", "--program", "lease_case:iterations=-2"],
+    ["run", "--program", "negative_sleep.prog"],
+    ["run", "--program", "synth:ops_per_core=-1"],
+    ["run", "--program", "synth:private_lines=-2"],
+    ["run", "--program", "synth:write_frac=2"],
+    ["run", "--program", "synth:hot_frac=-1"],
 ], ids=lambda argv: " ".join(argv[2:]))
-def test_out_of_range_input_exits_2(argv, capsys):
+def test_out_of_range_input_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "negative_sleep.prog").write_text("[core 0]\nSleep -3\n")
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
 

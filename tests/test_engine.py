@@ -10,6 +10,8 @@ from enum import Enum
 import pytest
 
 from tardisim import engine
+from tardisim.audit import CoherenceAuditor
+from tardisim.checker import check_trace, oracle_outcomes
 from tardisim.config import preset
 from tardisim.directory import DirectoryLlc
 from tardisim.engine import (DRAW_BITS, ENUM_OP_LIMIT, DeadlockError,
@@ -20,7 +22,7 @@ from tardisim.engine import (DRAW_BITS, ENUM_OP_LIMIT, DeadlockError,
 from tardisim.messages import LLC, MEM, Msg, MsgKind
 from tardisim.workloads import (OpKind, SynthParams, WarmLine, builtin,
                                 parse_program, synth)
-from conftest import ONE_SET_CACHES, run
+from conftest import ONE_SET_CACHES, ONE_WAY_CACHES, run
 from test_fingerprint import (CAPACITY_CFG, CAPACITY_SEEDS,
                               ENUM_SEARCH_PINS, MODELS, PROGRAMS, RUN_PINS,
                               searched)
@@ -216,8 +218,7 @@ def test_deadlock_dump_names_the_home_transaction(preset_name, drop, txn):
     sim.drop = drop
     # the second store's transaction waits on the first store's core
     with pytest.raises(DeadlockError, match=(
-            r"in_flight=0 (.|\n)* home 0x0: queued=[01] fill_out=False "
-            rf"parked_fill=False txn={txn}->[01]")):
+            rf"in_flight=0 (.|\n)* home 0x0: queued=[01] txn={txn}->[01]$")):
         sim.run()
 
 
@@ -355,6 +356,53 @@ def test_messages_never_change_once_sent(preset_name):
         sim.run()
         changed = sum(msg.key() != key for msg, key in sim.sent)
         assert changed == 0, (cfg.model, cfg.seed, changed, len(sim.sent))
+
+
+class _SeesBlocked(Simulator):
+    """Notes whether a fill ever waits for a way of its home set."""
+
+    blocked_seen = False
+
+    def route(self, msg):
+        self.blocked_seen |= bool(self.llc.blocked)
+        super().route(msg)
+
+
+# Runs in which a fill finds every way of its home set busy: (preset,
+# program, caches, committed ops).  Each seed is both the program's and
+# the run's.
+_BLOCKED_FILL_RUNS = {
+    "tardis-live": (SynthParams(cores=16, ops_per_core=40, hot_lines=2,
+                                shared_lines=8, private_lines=2,
+                                write_frac=0.15, fence_frac=0, seed=13),
+                    {"l1_kb": 1, "l1_ways": 2, "llc_kb": 1, "llc_ways": 4},
+                    640),
+    "directory": (SynthParams(cores=16, ops_per_core=20, hot_lines=2,
+                              shared_lines=16, private_lines=4,
+                              write_frac=0.3, fence_frac=0, seed=105),
+                  {"l1_kb": 1, "l1_ways": 4, "llc_kb": 1, "llc_ways": 4},
+                  320),
+}
+
+
+@pytest.mark.parametrize("preset_name", list(_BLOCKED_FILL_RUNS))
+def test_fill_waits_for_a_way_of_a_busy_home_set(preset_name):
+    params, caches, ops = _BLOCKED_FILL_RUNS[preset_name]
+    cfg = preset(preset_name, seed=params.seed, **caches)
+    sim = _SeesBlocked(cfg, synth(params), auditor=CoherenceAuditor())
+    sim.run()
+    assert sim.blocked_seen and not sim.llc.blocked
+    assert len(sim.trace) == ops
+    assert check_trace(sim.trace, cfg.model) == []
+
+
+@pytest.mark.parametrize("preset_name", PRESETS)
+def test_enumeration_with_a_one_way_home_stays_inside_the_oracle(
+        preset_name):
+    cfg = replace(preset(preset_name), **ONE_WAY_CACHES)
+    for model in MODELS:
+        got = enumerate_outcomes(builtin("mp"), model, cfg=cfg)
+        assert got and got <= oracle_outcomes(builtin("mp"), model), model
 
 
 def test_enumeration_takes_the_protocol_from_the_config(monkeypatch):
@@ -516,7 +564,11 @@ def _fresh_key(world):
     return probe.key()
 
 
-@pytest.mark.parametrize("one_set", (False, True))
+# the caches of each test_world_copies_are_exact_and_independent case
+_COPY_CACHES = {False: {}, True: ONE_SET_CACHES, "one_way": ONE_WAY_CACHES}
+
+
+@pytest.mark.parametrize("one_set", list(_COPY_CACHES))
 @pytest.mark.parametrize("preset_name",
                          ("tardis-base", "tardis-opt", "directory"))
 def test_world_copies_are_exact_and_independent(preset_name, one_set,
@@ -525,9 +577,7 @@ def test_world_copies_are_exact_and_independent(preset_name, one_set,
     clones the one it changes.  Branching must still be exact: each
     sibling ends as an isolated copy given the same action would, and
     neither the parent nor any other sibling changes meanwhile."""
-    cfg = preset(preset_name, thresh_min=1)
-    if one_set:
-        cfg = replace(cfg, **ONE_SET_CACHES)
+    cfg = replace(preset(preset_name, thresh_min=1), **_COPY_CACHES[one_set])
     worlds = _popped_worlds(monkeypatch, _clone_program(), cfg, 200)
     reached = set()
     for w in worlds:
@@ -574,12 +624,15 @@ def test_world_copies_are_exact_and_independent(preset_name, one_set,
             "request queued at the home": any(
                 h.queue for h in llc.waitq.values()),
             "directory transaction": any(
-                h.txn is not None and h.txn.kind != "recall"
+                h.txn.kind not in ("recall", "fill", "parked", "blocked",
+                                   "evict")
                 for h in llc.waitq.values()),
             "livelock history": any(
                 c.detector is not None and c.detector.ahb for c in w.cores),
             "check out": any(getattr(c, "check_out", None) for c in w.cores),
-            "parked fill": llc.evict_wait,
+            "parked fill": any(
+                h.txn.kind == "parked" for h in llc.waitq.values()),
+            "blocked fill": llc.blocked,
         }.items() if hit}
     want = {"message in flight", "request queued at the home"}
     if preset_name == "directory":
@@ -588,4 +641,6 @@ def test_world_copies_are_exact_and_independent(preset_name, one_set,
         want |= {"livelock history", "check out"}
     if one_set:
         want.add("parked fill")
+    if one_set == "one_way":
+        want.add("blocked fill")
     assert want <= reached

@@ -228,17 +228,15 @@ class _Recording(Simulator):
         super().send(msg)
 
     def route(self, msg):
-        llc = self.llc
-        for victim, fill in llc.evict_wait.items():
-            assert llc.waitq[fill].parked_fill is not None
-            self.paths.add("parked fill")
-            if victim in llc.waitq and llc.waitq[victim].queue:
-                self.paths.add("queued on victim")
-            if victim in llc.waitq and llc.waitq[victim].txn is not None:
-                self.paths.add(llc.waitq[victim].txn.kind)
-        for addr, wait in llc.waitq.items():
+        waitq = self.llc.waitq
+        for addr, wait in waitq.items():
             # an idle record would queue every later request forever
-            assert wait.queue or wait.busy(), f"idle record for {addr:#x}"
+            assert wait.txn is not None, f"idle record for {addr:#x}"
+            if wait.txn.fill is not None:   # a victim on its way home
+                assert waitq[wait.txn.fill].txn.kind == "parked"
+                self.paths |= {"parked fill", wait.txn.kind}
+                if wait.queue:
+                    self.paths.add("queued on victim")
         super().route(msg)
 
 
