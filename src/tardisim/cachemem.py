@@ -7,7 +7,7 @@ value axiom of every memory model without simulating real bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 # The four lease values a 2-bit lease field can encode.
@@ -54,9 +54,11 @@ class LineState(str, Enum):
     I = "I"
 
 
-@dataclass
+@dataclass(unsafe_hash=True)
 class CacheLine:
-    """One private-cache line: MESI state plus the timestamp pair."""
+    """One private-cache line: MESI state plus the timestamp pair.  It
+    compares and hashes by every field but its LRU stamp, which is how
+    an enumeration state keys it."""
 
     addr: int
     state: LineState = LineState.I
@@ -65,12 +67,12 @@ class CacheLine:
     value: ValueToken | None = None
     dirty: bool = False
     lease: int = MIN_LEASE   # lease this copy was granted with (renew echo)
-    lru: int = 0
+    lru: int = field(default=0, compare=False)
 
 
-@dataclass
+@dataclass(unsafe_hash=True)
 class LlcLine:
-    """One shared-cache line.
+    """One shared-cache line, compared and hashed like CacheLine.
 
     owner is None while the LLC holds the master copy (Shared state);
     otherwise it names the core whose private cache owns the line in
@@ -87,7 +89,7 @@ class LlcLine:
     cur_lease: int = MIN_LEASE
     # directory bookkeeping (replaced, never changed); unused in tardis
     sharers: frozenset = frozenset()
-    lru: int = 0
+    lru: int = field(default=0, compare=False)
 
 
 class SetAssocCache:
@@ -194,9 +196,8 @@ class MainMemory:
               lease: int = MIN_LEASE) -> None:
         self.lines[addr] = MemLine(value=value, wts=wts, rts=rts, lease=lease)
 
-    def state_key(self) -> tuple:
-        return tuple(sorted((a, l.value.as_tuple(), l.wts, l.rts)
-                            for a, l in self.lines.items()))
+    def state_key(self) -> frozenset:
+        return frozenset(self.lines.items())
 
     def clone(self) -> MainMemory:
         """An independent copy; a MemLine is immutable, so it is shared."""

@@ -29,7 +29,7 @@ class ModelError(Exception):
     """Operation not defined under the active memory model."""
 
 
-@dataclass
+@dataclass(unsafe_hash=True)
 class CoreClock:
     model: MemoryModel
     pts: int = 0

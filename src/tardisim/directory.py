@@ -200,40 +200,34 @@ class DirectoryLlc(BaseLlc):
     # -- transaction completion --------------------------------------------
 
     def _fwd_done(self, addr: int, data_msg, owner_kept_copy: bool) -> None:
-        wait = self.waitq[addr]
-        txn, wait.txn = wait.txn, None
         line = self.lines.lookup(addr, touch=False)
         assert line is not None
-        old_owner = line.owner if line.owner is not None else txn.target
+        old_owner = (line.owner if line.owner is not None
+                     else self.waitq[addr].txn.target)
         if data_msg is not None:
             line.value = data_msg.value
         line.owner = None
+        txn = self._close(addr)
+        if txn is None:
+            return   # evict_fwd
         if txn.kind == "gets_fwd":
             if owner_kept_copy:
                 line.sharers |= {old_owner}
             line.sharers |= {txn.req.src}
             self.sim.send(Msg(MsgKind.DATA_RESP, addr, LLC, txn.req.src,
                               data=True, value=line.value))
-        elif txn.kind == "getm_fwd":
-            self._grant_m(txn.req, line, was_sharer=False)
         else:
-            assert txn.kind == "evict_fwd"
-            self._finish_eviction(addr, txn.fill)
-            return
+            assert txn.kind == "getm_fwd"
+            self._grant_m(txn.req, line, was_sharer=False)
         self._drain(addr)
 
     def _acks_done(self, addr: int) -> None:
-        wait = self.waitq[addr]
-        txn, wait.txn = wait.txn, None
-        line = self.lines.lookup(addr, touch=False)
-        assert line is not None
-        if txn.kind == "getm_inv":
-            self._grant_m(txn.req, line, txn.was_sharer)
+        txn = self._close(addr)
+        if txn is not None:   # not evict_inv
+            assert txn.kind == "getm_inv"
+            self._grant_m(txn.req, self.lines.lookup(addr, touch=False),
+                          txn.was_sharer)
             self._drain(addr)
-        else:
-            assert txn.kind == "evict_inv"
-            line.sharers = frozenset()
-            self._finish_eviction(addr, txn.fill)
 
     def _replay(self, wait: HomeWait, line: LlcLine) -> None:
         msg = wait.queue.pop(0)

@@ -30,8 +30,7 @@ import math
 import random
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
+from dataclasses import dataclass, field, replace
 
 from .cachemem import (CacheLine, LineState, LlcLine, MainMemory,
                        SetAssocCache, ValueToken, copy_record, initial_token)
@@ -134,12 +133,6 @@ class StoreEntry:
     idx: int
     addr: int
     token: ValueToken
-
-
-# a line's part of an enumeration state: every field but the LRU stamp
-_L1_LINE_KEY, _LLC_LINE_KEY = (
-    attrgetter(*(f.name for f in fields(cls) if f.name != "lru"))
-    for cls in (CacheLine, LlcLine))
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +320,28 @@ class BaseCore:
         assert self.drain_inflight and entry.addr == msg.addr
         self.drain_inflight = False
         line = self.l1.lookup(msg.addr)
+        through = False
         if line is None:
-            line = self._install(CacheLine(addr=msg.addr, state=LineState.M))
+            line = CacheLine(addr=msg.addr, state=LineState.M)
+            through = self._install(line) is None
         pre = self.clock.read_ts
         ts = self._store_ts(line, msg.floor)
         self._commit_store(entry, line, ts, step, pre)
+        if through:
+            # no way to keep it in: the store goes straight home, and a
+            # recall that crosses it finds no line
+            self._evicted(line)
 
-    def _install(self, line: CacheLine) -> CacheLine:
+    def _install(self, line: CacheLine) -> CacheLine | None:
+        """Put line in the L1 in place of its set's LRU line.  None when
+        every way holds the line a renewing load waits on: then line
+        stays out."""
         l1 = self.l1
         if not l1.has_room(line.addr):
             locked = self.waiting
             victim = l1.lru_victim(line.addr, avoid=lambda l: l.addr == locked)
-            assert victim is not None, "every way locked"
+            if victim is None:
+                return None
             l1.remove(victim.addr)
             self._evicted(victim)
         l1.insert(line)
@@ -365,13 +368,9 @@ class BaseCore:
         raise NotImplementedError
 
     def state_key(self) -> tuple:
-        c = self.clock
-        return (self.pc, tuple(sorted(self.regs.items())),
-                (c.pts, c.lts, c.sts, c.acquire_ts, c.release_ts, c.max_ts),
-                tuple((e.idx, e.addr, e.token.as_tuple()) for e in self.buffer),
-                self.drain_inflight, self.waiting,
-                self.sleep_left, self.store_seq,
-                tuple(sorted(map(_L1_LINE_KEY, self.l1.lines()))))
+        return (self.pc, tuple(sorted(self.regs.items())), self.clock,
+                tuple(self.buffer), self.drain_inflight, self.waiting,
+                self.sleep_left, self.store_seq, frozenset(self.l1.lines()))
 
     def clone(self, sim) -> BaseCore:
         """An exact, independent copy of this core inside sim.  The op
@@ -389,7 +388,7 @@ class BaseCore:
 # protocol-agnostic home node: fills and capacity
 
 
-@dataclass
+@dataclass(unsafe_hash=True)
 class Txn:
     """Why the home is busy with one line: a DRAM read out (fill), a
     fill waiting for a victim to come home (parked) or for a way (blocked),
@@ -403,10 +402,6 @@ class Txn:
     target: int | None = None   # the core whose answer ends it
     was_sharer: bool = False
     fill: int | None = None     # an eviction's: the line that takes the way
-
-    def key(self) -> tuple:
-        return (self.kind, self.need, self.got, self.target, self.was_sharer,
-                self.fill, self.req.key() if self.req else None)
 
 
 @dataclass
@@ -434,7 +429,7 @@ class BaseLlc:
 
     A fill takes a free way, else the LRU clean line, else it parks while
     the home takes a line back from the cores; the victim's return
-    (_finish_eviction) installs it.  A fill that finds every way of its
+    (_close) installs it.  A fill that finds every way of its
     set busy waits in blocked until a record in that set goes.  Requests
     for a busy line queue in its waitq record and _drain replays them
     once it is free.  Protocol subclasses provide handle, _clean (the
@@ -508,11 +503,19 @@ class BaseLlc:
         self._install_fill(msg)
         self._drain(addr)
 
-    def _finish_eviction(self, victim_addr: int, fill_addr: int) -> None:
-        self._evict(self.lines.lookup(victim_addr, touch=False))
-        self._fill(self.waitq[fill_addr].txn.req)
-        # demand traffic may have queued on the victim while it was going
-        self._drain(victim_addr)
+    def _close(self, addr: int) -> Txn | None:
+        """End the line's transaction.  An eviction ends here: the line
+        goes, the fill parked on it takes its way, and demand that queued
+        on it meanwhile is replayed.  Any other transaction is returned
+        for the protocol to finish."""
+        wait = self.waitq[addr]
+        txn, wait.txn = wait.txn, None
+        if txn.fill is None:
+            return txn
+        self._evict(self.lines.lookup(addr, touch=False))
+        self._fill(self.waitq[txn.fill].txn.req)
+        self._drain(addr)
+        return None
 
     def _evict(self, victim: LlcLine) -> None:
         self.lines.remove(victim.addr)
@@ -526,11 +529,9 @@ class BaseLlc:
                                   cur_lease=msg.lease))
 
     def state_key(self) -> tuple:
-        waits = tuple(sorted(
-            (a, tuple(m.key() for m in w.queue), w.txn.key())
-            for a, w in self.waitq.items()))
-        return (tuple(sorted(map(_LLC_LINE_KEY, self.lines.lines()))), waits,
-                tuple(self.blocked))
+        waits = tuple((a, tuple(w.queue), w.txn)
+                      for a, w in sorted(self.waitq.items()))
+        return frozenset(self.lines.lines()), waits, tuple(self.blocked)
 
     def clone(self, sim) -> BaseLlc:
         """An exact, independent copy of this home node inside sim."""
@@ -905,15 +906,19 @@ class _World(Simulator):
         return new
 
     def key(self) -> tuple:
+        """The world's state key.  It holds the records themselves (lines,
+        clocks, messages, transactions), which compare by value.  That is
+        exact because a component never changes once its key is taken:
+        an action clones it first.  A lookup still moves a line's LRU
+        stamp, which equality leaves out."""
         keys = self._keys
         if None in keys:
             parts = [*self.cores, self.mem, self.llc]   # at MEM and LLC
             for i, k in enumerate(keys):
                 if k is None:
                     keys[i] = parts[i].state_key()
-        chans = tuple((ch, tuple(m.key() for m in q))
-                      for ch, q in sorted(self.channels.items()))
-        return tuple(keys[:-2]), keys[LLC], keys[MEM], chans
+        return (tuple(keys[:-2]), keys[LLC], keys[MEM],
+                tuple(sorted(self.channels.items())))
 
 
 ENUM_OP_LIMIT = 10

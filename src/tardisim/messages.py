@@ -9,9 +9,8 @@ shared-eviction notices), or dram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum, auto
-from operator import attrgetter
 
 from .cachemem import MIN_LEASE, ValueToken
 
@@ -69,8 +68,11 @@ TO_S = "s"
 TO_I = "i"
 
 
-@dataclass
+@dataclass(unsafe_hash=True)
 class Msg:
+    """One message.  It never changes once sent, so enumerated worlds
+    share it and it is its own part of their state keys."""
+
     kind: MsgKind
     addr: int
     src: int
@@ -91,11 +93,3 @@ class Msg:
     extend_ts: int | None = None    # recall: extend rts to extend_ts + lease
     have_line: bool = False         # store request: upgrade of a shared copy
     recalled: bool = False          # set at the home while queued behind a recall
-
-    def key(self) -> tuple:
-        """Identity of this message in an enumeration state: every field,
-        so two messages that could act differently never merge."""
-        return _all_fields(self)
-
-
-_all_fields = attrgetter(*(f.name for f in fields(Msg)))

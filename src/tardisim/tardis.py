@@ -33,7 +33,6 @@ class TardisCore(BaseCore):
             self.detector = LivelockDetector(
                 entries=cfg.ahb_entries, min_count=cfg.thresh_min,
                 max_count=cfg.thresh_max, check_thresh=cfg.check_thresh)
-        self.check_out: set[int] = set()
 
     # -- loads -----------------------------------------------------------
 
@@ -68,7 +67,6 @@ class TardisCore(BaseCore):
         self.waiting = addr
 
     def _send_check(self, line: CacheLine) -> None:
-        self.check_out.add(line.addr)
         self.sim.send(Msg(MsgKind.CHECK_REQ, line.addr, self.cid, LLC,
                           req_wts=line.wts))
 
@@ -129,7 +127,6 @@ class TardisCore(BaseCore):
         elif kind is MsgKind.EXCL_RESP:
             self._store_granted(msg, step)
         elif kind is MsgKind.CHECK_RESP:
-            self.check_out.discard(msg.addr)
             if self.detector is not None:
                 self.detector.on_check_response(msg.updated)
             if msg.updated:
@@ -180,14 +177,12 @@ class TardisCore(BaseCore):
 
     def state_key(self) -> tuple:
         det = self.detector   # its AHB's items run in LRU order
-        return super().state_key() + (tuple(sorted(self.check_out)), None
-                                      if det is None else
-                                      (det.thresh_count, det.check_count,
-                                       tuple(det.ahb.items())))
+        return super().state_key() + (
+            None if det is None else
+            (det.thresh_count, det.check_count, tuple(det.ahb.items())),)
 
     def clone(self, sim) -> TardisCore:
         new = super().clone(sim)
-        new.check_out = set(self.check_out)
         if self.detector is not None:
             det = new.detector = copy_record(self.detector)
             det.ahb = det.ahb.copy()
@@ -331,13 +326,8 @@ class TardisLlc(BaseLlc):
         line.rts = max(line.rts, msg.rts)
         line.owner = None
         line.e_bit = True
-        pend = self.waitq.get(addr)
-        if pend is not None:
-            txn, pend.txn = pend.txn, None
-            if txn.kind == "evict":
-                self._finish_eviction(addr, txn.fill)
-                return
-        self._drain(addr)
+        if addr in self.waitq and self._close(addr) is not None:
+            self._drain(addr)   # the recall is over
 
     def _replay(self, wait: HomeWait, line: LlcLine) -> None:
         if line.owner is not None:

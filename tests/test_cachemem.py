@@ -56,3 +56,14 @@ def test_memory_keeps_timestamps_and_lease():
     mem.write(128, tok, wts=10, rts=40, lease=32)
     back = mem.read(128)
     assert (back.value, back.wts, back.rts, back.lease) == (tok, 10, 40, 32)
+
+
+def test_memory_state_key_holds_the_lease():
+    """A refill grants the lease memory kept, so memories that differ
+    only in it must not merge in an enumeration."""
+    keys = []
+    for lease in (8, 16):
+        mem = MainMemory()
+        mem.write(128, initial_token(128), wts=10, rts=40, lease=lease)
+        keys.append(mem.state_key())
+    assert keys[0] != keys[1]

@@ -25,7 +25,7 @@ from tardisim.workloads import (OpKind, SynthParams, WarmLine, builtin,
 from conftest import ONE_SET_CACHES, ONE_WAY_CACHES, run
 from test_fingerprint import (CAPACITY_CFG, CAPACITY_SEEDS,
                               ENUM_SEARCH_PINS, MODELS, PROGRAMS, RUN_PINS,
-                              searched)
+                              msg_fields, searched)
 
 
 CONTended = SynthParams(cores=4, ops_per_core=60, hot_lines=2,
@@ -305,9 +305,11 @@ class _ReadyChecked(Simulator):
             assert core.parked(), f"{where}: left the ready set unparked"
             box = _Sandbox(self)
             probe = core.clone(box)
-            key = probe.state_key()
             probe.turn(self.step + 1)
-            assert probe.state_key() == key, f"{where}: a turn changed it"
+            # the key holds the clock and the lines themselves, so it is
+            # compared with the untouched core's rather than taken before
+            assert probe.state_key() == core.state_key(), \
+                f"{where}: a turn changed it"
             assert not box.effects, f"{where}: a turn sent {box.effects}"
             self.parked_seen += 1
 
@@ -343,7 +345,7 @@ class _SentKept(Simulator):
         super().__init__(cfg, program)
 
     def send(self, msg):
-        self.sent.append((msg, msg.key()))
+        self.sent.append((msg, msg_fields(msg)))
         super().send(msg)
 
 
@@ -354,7 +356,7 @@ def test_messages_never_change_once_sent(preset_name):
     for cfg, program in _capacity_runs(preset_name):
         sim = _SentKept(cfg, program)
         sim.run()
-        changed = sum(msg.key() != key for msg, key in sim.sent)
+        changed = sum(msg_fields(msg) != key for msg, key in sim.sent)
         assert changed == 0, (cfg.model, cfg.seed, changed, len(sim.sent))
 
 
@@ -393,6 +395,34 @@ def test_fill_waits_for_a_way_of_a_busy_home_set(preset_name):
     sim.run()
     assert sim.blocked_seen and not sim.llc.blocked
     assert len(sim.trace) == ops
+    assert check_trace(sim.trace, cfg.model) == []
+
+
+# A store grant lands in a one-way L1 set whose only line a renewing
+# load waits on, so the store is written through to the home.  The seed
+# is both the program's and the run's.
+_WRITE_THROUGH = SynthParams(cores=4, ops_per_core=60, hot_lines=2,
+                             shared_lines=24, private_lines=8, seed=15)
+
+
+@pytest.mark.parametrize("preset_name",
+                         ("tardis-base", "tardis-live", "tardis-opt"))
+def test_store_writes_through_a_set_a_renewing_load_holds(preset_name,
+                                                         monkeypatch):
+    install, through = engine.BaseCore._install, []
+
+    def noted(core, line):
+        got = install(core, line)
+        through.append(got is None)
+        return got
+
+    monkeypatch.setattr(engine.BaseCore, "_install", noted)
+    cfg = preset(preset_name, model="pso", seed=_WRITE_THROUGH.seed,
+                 l1_kb=1, l1_ways=1, llc_kb=64, llc_ways=8)
+    sim = Simulator(cfg, synth(_WRITE_THROUGH), auditor=CoherenceAuditor())
+    sim.run()
+    assert any(through)
+    assert len(sim.trace) == 240
     assert check_trace(sim.trace, cfg.model) == []
 
 
@@ -629,7 +659,11 @@ def test_world_copies_are_exact_and_independent(preset_name, one_set,
                 for h in llc.waitq.values()),
             "livelock history": any(
                 c.detector is not None and c.detector.ahb for c in w.cores),
-            "check out": any(getattr(c, "check_out", None) for c in w.cores),
+            "check out": any(
+                m.kind in (MsgKind.CHECK_REQ, MsgKind.CHECK_RESP)
+                for q in (*w.channels.values(),
+                          *(h.queue for h in llc.waitq.values()))
+                for m in q),
             "parked fill": any(
                 h.txn.kind == "parked" for h in llc.waitq.values()),
             "blocked fill": llc.blocked,
@@ -644,3 +678,36 @@ def test_world_copies_are_exact_and_independent(preset_name, one_set,
     if one_set == "one_way":
         want.add("blocked fill")
     assert want <= reached
+
+
+def _deep_hash(key):
+    """hash(key), but with each frozenset's hash computed afresh where
+    hash() would reuse the one the set cached when first hashed."""
+    if isinstance(key, tuple):
+        return hash(tuple(map(_deep_hash, key)))
+    if isinstance(key, frozenset):
+        return hash(frozenset(map(_deep_hash, key)))
+    return hash(key)
+
+
+@pytest.mark.parametrize("caches", list(_COPY_CACHES))
+@pytest.mark.parametrize("preset_name",
+                         ("tardis-base", "tardis-opt", "directory"))
+def test_state_keys_never_change_once_taken(preset_name, caches,
+                                            monkeypatch):
+    """A world key holds the records of its components (lines, clocks,
+    messages, transactions), which is exact only while no search step
+    changes a record after the key holding it was taken."""
+    cfg = replace(preset(preset_name, thresh_min=1), **_COPY_CACHES[caches])
+    key, taken = _World.key, []
+
+    def kept(world):
+        k = key(world)
+        taken.append((k, _deep_hash(k)))
+        return k
+
+    monkeypatch.setattr(_World, "key", kept)
+    for name in ("mp", "corr", "sb_fence"):
+        enumerate_outcomes(builtin(name), "tso", cfg=cfg)
+    changed = sum(_deep_hash(k) != h for k, h in taken)
+    assert taken and changed == 0, (changed, len(taken))

@@ -11,7 +11,8 @@ alters behaviour on purpose, and say why in CHANGES.md.
 
 import hashlib
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
+from operator import attrgetter
 
 import pytest
 
@@ -20,7 +21,7 @@ from tardisim.checker import check_trace
 from tardisim.config import preset
 from tardisim.directory import DirectoryCore
 from tardisim.engine import Simulator, _World, enumerate_outcomes
-from tardisim.messages import MsgKind
+from tardisim.messages import Msg, MsgKind
 from tardisim.tardis import TardisCore
 from tardisim.workloads import SynthParams, builtin, synth
 from conftest import ONE_SET_CACHES
@@ -70,9 +71,12 @@ RUN_PINS = {
 CAPACITY_CFG = {"l1_kb": 1, "l1_ways": 2, "llc_kb": 2, "llc_ways": 4}
 CAPACITY_SEEDS = (0, 2)
 
+# every field of a message, in declaration order, as a tuple
+msg_fields = attrgetter(*(f.name for f in fields(Msg)))
+
 # per preset, over the 8 runs (models x seeds, in that order): sha256 of
 # the report JSON + trace JSONL as in RUN_PINS, and sha256 of every sent
-# message's repr(Msg.key()), one a line, in send order
+# message's repr(msg_fields(msg)), one a line, in send order
 CAPACITY_PINS = {
     "directory": (
         "01531722b0f7291d0d4894435d250a9909b1e3728bb43397f2077c941dccb16f",
@@ -223,7 +227,7 @@ class _Recording(Simulator):
         super().__init__(cfg, program, auditor=auditor)
 
     def send(self, msg):
-        self.sent.append(repr(msg.key()) + "\n")
+        self.sent.append(repr(msg_fields(msg)) + "\n")
         self.kinds[msg.kind] += 1
         super().send(msg)
 
