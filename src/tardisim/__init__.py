@@ -8,7 +8,7 @@ consistency checker for SC/TSO/PSO/RC traces.
 from .audit import AuditError, CoherenceAuditor
 from .checker import Violation, check_trace, oracle_outcomes, ordered
 from .config import ConfigError, PRESETS, SimConfig, load_config, preset
-from .consistency import CoreClock, MemoryModel
+from .consistency import CLOCKS, MemoryModel
 from .engine import (DeadlockError, SimulationError, Simulator, TraceOp,
                      enumerate_outcomes, trace_from_json)
 from .metrics import Report
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AuditError", "CoherenceAuditor", "Violation", "check_trace",
     "oracle_outcomes", "ordered", "ConfigError", "PRESETS", "SimConfig",
-    "load_config", "preset", "CoreClock", "MemoryModel", "DeadlockError",
+    "load_config", "preset", "CLOCKS", "MemoryModel", "DeadlockError",
     "SimulationError", "Simulator", "TraceOp", "enumerate_outcomes",
     "trace_from_json", "Report", "BUILTIN_NAMES",
     "LITMUS_NAMES", "MemOp", "OpKind", "Program", "SynthParams", "builtin",

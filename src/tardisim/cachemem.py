@@ -7,7 +7,7 @@ value axiom of every memory model without simulating real bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 # The four lease values a 2-bit lease field can encode.
@@ -57,8 +57,8 @@ class LineState(str, Enum):
 @dataclass(unsafe_hash=True)
 class CacheLine:
     """One private-cache line: MESI state plus the timestamp pair.  It
-    compares and hashes by every field but its LRU stamp, which is how
-    an enumeration state keys it."""
+    compares and hashes by every field, which is how an enumeration
+    state keys it."""
 
     addr: int
     state: LineState = LineState.I
@@ -67,7 +67,6 @@ class CacheLine:
     value: ValueToken | None = None
     dirty: bool = False
     lease: int = MIN_LEASE   # lease this copy was granted with (renew echo)
-    lru: int = field(default=0, compare=False)
 
 
 @dataclass(unsafe_hash=True)
@@ -89,17 +88,18 @@ class LlcLine:
     cur_lease: int = MIN_LEASE
     # directory bookkeeping (replaced, never changed); unused in tardis
     sharers: frozenset = frozenset()
-    lru: int = field(default=0, compare=False)
 
 
 class SetAssocCache:
     """Set-associative container with LRU replacement.
 
     Stores whatever line objects the caller hands it; the only contract
-    is an .addr and .lru attribute.  Victim selection is the caller's
-    job (protocols differ on which lines are evictable), so the cache
-    just reports the resident lines of a set.  Only sets that hold lines
-    are stored, so an empty cache costs nothing to copy.
+    is an .addr attribute.  Each set is a dict kept in LRU order, least
+    recently used first: insert appends, and a touching lookup moves
+    the line to the end.  Victim selection is the caller's job
+    (protocols differ on which lines are evictable), so the cache just
+    reports the resident lines of a set.  Only sets that hold lines are
+    stored, so an empty cache costs nothing to copy.
     """
 
     def __init__(self, size_kb: int, ways: int, line_bytes: int):
@@ -107,7 +107,6 @@ class SetAssocCache:
         self.line_bytes = line_bytes
         self.n_sets = (size_kb * 1024) // (ways * line_bytes)
         self.sets: dict[int, dict] = {}   # set index -> {addr: line}
-        self._tick = 0
 
     def set_index(self, addr: int) -> int:
         return (addr // self.line_bytes) % self.n_sets
@@ -117,8 +116,8 @@ class SetAssocCache:
         s = self.sets.get((addr // self.line_bytes) % self.n_sets)
         line = s.get(addr) if s else None
         if line is not None and touch:
-            self._tick += 1
-            line.lru = self._tick
+            del s[addr]
+            s[addr] = line
         return line
 
     def has_room(self, addr: int) -> bool:
@@ -132,10 +131,8 @@ class SetAssocCache:
         s = self.sets.get(self.set_index(addr), ())
         if len(s) < self.ways:
             return None
-        cands = [l for l in s.values() if avoid is None or not avoid(l)]
-        if not cands:
-            return None
-        return min(cands, key=lambda l: l.lru)
+        return next((l for l in s.values() if avoid is None or not avoid(l)),
+                    None)
 
     def insert(self, line) -> None:
         idx = self.set_index(line.addr)
@@ -143,8 +140,6 @@ class SetAssocCache:
             self.sets[idx] = {}
         s = self.sets[idx]
         assert line.addr not in s and len(s) < self.ways, "insert needs a free way"
-        self._tick += 1
-        line.lru = self._tick
         s[line.addr] = line
 
     def remove(self, addr: int):

@@ -33,7 +33,7 @@ class SimConfig:
     thresh_min: int = 100
     thresh_max: int = 800
     check_thresh: int = 10
-    self_increment_period: int = 0      # 0 = pick default from detector setting
+    self_increment_period: int = 0      # 0 = 100, or 1000 with the detector
     store_buffer: int = 8               # entries; SC always runs with 0
     l1_kb: int = 32
     l1_ways: int = 4
@@ -73,11 +73,16 @@ class SimConfig:
         if self.lease_predictor and self.static_lease not in LEASE_VALUES:
             raise ConfigError(
                 f"lease_predictor needs static_lease in {LEASE_VALUES}")
-        if self.self_increment_period == 0:
-            # detector runs tolerate a slower forced advance
-            self.self_increment_period = 1000 if self.livelock_detector else 100
         if self.self_increment_period < 0:
             raise ConfigError("self_increment_period must be >= 0 (0 = default)")
+
+    @property
+    def si_period(self) -> int:
+        """Accesses between forced self-increments.  0 picks the default
+        when it is read, so it follows livelock_detector through
+        replace(): detector runs tolerate a slower forced advance."""
+        return self.self_increment_period or (
+            1000 if self.livelock_detector else 100)
 
     @property
     def memory_model(self) -> MemoryModel:
@@ -106,7 +111,7 @@ class SimConfig:
             "static_lease": self.static_lease,
             "lease_predictor": self.lease_predictor,
             "livelock_detector": self.livelock_detector,
-            "self_increment_period": self.self_increment_period,
+            "self_increment_period": self.si_period,
             "store_buffer": self.store_buffer_size,
             "seed": self.seed,
         }

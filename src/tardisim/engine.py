@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 from .cachemem import (CacheLine, LineState, LlcLine, MainMemory,
                        SetAssocCache, ValueToken, copy_record, initial_token)
 from .config import SimConfig, hop_table
-from .consistency import CoreClock, MemoryModel
+from .consistency import CLOCKS
 from .messages import LLC, MEM, Msg, MsgKind
 from .workloads import MemOp, OpKind, ParseError, Program
 
@@ -160,7 +160,7 @@ class BaseCore:
         self.l1 = SetAssocCache(cfg.l1_kb, cfg.l1_ways, cfg.line_bytes)
         self.pc = 0
         self.regs: dict[str, int] = {}
-        self.clock = CoreClock(sim.cfg.memory_model)
+        self.clock = CLOCKS[cfg.memory_model]()
         self.buffer: list[StoreEntry] = []
         self.buffer_cap = sim.cfg.store_buffer_size
         self.drain_inflight = False
@@ -169,7 +169,7 @@ class BaseCore:
         self.seq = 0                 # per-core commit counter
         self.store_seq = 0
         self.access_count = 0
-        self.si_period = sim.cfg.self_increment_period
+        self.si_period = cfg.si_period
         self.committed_step = -1
         self.detector = None
 
@@ -219,9 +219,8 @@ class BaseCore:
         if k is OpKind.STORE:
             return not (self.buffer_cap and len(self.buffer) >= self.buffer_cap)
         if k in (OpKind.FENCE, OpKind.ACQUIRE, OpKind.RELEASE):
-            drains = not (self.clock.model is MemoryModel.RC
-                          and k is OpKind.ACQUIRE)
-            return not (drains and self.buffer)
+            return not self.buffer or (k is OpKind.ACQUIRE
+                                       and not self.clock.ACQUIRE_DRAINS)
         return True
 
     def exec_op(self, step: int) -> None:
@@ -235,7 +234,7 @@ class BaseCore:
             self.pc += 1
             return
         if k in (OpKind.FENCE, OpKind.ACQUIRE, OpKind.RELEASE):
-            ts = self._sync_commit(k)
+            ts = self.clock.sync(k)
             self.seq += 1
             self.sim.trace_append(TraceOp(self.cid, self.pc, k, None, None,
                                           ts, step, self.seq))
@@ -254,20 +253,6 @@ class BaseCore:
                 self._finish_load(entry.token, ts, step, pre, fwd=True)
                 return
         self._load(op, step)
-
-    def _sync_commit(self, kind: OpKind) -> int:
-        clock = self.clock
-        model = clock.model
-        if model is MemoryModel.SC:
-            return clock.pts
-        if model is MemoryModel.RC:
-            if kind is OpKind.ACQUIRE:
-                return clock.acquire()
-            if kind is OpKind.RELEASE:
-                return clock.release()
-            clock.release()
-            return clock.acquire()
-        return clock.fence()
 
     # -- commit plumbing -----------------------------------------------
 

@@ -10,32 +10,19 @@ renewing the line.
 
 from __future__ import annotations
 
-from .cachemem import LEASE_VALUES, MAX_LEASE, MIN_LEASE
-
-READ = "read"
-WRITE = "write"
-RENEW = "renew"
+from .cachemem import MAX_LEASE, MIN_LEASE
+from .messages import MsgKind
 
 
-class LeaseError(ValueError):
-    pass
-
-
-def predict(cur_lease: int, req_type: str, req_lease: int = MIN_LEASE) -> int:
-    """Next lease for a line given one shared-cache request.
+def predict(cur_lease: int, kind: MsgKind, req_lease: int) -> int:
+    """Next lease for a line given one shared-cache request of kind.
 
     Returns the lease to grant; the caller stores it back as the
     line's current lease.  req_lease is the lease the requester's copy
     was granted with (loads after an L1 miss carry the minimum).
     """
-    if cur_lease not in LEASE_VALUES:
-        raise LeaseError(f"cur_lease {cur_lease} not in {LEASE_VALUES}")
-    if req_lease not in LEASE_VALUES:
-        raise LeaseError(f"req_lease {req_lease} not in {LEASE_VALUES}")
-    if req_type == WRITE:
+    if kind is MsgKind.STORE_REQ:
         return MIN_LEASE
-    if req_type == RENEW and req_lease == cur_lease and cur_lease < MAX_LEASE:
+    if kind is MsgKind.RENEW_REQ and req_lease == cur_lease < MAX_LEASE:
         return cur_lease * 2
-    if req_type not in (READ, RENEW):
-        raise LeaseError(f"unknown request type {req_type!r}")
     return cur_lease

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .cachemem import CacheLine, LineState, LlcLine, MIN_LEASE, ValueToken
 from .engine import BaseCore, BaseLlc, HomeWait, StoreEntry, Txn, copy_record
-from .leasepred import READ, RENEW, WRITE, predict
+from .leasepred import predict
 from .livelock import LivelockDetector
 from .messages import LLC, Msg, MsgKind, TO_I, TO_S
 from .workloads import MemOp
@@ -236,12 +236,7 @@ class TardisLlc(BaseLlc):
         cfg = self.sim.cfg
         if not cfg.lease_predictor:
             return cfg.static_lease
-        if req.kind is MsgKind.STORE_REQ:
-            line.cur_lease = predict(line.cur_lease, WRITE)
-        elif req.kind is MsgKind.RENEW_REQ:
-            line.cur_lease = predict(line.cur_lease, RENEW, req.req_lease)
-        else:
-            line.cur_lease = predict(line.cur_lease, READ)
+        line.cur_lease = predict(line.cur_lease, req.kind, req.req_lease)
         return line.cur_lease
 
     def _serve(self, msg: Msg, line: LlcLine) -> None:

@@ -8,11 +8,12 @@ as a checklist.
 import random
 import time
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 from tardisim.audit import CoherenceAuditor
 from tardisim.checker import check_trace, oracle_outcomes
-from tardisim.config import preset
+from tardisim.config import ConfigError, SimConfig, preset
 from tardisim.engine import Simulator, enumerate_outcomes
 from tardisim.messages import MsgKind
 from tardisim.tardis import TardisCore
@@ -251,3 +252,76 @@ def test_criterion_10_readme_states_desk_scale_scope():
         assert "desk-scale" in text
         assert "64" in text and "256" in text
         assert "out of scope" in text
+
+
+# Criterion 11's config domain: a fixed set of values per SimConfig
+# field, the edges validation lets through among them.
+CONFIG_DOMAIN = {
+    "protocol": ("tardis", "directory"),
+    "model": MODELS,
+    "cores": (1, 2, 3, 5, 8),
+    "mesi": (False, True),
+    "static_lease": (1, 8, 16, 64, 100),
+    "lease_predictor": (False, True),
+    "livelock_detector": (False, True),
+    "ahb_entries": (1, 2, 8),
+    "thresh_min": (0, 1, 2, 100),
+    "thresh_max": (0, 1, 8, 800),
+    "check_thresh": (0, 1, 10),
+    "self_increment_period": (0, 1, 2, 100),
+    "store_buffer": (0, 1, 2, 8),
+    "l1_kb": (1, 2, 32),
+    "l1_ways": (1, 2, 4),
+    "llc_kb": (1, 2, 256),
+    "llc_ways": (1, 2, 8),
+    "line_bytes": (16, 64, 1024),
+    "dram_latency": (1, 100),
+    "hop_cycles": (1, 3),
+    "flit_bits": (1, 7, 128),
+    "skip_prob": (0.0, 0.25, 0.9),
+    "max_steps": (1_000_000, 5_000_000),
+    "seed": (0, 1, 2, 3),
+}
+
+
+def _audited_and_checked(cfg, prog):
+    aud = CoherenceAuditor()
+    sim = Simulator(cfg, prog, auditor=aud)
+    sim.run()                                # AuditError would fail the gate
+    assert check_trace(sim.trace, cfg.model) == [], cfg
+
+
+def test_criterion_11_capacity_and_config_stress():
+    with gate(11, 300.0):
+        # capacity: 1-2 KB caches of 1, 2 or 4 ways under every preset
+        # and model
+        presets = ("tardis-base", "tardis-live", "tardis-opt", "directory")
+        for i in range(4000):
+            rng = random.Random(i)
+            cores = rng.randint(2, 16)
+            l1_kb, llc_kb = rng.choice((1, 2)), rng.choice((1, 2))
+            l1_ways, llc_ways = rng.choice((1, 2, 4)), rng.choice((1, 2, 4))
+            params = SynthParams(cores=cores, ops_per_core=30,
+                                 hot_lines=rng.randint(1, 4),
+                                 shared_lines=rng.randint(4, 24),
+                                 private_lines=rng.randint(0, 8), seed=i)
+            cfg = preset(presets[i % 4], model=MODELS[i // 4 % 4],
+                         l1_kb=l1_kb, l1_ways=l1_ways, llc_kb=llc_kb,
+                         llc_ways=llc_ways, seed=i)
+            _audited_and_checked(cfg, synth(params))
+        # config space: every config validation accepts runs clean
+        assert set(CONFIG_DOMAIN) == {f.name for f in fields(SimConfig)}
+        accepted = 0
+        for i in range(1500):
+            rng = random.Random(i)
+            try:
+                cfg = SimConfig(**{k: rng.choice(v)
+                                   for k, v in CONFIG_DOMAIN.items()})
+            except ConfigError:
+                continue
+            params = SynthParams(cores=cfg.cores, ops_per_core=20,
+                                 hot_lines=2, shared_lines=8,
+                                 private_lines=2, seed=i)
+            _audited_and_checked(cfg, synth(params, cfg.line_bytes))
+            accepted += 1
+        assert accepted >= 500, accepted

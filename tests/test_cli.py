@@ -218,6 +218,20 @@ def test_sim_log_env_enables_logging(tmp_path):
     assert "sweep static_lease=8" in chatty.stderr
 
 
+def test_detector_override_matches_its_preset(tmp_path, capsys):
+    # the self-increment default follows the detector through --set,
+    # as it does through the preset
+    outs = []
+    for i, head in enumerate((["--preset", "tardis-live"],
+                              ["--preset", "tardis-base", "--set",
+                               "livelock_detector=on"])):
+        report, trace = tmp_path / f"r{i}.json", tmp_path / f"t{i}.jsonl"
+        assert main(["run", "--program", "spin:delay=300", "--seed", "0",
+                     "--json", str(report), "--trace", str(trace)] + head) == 0
+        outs.append((report.read_bytes(), trace.read_bytes()))
+    assert outs[0] == outs[1]
+
+
 def _run_mp(*sets):
     return ["run", "--program", "mp"] + [a for kv in sets for a in ("--set", kv)]
 
@@ -247,12 +261,42 @@ def _run_mp(*sets):
     ["run", "--program", "synth:private_lines=-2"],
     ["run", "--program", "synth:write_frac=2"],
     ["run", "--program", "synth:hot_frac=-1"],
+    _run_mp("protocol=bogus"), _run_mp("cores=0"),
+    _run_mp("self_increment_period=-1"), _run_mp("mesi=maybe"),
+    _run_mp("static_lease=abc"), _run_mp("mesi"),
+    # the predictor's range check: the one way a lease enters from outside
+    ["run", "--preset", "tardis-opt", "--program", "mp",
+     "--set", "static_lease=10"],
+    ["run", "--program", "synth:warp=1"], ["run", "--program", "synth:cores=x"],
+    ["run", "--program", "mp", "--config", "no_equals.cfg"],
+    ["run", "--program", "two_addr_load.prog"],
+    ["run", "--program", "spin_no_eq.prog"],
+    ["run", "--program", "bare_store.prog"],
+    ["run", "--program", "no_section.prog"],
 ], ids=lambda argv: " ".join(argv[2:]))
 def test_out_of_range_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "negative_sleep.prog").write_text("[core 0]\nSleep -3\n")
+    for name, text in (("negative_sleep.prog", "[core 0]\nSleep -3\n"),
+                       ("no_equals.cfg", "cores = 2\nmesi\n"),
+                       ("two_addr_load.prog", "[core 0]\nLd A B\n"),
+                       ("spin_no_eq.prog", "[core 0]\nSpinUntil A 1\n"),
+                       ("bare_store.prog", "[core 0]\nSt\n"),
+                       ("no_section.prog", "Ld A\n[core 0]\nLd A\n")):
+        (tmp_path / name).write_text(text)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    _run_mp("mesi=off"), ["run", "--program", "mp", "--model", "sc"],
+], ids=lambda argv: " ".join(argv[2:]))
+def test_in_range_input_is_accepted(argv, capsys):
+    assert main(argv) == 0
+
+
+def test_step_limit_exits_1(capsys):
+    assert main(_run_mp("max_steps=5")) == 1
+    assert "exceeded 5 steps" in capsys.readouterr().err
 
 
 def test_small_caches_stay_accepted():

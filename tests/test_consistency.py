@@ -2,11 +2,12 @@
 
 import pytest
 
-from tardisim.consistency import CoreClock, MemoryModel, ModelError
+from tardisim.consistency import CLOCKS, MemoryModel
+from tardisim.workloads import OpKind
 
 
 def clock(model):
-    return CoreClock(MemoryModel(model))
+    return CLOCKS[MemoryModel(model)]()
 
 
 def test_sc_single_timestamp():
@@ -39,7 +40,7 @@ def test_tso_second_store_keeps_order():
 def test_tso_fence_pulls_lts_to_sts():
     c = clock("tso")
     c.commit_store(12)
-    assert c.fence() == 12
+    assert c.sync(OpKind.FENCE) == 12
     assert c.lts == 12
     assert c.commit_load(0) == 12
 
@@ -50,7 +51,7 @@ def test_pso_stores_unordered():
     # under PSO a later store ignores sts: only lts floors it
     assert c.commit_store(2) == 2
     assert c.sts == 9                      # running max for the fence
-    assert c.fence() == 9
+    assert c.sync(OpKind.FENCE) == 9
 
 
 def test_dirty_by_self_load_leaves_lts():
@@ -64,19 +65,30 @@ def test_rc_acquire_release():
     c = clock("rc")
     assert c.commit_load(6) == 6           # ordinary load: above acquire_ts
     assert c.commit_store(2) == 2          # stores ignore earlier loads
-    assert c.release() == 6                # release >= everything committed
-    assert c.acquire() == 6                # next acquire catches up
+    assert c.sync(OpKind.RELEASE) == 6     # release >= everything committed
+    assert c.sync(OpKind.ACQUIRE) == 6     # next acquire catches up
     assert c.commit_load(0) == 6
     assert c.current_max == 6
 
 
-def test_rc_fence_is_a_model_error():
-    with pytest.raises(ModelError):
-        clock("rc").fence()
-    with pytest.raises(ModelError):
-        clock("tso").acquire()
-    with pytest.raises(ModelError):
-        clock("sc").release()
+def test_sync_kinds_per_model():
+    sc = clock("sc")
+    sc.commit_store(4)
+    assert [sc.sync(k) for k in (OpKind.FENCE, OpKind.ACQUIRE,
+                                 OpKind.RELEASE)] == [4, 4, 4]
+    for model in ("tso", "pso"):
+        # every sync op is a fence under TSO and PSO
+        for k in (OpKind.FENCE, OpKind.ACQUIRE, OpKind.RELEASE):
+            c = clock(model)
+            c.commit_store(5)
+            assert c.sync(k) == 5 and c.read_ts == 5, (model, k)
+    rc = clock("rc")
+    rc.commit_store(3)
+    assert rc.sync(OpKind.FENCE) == 3      # a release, then an acquire
+    assert rc.release_ts == rc.acquire_ts == 3
+    assert [clock(m).ACQUIRE_DRAINS for m in ("sc", "tso", "pso", "rc")] \
+        == [True, True, True, False]
+    assert clock("pso") != clock("tso")    # same fields, different rules
 
 
 def test_self_increment_moves_read_side():
@@ -102,10 +114,10 @@ def test_read_ts_never_decreases(model):
         elif op == 2:
             c.self_increment()
         elif op == 3 and model in ("tso", "pso"):
-            c.fence()
+            c.sync(OpKind.FENCE)
         elif op == 4 and model == "rc":
-            c.release()
-            c.acquire()
+            c.sync(OpKind.RELEASE)
+            c.sync(OpKind.ACQUIRE)
         assert c.read_ts >= prev
         assert c.current_max >= c.read_ts
         prev = c.read_ts
