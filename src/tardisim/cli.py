@@ -16,6 +16,7 @@ import csv
 import logging
 import os
 import sys
+from typing import get_type_hints
 
 from .audit import AuditError, CoherenceAuditor
 from .checker import Violation, check_trace, oracle_outcomes
@@ -52,12 +53,16 @@ def resolve_program(spec: str, line_bytes: int = 64) -> Program:
     name, _, argstr = spec.partition(":")
     params = _parse_kv(argstr.split(",")) if argstr else {}
     if name == "synth":
-        fields = SynthParams.__dataclass_fields__
+        types = get_type_hints(SynthParams)
         kw = {}
         for k, v in params.items():
-            if k not in fields:
+            if k not in types:
                 raise ParseError(f"unknown synth parameter {k!r}")
-            kw[k] = float(v) if "frac" in k else int(v)
+            try:
+                kw[k] = types[k](v)
+            except ValueError:
+                raise ParseError(f"synth parameter {k} wants "
+                                 f"{types[k].__name__}, got {v!r}") from None
         return synth(SynthParams(**kw), line_bytes=line_bytes)
     if name in BUILTIN_NAMES:
         return builtin(name, line_bytes=line_bytes, **params)

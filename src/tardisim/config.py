@@ -73,6 +73,10 @@ class SimConfig:
         if self.lease_predictor and self.static_lease not in LEASE_VALUES:
             raise ConfigError(
                 f"lease_predictor needs static_lease in {LEASE_VALUES}")
+        if (self.livelock_detector
+                and not 1 <= self.thresh_min <= self.thresh_max):
+            raise ConfigError(
+                "livelock_detector needs 1 <= thresh_min <= thresh_max")
         if self.self_increment_period < 0:
             raise ConfigError("self_increment_period must be >= 0 (0 = default)")
 

@@ -23,34 +23,32 @@ M, E, S = LineState.M, LineState.E, LineState.S
 class DirectoryCore(BaseCore):
     def __init__(self, sim, cid, ops):
         super().__init__(sim, cid, ops)
-        self.si_period = 10 ** 18   # logical clocks are unused here
+        # the clock never moves by itself, and every line carries wts 0,
+        # so each commit's max of zeros is 0
+        self.si_period = 10 ** 18
 
-    def _load(self, op: MemOp, step: int) -> None:
+    def _load(self, op: MemOp) -> None:
         line = self.l1.lookup(op.addr)
         if line is not None:
-            self._finish_load(line.value, 0, step, 0)
+            self._read(line)
             return
         self.sim.send(Msg(MsgKind.GETS, op.addr, self.cid, LLC))
         self.waiting = op.addr
 
-    def _drain_issue(self, entry: StoreEntry, step: int) -> None:
+    def _drain_issue(self, entry: StoreEntry) -> None:
         line = self.l1.lookup(entry.addr)
         if line is not None and line.state in (M, E):
-            self._commit_store(entry, line, 0, step, 0)
+            self._write(entry, line, line.wts)
             return
         self.drain_inflight = True
         self.sim.send(Msg(MsgKind.GETM, entry.addr, self.cid, LLC))
 
-    def handle(self, msg: Msg, step: int) -> None:
+    def handle(self, msg: Msg) -> None:
         kind = msg.kind
         if kind is MsgKind.DATA_RESP:
-            assert self.waiting == msg.addr
-            self.waiting = None
-            line = self._install(CacheLine(
-                addr=msg.addr, state=E if msg.excl else S, value=msg.value))
-            self._finish_load(line.value, 0, step, 0)
+            self._filled(msg)
         elif kind is MsgKind.EXCL_RESP:
-            self._store_granted(msg, step)
+            self._store_granted(msg)
         elif kind is MsgKind.INV:
             line = self.l1.lookup(msg.addr, touch=False)
             if line is not None:
@@ -89,9 +87,6 @@ class DirectoryCore(BaseCore):
             self.sim.send(Msg(MsgKind.PUTM, victim.addr, self.cid, LLC,
                               data=victim.dirty, value=victim.value))
 
-    def _store_ts(self, line: CacheLine, floor: int) -> int:
-        return 0   # invalidation orders stores; lines carry no timestamps
-
 
 # ---------------------------------------------------------------------------
 
@@ -107,7 +102,7 @@ class DirectoryLlc(BaseLlc):
 
     # -- entry ---------------------------------------------------------
 
-    def handle(self, msg: Msg, step: int) -> None:
+    def handle(self, msg: Msg) -> None:
         kind = msg.kind
         if kind in (MsgKind.GETS, MsgKind.GETM):
             wait = self.waitq.get(msg.addr)

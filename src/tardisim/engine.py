@@ -141,13 +141,13 @@ class StoreEntry:
 
 class BaseCore:
     """Program sequencing, store buffer, private cache and commit
-    bookkeeping.
+    bookkeeping: every line-backed load and store commits here, through
+    the clock at the fabric's step (_read, _filled, _write).
 
-    Protocol subclasses provide _load (commit a load locally or send a
-    request and block), _drain_issue (retire the store buffer head),
-    handle (process an incoming message), _evicted (tell the home about
-    an L1 victim) and _store_ts (the timestamp a granted store commits
-    at).
+    Protocol subclasses provide _load (commit a hit or send a request
+    and block), _drain_issue (retire the store buffer head), handle
+    (process an incoming message) and _evicted (tell the home about an
+    L1 victim).
     """
 
     SPIN_PAUSE = 1
@@ -191,18 +191,18 @@ class BaseCore:
 
     # -- the next move: a turn, and each enumerated action -------------
 
-    def turn(self, step: int) -> None:
-        if self.done or self.committed_step == step:
+    def turn(self) -> None:
+        if self.done or self.committed_step == self.sim.step:
             return
         if self.sleep_left > 0:
             self.sleep_left -= 1
             return
         if self.can_drain():
-            self._drain_issue(self.buffer[0], step)
-            if self.committed_step == step:
+            self._drain_issue(self.buffer[0])
+            if self.committed_step == self.sim.step:
                 return
         if self.can_exec():
-            self.exec_op(step)
+            self.exec_op()
 
     def can_drain(self) -> bool:
         """Whether the store buffer head can start retiring now."""
@@ -223,7 +223,7 @@ class BaseCore:
                                        and not self.clock.ACQUIRE_DRAINS)
         return True
 
-    def exec_op(self, step: int) -> None:
+    def exec_op(self) -> None:
         """Issue the op at pc; the caller has checked can_exec()."""
         op = self.ops[self.pc]
         k = op.kind
@@ -236,9 +236,9 @@ class BaseCore:
         if k in (OpKind.FENCE, OpKind.ACQUIRE, OpKind.RELEASE):
             ts = self.clock.sync(k)
             self.seq += 1
+            step = self.committed_step = self.sim.step
             self.sim.trace_append(TraceOp(self.cid, self.pc, k, None, None,
                                           ts, step, self.seq))
-            self.committed_step = step
             self.pc += 1
             return
         if k is OpKind.SLEEP:
@@ -250,38 +250,67 @@ class BaseCore:
             if entry.addr == op.addr:
                 pre = self.clock.read_ts
                 ts = self.clock.commit_load(0, dirty_by_self=True)
-                self._finish_load(entry.token, ts, step, pre, fwd=True)
+                self._finish_load(entry.token, ts, pre, fwd=True)
                 return
-        self._load(op, step)
+        self._load(op)
 
     # -- commit plumbing -----------------------------------------------
 
-    def _finish_load(self, token: ValueToken, ts: int, step: int,
-                     pre_read_ts: int, fwd: bool = False) -> None:
-        """Commit the load or spin at pc, which a blocked load holds."""
+    def _read(self, line: CacheLine) -> None:
+        """Commit the load or spin at pc from line.  A load past the
+        line's lease stretches it: only an owner may, with no message."""
+        pre = self.clock.read_ts
+        ts = self.clock.commit_load(line.wts, dirty_by_self=line.dirty)
+        if ts > line.rts:
+            assert line.state is not LineState.S
+            line.rts = ts
+        self._finish_load(line.value, ts, pre)
+
+    def _filled(self, msg: Msg) -> None:
+        """LOAD_RESP or DATA_RESP: install the line the blocked load
+        waits on and commit the load from it."""
+        assert self.waiting == msg.addr
+        self.waiting = None
+        self._read(self._install(CacheLine(
+            addr=msg.addr, state=LineState.E if msg.excl else LineState.S,
+            wts=msg.wts, rts=msg.rts, value=msg.value, lease=msg.lease)))
+
+    def _write(self, entry: StoreEntry, line: CacheLine, floor: int) -> None:
+        """Write the buffer head into line, now in M, at or above floor,
+        and retire it; rts never shrinks below an owner's own stretch."""
+        pre = self.clock.read_ts
+        ts = self.clock.commit_store(floor)
+        line.wts = ts
+        line.rts = max(line.rts, ts)
+        line.state = LineState.M
+        line.value = entry.token
+        line.dirty = True
+        self.buffer.pop(0)
+        self.commit_memory(entry.idx, OpKind.STORE, entry.addr, entry.token,
+                           ts, pre)
+
+    def _finish_load(self, token: ValueToken, ts: int, pre_read_ts: int,
+                     fwd: bool = False) -> None:
+        """Commit the load or spin at pc, which a blocked load holds; a
+        spin has no register and pauses at pc until it reads its value."""
         idx = self.pc
         op = self.ops[idx]
-        if op.kind is OpKind.SPIN:
-            self.commit_memory(idx, op.kind, op.addr, token, ts, step,
-                               pre_read_ts, fwd=fwd)
-            if token.literal == op.value:
-                self.pc = idx + 1
-            else:
-                self.sleep_left = self.SPIN_PAUSE
-            return
         if op.reg:
             self.regs[op.reg] = token.literal
-        self.commit_memory(idx, op.kind, op.addr, token, ts, step,
-                           pre_read_ts, fwd=fwd)
-        self.pc = idx + 1
+        self.commit_memory(idx, op.kind, op.addr, token, ts, pre_read_ts,
+                           fwd=fwd)
+        if op.kind is OpKind.SPIN and token.literal != op.value:
+            self.sleep_left = self.SPIN_PAUSE
+        else:
+            self.pc = idx + 1
 
     def commit_memory(self, idx: int, kind: OpKind, addr: int,
-                      token: ValueToken, ts: int, step: int,
-                      pre_read_ts: int, fwd: bool = False) -> None:
+                      token: ValueToken, ts: int, pre_read_ts: int,
+                      fwd: bool = False) -> None:
         self.seq += 1
+        step = self.committed_step = self.sim.step
         self.sim.trace_append(TraceOp(self.cid, idx, kind, addr, token, ts,
                                       step, self.seq, fwd=fwd))
-        self.committed_step = step
         if self.detector is not None and self.clock.read_ts > pre_read_ts:
             self.detector.reset_on_ts_advance()
         self.access_count += 1
@@ -289,17 +318,7 @@ class BaseCore:
             self.clock.self_increment()
             self.access_count = 0
 
-    def _commit_store(self, entry: StoreEntry, line: CacheLine, ts: int,
-                      step: int, pre_read_ts: int) -> None:
-        """Write the buffer head into its M line and retire it."""
-        line.state = LineState.M
-        line.value = entry.token
-        line.dirty = True
-        self.buffer.pop(0)
-        self.commit_memory(entry.idx, OpKind.STORE, entry.addr, entry.token,
-                           ts, step, pre_read_ts)
-
-    def _store_granted(self, msg: Msg, step: int) -> None:
+    def _store_granted(self, msg: Msg) -> None:
         """EXCL_RESP: the home granted the buffer head's line in M."""
         entry = self.buffer[0]
         assert self.drain_inflight and entry.addr == msg.addr
@@ -309,9 +328,7 @@ class BaseCore:
         if line is None:
             line = CacheLine(addr=msg.addr, state=LineState.M)
             through = self._install(line) is None
-        pre = self.clock.read_ts
-        ts = self._store_ts(line, msg.floor)
-        self._commit_store(entry, line, ts, step, pre)
+        self._write(entry, line, msg.floor)
         if through:
             # no way to keep it in: the store goes straight home, and a
             # recall that crosses it finds no line
@@ -334,22 +351,17 @@ class BaseCore:
 
     # -- protocol hooks -------------------------------------------------
 
-    def _load(self, op: MemOp, step: int) -> None:
+    def _load(self, op: MemOp) -> None:
         raise NotImplementedError
 
-    def _drain_issue(self, entry: StoreEntry, step: int) -> None:
+    def _drain_issue(self, entry: StoreEntry) -> None:
         raise NotImplementedError
 
-    def handle(self, msg: Msg, step: int) -> None:
+    def handle(self, msg: Msg) -> None:
         raise NotImplementedError
 
     def _evicted(self, victim: CacheLine) -> None:
         """Notify the home that victim left the L1."""
-        raise NotImplementedError
-
-    def _store_ts(self, line: CacheLine, floor: int) -> int:
-        """Commit timestamp of a store to line, at or above floor; a
-        protocol that timestamps lines also stamps line with it."""
         raise NotImplementedError
 
     def state_key(self) -> tuple:
@@ -670,7 +682,7 @@ class Simulator:
         cores = self.cores
         for cid in self._turn_order():
             core = cores[cid]
-            core.turn(step)
+            core.turn()
             if core.parked():
                 ready.discard(cid)
         if touched:
@@ -681,9 +693,9 @@ class Simulator:
         if msg.dst == MEM:
             self._mem_handle(msg)
         elif msg.dst == LLC:
-            self.llc.handle(msg, self.step)
+            self.llc.handle(msg)
         else:
-            self.cores[msg.dst].handle(msg, self.step)
+            self.cores[msg.dst].handle(msg)
 
     def _mem_handle(self, msg: Msg) -> None:
         if msg.kind is MsgKind.MEM_READ:
@@ -861,9 +873,9 @@ class _World(Simulator):
         self._own(arg)
         core = self.cores[arg]
         if what == "op":
-            core.exec_op(self.step)
+            core.exec_op()
         else:
-            core._drain_issue(core.buffer[0], self.step)
+            core._drain_issue(core.buffer[0])
 
     def _own(self, target: int) -> None:
         """Replace the component at target (a core id, LLC or MEM) with a

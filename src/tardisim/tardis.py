@@ -36,25 +36,21 @@ class TardisCore(BaseCore):
 
     # -- loads -----------------------------------------------------------
 
-    def _load(self, op: MemOp, step: int) -> None:
+    def _load(self, op: MemOp) -> None:
         addr = op.addr
         clock = self.clock
         line = self.l1.lookup(addr)
-        pre = clock.read_ts
         if line is not None and line.state in (M, E):
-            ts = clock.commit_load(line.wts, dirty_by_self=line.dirty)
-            if ts > line.rts:
-                # local lease extension: the owner stretches its own
-                # window, no message needed
-                line.rts = ts
-            self._finish_load(line.value, ts, step, pre)
+            self._read(line)
             return
         if line is not None and line.state is S and clock.read_ts <= line.rts:
+            # not _read: the detector reads read_ts before self-increment
+            pre = clock.read_ts
             ts = clock.commit_load(line.wts)
             if (self.detector is not None and clock.read_ts == pre
                     and self.detector.on_shared_load(addr)):
                 self._send_check(line)
-            self._finish_load(line.value, ts, step, pre)
+            self._finish_load(line.value, ts, pre)
             return
         if line is not None and line.state is S:
             # expired: ask the home to stretch the lease
@@ -72,23 +68,16 @@ class TardisCore(BaseCore):
 
     # -- stores ----------------------------------------------------------
 
-    def _drain_issue(self, entry: StoreEntry, step: int) -> None:
+    def _drain_issue(self, entry: StoreEntry) -> None:
         addr = entry.addr
-        clock = self.clock
         line = self.l1.lookup(addr)
         if line is not None and line.state is M:
-            pre = clock.read_ts
-            ts = clock.commit_store(line.wts)
-            line.wts = ts
-            line.rts = max(line.rts, ts)
-            self._commit_store(entry, line, ts, step, pre)
+            self._write(entry, line, line.wts)
             return
         if line is not None and line.state is E:
             # silent upgrade; the new version starts past the windows the
             # home could have promised before handing the line over
-            pre = clock.read_ts
-            ts = self._store_ts(line, line.rts + 1)
-            self._commit_store(entry, line, ts, step, pre)
+            self._write(entry, line, line.rts + 1)
             return
         self.drain_inflight = True
         self.sim.send(Msg(MsgKind.STORE_REQ, addr, self.cid, LLC,
@@ -96,20 +85,10 @@ class TardisCore(BaseCore):
 
     # -- incoming --------------------------------------------------------
 
-    def handle(self, msg: Msg, step: int) -> None:
+    def handle(self, msg: Msg) -> None:
         kind = msg.kind
         if kind is MsgKind.LOAD_RESP:
-            assert self.waiting == msg.addr
-            self.waiting = None
-            line = self._install(CacheLine(
-                addr=msg.addr, state=E if msg.excl else S, wts=msg.wts,
-                rts=msg.rts, value=msg.value, lease=msg.lease))
-            pre = self.clock.read_ts
-            ts = self.clock.commit_load(line.wts)
-            if ts > line.rts:
-                assert line.state is E
-                line.rts = ts
-            self._finish_load(line.value, ts, step, pre)
+            self._filled(msg)
         elif kind is MsgKind.RENEW_RESP:
             assert self.waiting == msg.addr
             self.waiting = None
@@ -121,11 +100,10 @@ class TardisCore(BaseCore):
                 line.wts, line.rts = msg.wts, msg.rts
                 line.value = msg.value
             line.lease = msg.lease
-            pre = self.clock.read_ts
-            ts = self.clock.commit_load(line.wts)
-            self._finish_load(line.value, ts, step, pre)
+            # rts >= req_ts + lease, and a blocked read_ts stood still
+            self._read(line)
         elif kind is MsgKind.EXCL_RESP:
-            self._store_granted(msg, step)
+            self._store_granted(msg)
         elif kind is MsgKind.CHECK_RESP:
             if self.detector is not None:
                 self.detector.on_check_response(msg.updated)
@@ -170,11 +148,6 @@ class TardisCore(BaseCore):
                               wts=victim.wts, rts=victim.rts))
         # shared victims just vanish; their lease expires on its own
 
-    def _store_ts(self, line: CacheLine, floor: int) -> int:
-        ts = self.clock.commit_store(floor)
-        line.wts = line.rts = ts
-        return ts
-
     def state_key(self) -> tuple:
         det = self.detector   # its AHB's items run in LRU order
         return super().state_key() + (
@@ -202,7 +175,7 @@ class TardisLlc(BaseLlc):
 
     # -- entry -------------------------------------------------------------
 
-    def handle(self, msg: Msg, step: int) -> None:
+    def handle(self, msg: Msg) -> None:
         kind = msg.kind
         if kind in (MsgKind.WRITEBACK, MsgKind.WB_RESP):
             self._merge(msg)

@@ -177,10 +177,10 @@ def _renewals_of_a(monkeypatch, cfg, iterations=128, lo=20, hi=120):
     events = []   # (core, addr, op_idx, ok) of every RENEW_RESP handled
     handle = TardisCore.handle
 
-    def recording(core, msg, step):
+    def recording(core, msg):
         if msg.kind is MsgKind.RENEW_RESP:
             events.append((core.cid, msg.addr, core.pc, msg.success))
-        handle(core, msg, step)
+        handle(core, msg)
 
     with monkeypatch.context() as m:
         m.setattr(TardisCore, "handle", recording)

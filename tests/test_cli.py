@@ -267,6 +267,11 @@ def _run_mp(*sets):
     # the predictor's range check: the one way a lease enters from outside
     ["run", "--preset", "tardis-opt", "--program", "mp",
      "--set", "static_lease=10"],
+    # a zero threshold never doubles, so every repeated hit sends a check
+    ["run", "--preset", "tardis-live", "--program", "mp",
+     "--set", "thresh_min=0"],
+    ["run", "--preset", "tardis-live", "--program", "mp",
+     "--set", "thresh_max=50"],
     ["run", "--program", "synth:warp=1"], ["run", "--program", "synth:cores=x"],
     ["run", "--program", "mp", "--config", "no_equals.cfg"],
     ["run", "--program", "two_addr_load.prog"],
@@ -289,9 +294,17 @@ def test_out_of_range_input_exits_2(argv, tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [
     _run_mp("mesi=off"), ["run", "--program", "mp", "--model", "sc"],
+    _run_mp("thresh_min=0"),   # the detector is off
 ], ids=lambda argv: " ".join(argv[2:]))
 def test_in_range_input_is_accepted(argv, capsys):
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("param", ["cores", "write_frac"])
+def test_bad_synth_value_names_its_parameter(param, capsys):
+    assert main(["run", "--program", f"synth:{param}=x"]) == 2
+    err = capsys.readouterr().err
+    assert param in err and "'x'" in err, err
 
 
 def test_step_limit_exits_1(capsys):

@@ -1,13 +1,19 @@
 """Full-map directory baseline: SWMR, invalidations, forwards, evictions."""
 
+from collections import Counter
+from itertools import product
+
 import pytest
 
 from tardisim.audit import CoherenceAuditor
 from tardisim.cachemem import LineState
 from tardisim.checker import check_trace
-from tardisim.workloads import builtin, parse_program
+from tardisim.directory import DirectoryCore
+from tardisim.messages import MsgKind
+from tardisim.workloads import SynthParams, builtin, parse_program, synth
 
 from conftest import run
+from test_fingerprint import CAPACITY_CFG, CAPACITY_SEEDS, MODELS
 
 M, E, S = LineState.M, LineState.E, LineState.S
 
@@ -142,12 +148,38 @@ def test_home_eviction_recalls_llc_owner(preset_name):
         assert swmr_holds(sim)
 
 
-def test_directory_commits_in_physical_order():
-    for name in ("mp", "dekker", "sb"):
-        p = builtin(name)
-        for seed in (0, 1, 2):
-            sim, rep = run(p, "directory", seed=seed)
-            assert all(r.ts == 0 for r in sim.trace)
-            assert check_trace(sim.trace, sim.cfg.model) == []
-            assert rep.traffic["renew"]["messages"] == 0
-            assert swmr_holds(sim)
+def test_directory_commits_in_physical_order(monkeypatch):
+    """Directory lines carry wts = rts = 0 and the clock never moves by
+    itself, so every commit lands at 0.  The small-cache runs reach
+    store grants, E upgrades, evictions from both cache levels and more
+    accesses per core than the default self-increment period."""
+    upgrades = []
+    write = DirectoryCore._write
+
+    def recording(core, entry, line, floor):
+        upgrades.append(line.state is E)
+        write(core, entry, line, floor)
+
+    monkeypatch.setattr(DirectoryCore, "_write", recording)
+    runs = [(builtin(name), seed, {}) for name in ("mp", "dekker", "sb")
+            for seed in (0, 1, 2)]
+    runs += [(synth(SynthParams(cores=8, ops_per_core=120, hot_lines=2,
+                                shared_lines=24, private_lines=8,
+                                seed=seed)), seed, CAPACITY_CFG)
+             for seed in CAPACITY_SEEDS]
+    sent = Counter()
+    for (p, seed, caches), model in product(runs, MODELS):
+        sim, rep = run(p, "directory", model=model, seed=seed, **caches)
+        assert all(r.ts == 0 for r in sim.trace)
+        assert check_trace(sim.trace, sim.cfg.model) == []
+        assert rep.traffic["renew"]["messages"] == 0
+        assert swmr_holds(sim)
+        assert all(c.clock.current_max == 0 for c in sim.cores)
+        lines = [*sim.llc.lines.lines(), *sim.mem.lines.values()]
+        lines += [line for c in sim.cores for line in c.l1.lines()]
+        assert all(line.wts == line.rts == 0 for line in lines)
+        for (kind, _), (n, _) in sim.tally.items():
+            sent[kind] += n
+    assert any(upgrades)
+    assert sent[MsgKind.EXCL_RESP] and sent[MsgKind.PUTM] \
+        and sent[MsgKind.MEM_WRITE]
