@@ -85,6 +85,9 @@ class ParseError(ValueError):
 
 _SECTION = re.compile(r"^\[\s*core\s+(\d+)\s*\]$", re.I)
 _SPIN = re.compile(r"^SpinUntil\s+(\S+)\s*==\s*(-?\d+)$", re.I)
+# the most tokens an op takes, its name included (SpinUntil has _SPIN)
+_MAX_TOKENS = {"st": 3, "ld": 4, "fence": 1, "acq": 1, "acquire": 1,
+               "rel": 1, "release": 1, "sleep": 2}
 
 
 def parse_program(text: str, name: str = "program",
@@ -121,13 +124,15 @@ def parse_program(text: str, name: str = "program",
             raise ParseError(f"line {ln}: op before any [core N] section")
         toks = line.split()
         head = toks[0].lower()
+        if len(toks) > _MAX_TOKENS.get(head, len(toks)):
+            raise ParseError(f"line {ln}: trailing tokens in {line!r}")
         try:
             if head == "st":
                 lit = int(toks[2], 0) if len(toks) > 2 else 1
                 current.append(MemOp(OpKind.STORE, resolve(toks[1]), value=lit))
             elif head == "ld":
                 reg = None
-                if len(toks) >= 4 and toks[2] == "->":
+                if len(toks) == 4 and toks[2] == "->":
                     reg = toks[3]
                 elif len(toks) != 2:
                     raise ParseError(f"line {ln}: expected 'Ld A [-> r]'")
@@ -173,245 +178,229 @@ def load_program(path: str, line_bytes: int = 64) -> Program:
 # builtin programs
 
 
-# the parameters each builtin takes; the others take none
-_BUILTIN_PARAMS = {"spin": ("delay",), "lease_case": ("iterations",)}
+# litmus programs by name, one DSL op per line
+_LITMUS = {
+    "dekker": """
+        [core 0]
+        St A 1
+        Ld B -> r1
+        [core 1]
+        St B 1
+        Ld A -> r2
+    """,
+    "sb_fence": """
+        [core 0]
+        St A 1
+        Fence
+        Ld B -> r1
+        [core 1]
+        St B 1
+        Fence
+        Ld A -> r2
+    """,
+    "mp": """
+        [core 0]
+        St D 1
+        St F 1
+        [core 1]
+        Ld F -> r1
+        Ld D -> r2
+    """,
+    "mp_fence": """
+        [core 0]
+        St D 1
+        Fence
+        St F 1
+        [core 1]
+        Ld F -> r1
+        Fence
+        Ld D -> r2
+    """,
+    "lb": """
+        [core 0]
+        Ld A -> r1
+        St B 1
+        [core 1]
+        Ld B -> r2
+        St A 1
+    """,
+    "lb_fence": """
+        [core 0]
+        Ld A -> r1
+        Fence
+        St B 1
+        [core 1]
+        Ld B -> r2
+        Fence
+        St A 1
+    """,
+    "iriw": """
+        [core 0]
+        St A 1
+        [core 1]
+        St B 1
+        [core 2]
+        Ld A -> r1
+        Ld B -> r2
+        [core 3]
+        Ld B -> r3
+        Ld A -> r4
+    """,
+    "iriw_fence": """
+        [core 0]
+        St A 1
+        [core 1]
+        St B 1
+        [core 2]
+        Ld A -> r1
+        Fence
+        Ld B -> r2
+        [core 3]
+        Ld B -> r3
+        Fence
+        Ld A -> r4
+    """,
+    "wrc": """
+        [core 0]
+        St A 1
+        [core 1]
+        Ld A -> r1
+        St B 1
+        [core 2]
+        Ld B -> r2
+        Ld A -> r3
+    """,
+    "wrc_fence": """
+        [core 0]
+        St A 1
+        [core 1]
+        Ld A -> r1
+        Fence
+        St B 1
+        [core 2]
+        Ld B -> r2
+        Fence
+        Ld A -> r3
+    """,
+    "corr": """
+        [core 0]
+        St A 1
+        [core 1]
+        Ld A -> r1
+        Ld A -> r2
+    """,
+    "listing2": """
+        [core 0]
+        St B 1
+        Ld B -> r1
+        Ld A -> r2
+        [core 1]
+        St A 2
+        Fence
+        Ld B -> r3
+    """,
+    "rc_mp": """
+        [core 0]
+        St D 1
+        Rel
+        St F 1
+        [core 1]
+        Ld F -> r1
+        Acq
+        Ld D -> r2
+    """,
+    "single": """
+        [core 0]
+        St A 7
+        Ld A -> r1
+    """,
+    # core 1 re-reads X once its store and fence may have moved its clock
+    # past X's lease, so Tardis renews X
+    "renew_fence": """
+        [core 0]
+        Ld X -> r1
+        Ld Y -> r2
+        [core 1]
+        Ld X -> r3
+        St Y 1
+        Fence
+        Ld X -> r4
+        [core 2]
+        Ld Y -> r5
+        St X 1
+    """,
+}
+
+# builtins that reuse a litmus program's text: the worked examples of
+# Figures 1 and 2 start from warm lines, (name, wts, rts, L1 holders),
+# and run under a fixed schedule
+_ALIAS = {
+    "fig1": ("dekker", [("A", 0, 0, ()), ("B", 0, 0, ())], "sequential"),
+    "fig2": ("listing2", [("A", 0, 5, (0, 1)), ("B", 0, 10, (0, 1))],
+             "lockstep"),
+    "sb": ("dekker", [], None),
+}
 
 
-def _count(params: dict, key: str, default: int) -> int:
-    n = int(params.get(key, default))
-    if n < 0:
-        raise ParseError(f"{key} must be >= 0, got {n}")
-    return n
+def _spin(name: str, line_bytes: int, delay: int) -> Program:
+    # the spinner starts with a Shared copy of the flag: the classic
+    # stale-lease scenario (an Exclusive copy would just get recalled
+    # by the producer's store and never go stale)
+    d = 3 * line_bytes
+    return Program(name, [
+        [MemOp(OpKind.SPIN, d, value=1),
+         MemOp(OpKind.LOAD, d, reg="r1")],
+        [MemOp(OpKind.SLEEP, n=delay),
+         MemOp(OpKind.STORE, d, value=1),
+         MemOp(OpKind.SLEEP, n=2)],
+    ], warm=[WarmLine(d, 0, 0, in_l1=(0,))], addr_names={d: "D"})
+
+
+def _lease_case(name: str, line_bytes: int, iterations: int) -> Program:
+    a, b = 0, line_bytes
+    body = [MemOp(OpKind.LOAD, a, reg=None),    # print(A)
+            MemOp(OpKind.LOAD, b, reg=None),    # B++
+            MemOp(OpKind.STORE, b, value=1),
+            MemOp(OpKind.FENCE)]
+    return Program(name, [body * iterations, body * iterations],
+                   addr_names={a: "A", b: "B"})
+
+
+# builtins built in code: the builder and its parameters' defaults
+_BUILT = {"spin": (_spin, {"delay": 2000}),
+          "lease_case": (_lease_case, {"iterations": 10})}
 
 
 def builtin(name: str, line_bytes: int = 64, **params) -> Program:
     """Builtin programs by name; see BUILTIN_NAMES."""
+    make, defaults = _BUILT.get(name, (None, {}))
     for key in params:
-        if key not in _BUILTIN_PARAMS.get(name, ()):
+        if key not in defaults:
             raise ParseError(f"builtin {name!r} takes no parameter {key!r}")
-    a, b = 0, line_bytes
-    c = 2 * line_bytes
-    d = 3 * line_bytes
-    names = {a: "A", b: "B", c: "C", d: "D"}
-
-    def prog(text: str) -> Program:
-        p = parse_program(text, name=name, line_bytes=line_bytes)
-        return p
-
-    if name == "fig1":
-        # one store+load per core, run strictly one core after the other
-        p = prog("""
-            [core 0]
-            St A 1
-            Ld B -> r1
-            [core 1]
-            St B 1
-            Ld A -> r2
-        """)
-        p.warm = [WarmLine(a, 0, 0), WarmLine(b, 0, 0)]
-        p.schedule = "sequential"
-        return p
-
-    if name in ("fig2", "listing2"):
-        p = prog("""
-            [core 0]
-            St B 1
-            Ld B -> r1
-            Ld A -> r2
-            [core 1]
-            St A 2
-            Fence
-            Ld B -> r3
-        """)
-        if name == "fig2":
-            sym = {v: k for k, v in p.addr_names.items()}
-            p.warm = [WarmLine(sym["A"], 0, 5, in_l1=(0, 1)),
-                      WarmLine(sym["B"], 0, 10, in_l1=(0, 1))]
-            p.schedule = "lockstep"
-        return p
-
-    if name in ("dekker", "sb"):
-        return prog("""
-            [core 0]
-            St A 1
-            Ld B -> r1
-            [core 1]
-            St B 1
-            Ld A -> r2
-        """)
-
-    if name == "sb_fence":
-        return prog("""
-            [core 0]
-            St A 1
-            Fence
-            Ld B -> r1
-            [core 1]
-            St B 1
-            Fence
-            Ld A -> r2
-        """)
-
-    if name == "mp":
-        return prog("""
-            [core 0]
-            St D 1
-            St F 1
-            [core 1]
-            Ld F -> r1
-            Ld D -> r2
-        """)
-
-    if name == "mp_fence":
-        return prog("""
-            [core 0]
-            St D 1
-            Fence
-            St F 1
-            [core 1]
-            Ld F -> r1
-            Fence
-            Ld D -> r2
-        """)
-
-    if name == "lb":
-        return prog("""
-            [core 0]
-            Ld A -> r1
-            St B 1
-            [core 1]
-            Ld B -> r2
-            St A 1
-        """)
-
-    if name == "lb_fence":
-        return prog("""
-            [core 0]
-            Ld A -> r1
-            Fence
-            St B 1
-            [core 1]
-            Ld B -> r2
-            Fence
-            St A 1
-        """)
-
-    if name == "iriw":
-        return prog("""
-            [core 0]
-            St A 1
-            [core 1]
-            St B 1
-            [core 2]
-            Ld A -> r1
-            Ld B -> r2
-            [core 3]
-            Ld B -> r3
-            Ld A -> r4
-        """)
-
-    if name == "iriw_fence":
-        return prog("""
-            [core 0]
-            St A 1
-            [core 1]
-            St B 1
-            [core 2]
-            Ld A -> r1
-            Fence
-            Ld B -> r2
-            [core 3]
-            Ld B -> r3
-            Fence
-            Ld A -> r4
-        """)
-
-    if name == "wrc":
-        return prog("""
-            [core 0]
-            St A 1
-            [core 1]
-            Ld A -> r1
-            St B 1
-            [core 2]
-            Ld B -> r2
-            Ld A -> r3
-        """)
-
-    if name == "wrc_fence":
-        return prog("""
-            [core 0]
-            St A 1
-            [core 1]
-            Ld A -> r1
-            Fence
-            St B 1
-            [core 2]
-            Ld B -> r2
-            Fence
-            Ld A -> r3
-        """)
-
-    if name == "corr":
-        return prog("""
-            [core 0]
-            St A 1
-            [core 1]
-            Ld A -> r1
-            Ld A -> r2
-        """)
-
-    if name == "rc_mp":
-        return prog("""
-            [core 0]
-            St D 1
-            Rel
-            St F 1
-            [core 1]
-            Ld F -> r1
-            Acq
-            Ld D -> r2
-        """)
-
-    if name == "single":
-        return prog("""
-            [core 0]
-            St A 7
-            Ld A -> r1
-        """)
-
-    if name == "spin":
-        delay = _count(params, "delay", 2000)
-        p = Program(name, [
-            [MemOp(OpKind.SPIN, d, value=1),
-             MemOp(OpKind.LOAD, d, reg="r1")],
-            [MemOp(OpKind.SLEEP, n=delay),
-             MemOp(OpKind.STORE, d, value=1),
-             MemOp(OpKind.SLEEP, n=2)],
-        ], addr_names={d: "D"})
-        # the spinner starts with a Shared copy of the flag: the classic
-        # stale-lease scenario (an Exclusive copy would just get recalled
-        # by the producer's store and never go stale)
-        p.warm = [WarmLine(d, 0, 0, in_l1=(0,))]
-        return p
-
-    if name == "lease_case":
-        iters = _count(params, "iterations", 10)
-        body = [MemOp(OpKind.LOAD, a, reg=None),    # print(A)
-                MemOp(OpKind.LOAD, b, reg=None),    # B++
-                MemOp(OpKind.STORE, b, value=1),
-                MemOp(OpKind.FENCE)]
-        p = Program(name, [list(body) * iters, list(body) * iters],
-                    addr_names={a: "A", b: "B"})
-        return p
-
-    raise ParseError(f"unknown builtin program {name!r}")
+    if make:
+        counts = {}
+        for key, default in defaults.items():
+            value = params.get(key, default)
+            try:
+                counts[key] = n = int(value)
+            except ValueError:
+                raise ParseError(f"builtin {name} parameter {key} wants int, "
+                                 f"got {value!r}") from None
+            if n < 0:
+                raise ParseError(f"{key} must be >= 0, got {n}")
+        return make(name, line_bytes, **counts)
+    text, warm, schedule = _ALIAS.get(name, (name, [], None))
+    if text not in _LITMUS:
+        raise ParseError(f"unknown builtin program {name!r}")
+    p = parse_program(_LITMUS[text], name=name, line_bytes=line_bytes)
+    sym = {v: k for k, v in p.addr_names.items()}
+    p.warm = [WarmLine(sym[a], wts, rts, in_l1) for a, wts, rts, in_l1 in warm]
+    p.schedule = schedule
+    return p
 
 
-LITMUS_NAMES = ["dekker", "sb_fence", "mp", "mp_fence", "lb", "lb_fence",
-                "iriw", "iriw_fence", "wrc", "wrc_fence", "corr",
-                "listing2", "rc_mp", "single"]
-BUILTIN_NAMES = LITMUS_NAMES + ["fig1", "fig2", "sb", "spin", "lease_case"]
+LITMUS_NAMES = list(_LITMUS)
+BUILTIN_NAMES = LITMUS_NAMES + list(_ALIAS) + list(_BUILT)
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,8 @@ def _run_mp(*sets):
     ["run", "--program", "spin_no_eq.prog"],
     ["run", "--program", "bare_store.prog"],
     ["run", "--program", "no_section.prog"],
+    ["run", "--program", "store_two_values.prog"],
+    ["run", "--program", "load_two_regs.prog"],
 ], ids=lambda argv: " ".join(argv[2:]))
 def test_out_of_range_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -286,7 +288,9 @@ def test_out_of_range_input_exits_2(argv, tmp_path, monkeypatch, capsys):
                        ("two_addr_load.prog", "[core 0]\nLd A B\n"),
                        ("spin_no_eq.prog", "[core 0]\nSpinUntil A 1\n"),
                        ("bare_store.prog", "[core 0]\nSt\n"),
-                       ("no_section.prog", "Ld A\n[core 0]\nLd A\n")):
+                       ("no_section.prog", "Ld A\n[core 0]\nLd A\n"),
+                       ("store_two_values.prog", "[core 0]\nSt A 1 2\n"),
+                       ("load_two_regs.prog", "[core 0]\nLd A -> r1 r2\n")):
         (tmp_path / name).write_text(text)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -300,11 +304,14 @@ def test_in_range_input_is_accepted(argv, capsys):
     assert main(argv) == 0
 
 
-@pytest.mark.parametrize("param", ["cores", "write_frac"])
-def test_bad_synth_value_names_its_parameter(param, capsys):
-    assert main(["run", "--program", f"synth:{param}=x"]) == 2
+@pytest.mark.parametrize("spec", ["synth:cores=x", "synth:write_frac=x",
+                                  "spin:delay=x", "lease_case:iterations=1.5"],
+                         ids=lambda spec: spec.split(":")[1].split("=")[0])
+def test_bad_synth_value_names_its_parameter(spec, capsys):
+    assert main(["run", "--program", spec]) == 2
     err = capsys.readouterr().err
-    assert param in err and "'x'" in err, err
+    param, value = spec.split(":")[1].split("=")
+    assert param in err and repr(value) in err, err
 
 
 def test_step_limit_exits_1(capsys):

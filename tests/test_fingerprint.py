@@ -1,12 +1,13 @@
 """Behaviour fingerprints.
 
-Pins four things a refactor must leave exactly as they are: the bytes
-`sim run --json R --trace T` writes for a fixed run matrix, the same
-bytes plus every message sent for a matrix with caches small enough to
-evict, the column layout of `Report.flat()` (the CSV row), and the exact
-outcome sets of exhaustive enumeration together with the size of each
-search (states popped and unique states).  Re-pin only in a change that
-alters behaviour on purpose, and say why in CHANGES.md.
+Pins five things a refactor must leave exactly as they are: the builtin
+programs, the bytes `sim run --json R --trace T` writes for a fixed run
+matrix, the same bytes plus every message sent for a matrix with caches
+small enough to evict, the column layout of `Report.flat()` (the CSV
+row), and the exact outcome sets of exhaustive enumeration together
+with the size of each search (states popped and unique states).  Re-pin
+only in a change that alters behaviour on purpose, and say why in
+CHANGES.md.
 """
 
 import hashlib
@@ -33,6 +34,19 @@ PROGRAMS = {
     "spin": lambda: builtin("spin", delay=200),
     "lease_case": lambda: builtin("lease_case"),
 }
+
+# sha256 over the repr of each builtin program below, one per line: the
+# builtins of BUILTIN_PIN_NAMES at line_bytes 64 and 1024, then
+# BUILTIN_PIN_PARAMS.  The names are listed here, not taken from
+# BUILTIN_NAMES, so that a new builtin does not move the pin.
+BUILTIN_PIN_NAMES = (
+    "dekker", "sb_fence", "mp", "mp_fence", "lb", "lb_fence", "iriw",
+    "iriw_fence", "wrc", "wrc_fence", "corr", "listing2", "rc_mp", "single",
+    "fig1", "fig2", "sb", "spin", "lease_case")
+BUILTIN_PIN_PARAMS = (("spin", {"delay": 77}),
+                      ("lease_case", {"iterations": 3}),
+                      ("lease_case", {"iterations": 0}))
+BUILTIN_PIN = "86f8f3e9982e74edaf023213b5264d42f2720b542132c57d4d35783eb3416835"
 
 # sha256 over the 12 runs (models x seeds, in that order) of one preset
 # and program, each contributing its report JSON, a newline, then its
@@ -128,6 +142,18 @@ ENUM_PINS = {
     ("mp_fence", "directory"): {(0, 0), (0, 1), (1, 1)},
     ("rc_mp", "tardis"): {(0, 0), (0, 1), (1, 1)},
     ("rc_mp", "directory"): {(0, 0), (0, 1), (1, 1)},
+    # the first program whose search renews (see test_renew_fence_renews)
+    ("renew_fence", "tardis"): {
+        (0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 0, 0, 1, 1),
+        (0, 0, 1, 1, 0), (0, 1, 0, 0, 0), (0, 1, 0, 0, 1), (0, 1, 0, 1, 0),
+        (0, 1, 1, 1, 0), (1, 0, 0, 1, 0), (1, 0, 1, 1, 0), (1, 1, 0, 0, 0),
+        (1, 1, 0, 0, 1), (1, 1, 0, 1, 0), (1, 1, 1, 1, 0)},
+    ("renew_fence", "directory"): {
+        (0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 0, 0, 1, 1),
+        (0, 0, 1, 1, 0), (0, 1, 0, 0, 0), (0, 1, 0, 0, 1), (0, 1, 0, 1, 0),
+        (0, 1, 0, 1, 1), (0, 1, 1, 1, 0), (1, 0, 0, 1, 0), (1, 0, 1, 1, 0),
+        (1, 1, 0, 0, 0), (1, 1, 0, 0, 1), (1, 1, 0, 1, 0), (1, 1, 0, 1, 1),
+        (1, 1, 1, 1, 0)},
 }
 
 # (states popped, unique states) of each ENUM_PINS search, one pair per
@@ -145,6 +171,8 @@ ENUM_SEARCH_PINS = {
     ("mp_fence", "directory"): ((300, 183),) * 4,
     ("rc_mp", "tardis"): ((308, 186),) * 4,
     ("rc_mp", "directory"): ((300, 183),) * 4,
+    ("renew_fence", "tardis"): ((4746, 2116),) * 4,
+    ("renew_fence", "directory"): ((6208, 2677),) * 4,
 }
 
 # Enumeration under the configurations the paper is about: MESI
@@ -196,6 +224,15 @@ PRESET_SEARCH_PINS = {
     ("rc_mp", "tardis-opt", True): ((454, 283),) * 4,
     ("rc_mp", "directory", True): ((454, 268),) * 4,
 }
+
+
+def test_builtin_programs():
+    h = hashlib.sha256()
+    cases = [(name, {"line_bytes": lb}) for name in BUILTIN_PIN_NAMES
+             for lb in (64, 1024)]
+    for name, kwargs in cases + list(BUILTIN_PIN_PARAMS):
+        h.update((repr(builtin(name, **kwargs)) + "\n").encode())
+    assert h.hexdigest() == BUILTIN_PIN
 
 
 def run_bytes(sim: Simulator) -> bytes:
@@ -338,3 +375,22 @@ def test_enumerated_outcome_sets_under_presets(preset_name, one_set,
         assert tuple(sizes) == PRESET_SEARCH_PINS[(name, preset_name, one_set)], name
     # only the one-set caches push lines out of an L1 during the search
     assert bool(evictions) == one_set
+
+
+def test_renew_fence_renews(monkeypatch):
+    """The MSI Tardis search of renew_fence sends RENEW_REQ and both
+    kinds of RENEW_RESP, so the exhaustive gate runs the renewal path."""
+    sent = Counter()
+    send = _World.send
+
+    def counted(world, msg):
+        if msg.kind is MsgKind.RENEW_RESP:
+            sent[msg.kind, msg.success] += 1
+        elif msg.kind is MsgKind.RENEW_REQ:
+            sent[msg.kind] += 1
+        send(world, msg)
+
+    monkeypatch.setattr(_World, "send", counted)
+    enumerate_outcomes(builtin("renew_fence"), "tso", protocol="tardis")
+    assert sent == {MsgKind.RENEW_REQ: 128, (MsgKind.RENEW_RESP, True): 83,
+                    (MsgKind.RENEW_RESP, False): 27}

@@ -50,6 +50,10 @@ def test_parse_errors():
         parse_program("[core 0]\nFlush A")
     with pytest.raises(ParseError):
         parse_program("   \n# only comments\n")
+    # trailing tokens are an error, not ignored
+    for op in ("St A 1 2", "Ld A -> r1 r2", "Fence now", "Sleep 5 6", "Acq x"):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_program(f"[core 0]\n{op}")
 
 
 def test_registers_in_first_use_order():
