@@ -144,6 +144,7 @@ def cmd_enumerate(args) -> int:
             rate = stats["unique"] / stats["seconds"] if stats["seconds"] else 0
             print(f"search: popped={stats['popped']} unique={stats['unique']}"
                   f" peak_frontier={stats['peak_frontier']}"
+                  f" slept={stats['slept']} reopened={stats['reopened']}"
                   f" states_per_s={rate:.0f}", file=sys.stderr)
     regs = [f"c{c}.{r}" for c, r in program.registers()]
     print("registers: " + " ".join(regs))

@@ -824,16 +824,20 @@ class _World(Simulator):
     component its action changes, since a handler reaches past its own
     component only through the world's send and trace_append.  A shared
     component's sim is thus a back-reference to the world that cloned
-    it.  Each component's state key is cached in the world until the
-    component is cloned."""
+    it.  Each component's state key is cached in the world, as a small
+    int, until the component is cloned."""
 
     def __init__(self, cfg: SimConfig, program: Program):
         self.channels: dict[tuple, tuple] = {}
         super().__init__(cfg, program)
         # the search picks every step and reads only registers
         self.tally = self.trace = self._queue = self.rng = self._ready = None
-        # state keys of the cores, the home and memory (at LLC and MEM,
-        # which are -1 and -2); None until computed since the last clone
+        # component state key -> its int; one dict per search, which
+        # every copy of this world shares
+        self._ids: dict[tuple, int] = {}
+        # the interned state keys of the cores, the home and memory (at
+        # LLC and MEM, which are -1 and -2); None until computed since
+        # the last clone
         self._keys = [None] * (len(self.cores) + 2)
 
     def send(self, msg: Msg) -> None:
@@ -903,19 +907,41 @@ class _World(Simulator):
         return new
 
     def key(self) -> tuple:
-        """The world's state key.  It holds the records themselves (lines,
-        clocks, messages, transactions), which compare by value.  That is
-        exact because a component never changes once its key is taken:
-        an action clones it first.  A lookup still moves a line's LRU
-        stamp, which equality leaves out."""
+        """The world's state key: the int each component's state key is
+        interned to, by position, then the channels.  A component key
+        holds the records themselves (lines, clocks, messages,
+        transactions), which compare by value.  That is exact because a
+        component never changes once its key is taken: an action clones
+        it first.  A lookup still moves a line's LRU stamp, which
+        equality leaves out."""
         keys = self._keys
         if None in keys:
+            ids = self._ids
             parts = [*self.cores, self.mem, self.llc]   # at MEM and LLC
             for i, k in enumerate(keys):
                 if k is None:
-                    keys[i] = parts[i].state_key()
-        return (tuple(keys[:-2]), keys[LLC], keys[MEM],
-                tuple(sorted(self.channels.items())))
+                    keys[i] = ids.setdefault(parts[i].state_key(), len(ids))
+        return (*keys, *sorted(self.channels.items()))
+
+
+# Two actions are independent, so either order reaches the same world,
+# exactly when their actors differ.  The actor of an action is the one
+# component it changes: the destination of a delivery, the core of an
+# op or a drain.
+# - apply() clones and changes the actor's component only (_own).
+# - A handler reaches other components only through send and
+#   trace_append, and reads none of them.
+# - Every message a component sends has itself as src, so an action
+#   appends only to channels that start at its actor.
+# - A delivery pops the head of a channel that is not empty; another
+#   actor can only append to that channel's tail.
+# - Whether a core can take an op or a drain depends on its own state
+#   alone, so neither action disables the other.
+# - The world's step moves on every apply, but no keyed state reads it
+#   (committed_step is not in a core's key).
+def actor(action) -> int:
+    what, arg = action
+    return arg[1] if what == "deliver" else arg
 
 
 ENUM_OP_LIMIT = 10
@@ -933,7 +959,16 @@ def enumerate_outcomes(program: Program, model: str,
     agree with it), else protocol, by default tardis.  A stats dict, if
     given, receives the size of the search, also when it fails: the
     worlds popped, the unique states, the peak frontier (the most worlds
-    on the stack at once) and the seconds taken."""
+    on the stack at once), the seconds taken, the enabled actions left
+    unexpanded (slept) and the revisits explored again (reopened).
+
+    The search is a depth-first search with sleep sets and a state
+    cache (Godefroid, LNCS 1032, 1996), with the revisit rule of Yang,
+    Chen, Gopalakrishnan and Kirby (SPIN 2008).  An action asleep at a
+    world is one that a commuting path already covers, so the search
+    does not expand it there.  A world reached again with a sleep set
+    that lacks some of what it was explored with is explored again,
+    for those actions only.  Every reachable world is still visited."""
     if program.dynamic_ops() > ENUM_OP_LIMIT:
         raise ValueError(f"enumeration is limited to {ENUM_OP_LIMIT} ops, "
                          f"program has {program.dynamic_ops()}")
@@ -959,35 +994,52 @@ def enumerate_outcomes(program: Program, model: str,
                    schedule=None, addr_names=program.addr_names)
     start = time.perf_counter()
     root = _World(cfg, prog)
-    seen = set()
+    seen: dict[tuple, frozenset] = {}   # key -> the sleep set explored with
     outcomes = set()
-    stack = [root]
-    popped = peak = 0   # kept only for stats
+    stack = [(root, frozenset())]
+    popped = peak = slept = reopened = 0   # kept only for stats
     try:
         while stack:
             if stats is not None:
                 popped += 1
                 peak = max(peak, len(stack))
-            world = stack.pop()
-            n = len(seen)
-            seen.add(world.key())   # hashes the key once, where `in` twice
-            if len(seen) == n:
+            world, sleep = stack.pop()
+            key = world.key()
+            old = seen.get(key)
+            if old is None:
+                seen[key] = sleep
+                if len(seen) > ENUM_STATE_LIMIT:
+                    raise SimulationError("enumeration state limit exceeded")
+                if world.terminal():
+                    outcomes.add(world.outcome())
+                    continue
+                acts = world.actions()
+                if not acts:
+                    raise DeadlockError(f"enumeration wedged\n{world._dump()}")
+                todo = [a for a in acts if a not in sleep]
+            elif old <= sleep:
                 continue
-            if n >= ENUM_STATE_LIMIT:
-                raise SimulationError("enumeration state limit exceeded")
-            if world.terminal():
-                outcomes.add(world.outcome())
-                continue
-            acts = world.actions()
-            if not acts:
-                raise DeadlockError(f"enumeration wedged\n{world._dump()}")
-            for action in acts:
+            else:
+                # explored before with more asleep: expand only what
+                # stayed asleep then and is awake now
+                seen[key] = sleep = old & sleep
+                acts = world.actions()
+                todo = [a for a in acts if a in old and a not in sleep]
+                if stats is not None:
+                    reopened += 1
+            if stats is not None:
+                slept += len(acts) - len(todo)
+            done = list(sleep)   # asleep, then each action once explored
+            for action in todo:
                 nxt = copy.deepcopy(world)
                 nxt.apply(action)
-                stack.append(nxt)
+                who = actor(action)
+                stack.append((nxt, frozenset(
+                    a for a in done if actor(a) != who)))
+                done.append(action)
     finally:
         if stats is not None:
             stats.update(popped=popped, unique=len(seen),
-                         peak_frontier=peak,
+                         peak_frontier=peak, slept=slept, reopened=reopened,
                          seconds=time.perf_counter() - start)
     return outcomes

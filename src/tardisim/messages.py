@@ -19,6 +19,10 @@ MEM = -2
 
 
 class MsgKind(Enum):
+    # members are singletons compared by identity, so hashing by identity
+    # is exact, and it skips Enum.__hash__, a Python call per dict lookup
+    __hash__ = object.__hash__
+
     # tardis protocol
     LOAD_REQ = auto()
     STORE_REQ = auto()

@@ -25,6 +25,10 @@ from enum import Enum, auto
 
 
 class OpKind(Enum):
+    # members are singletons compared by identity, so hashing by identity
+    # is exact, and it skips Enum.__hash__, a Python call per dict lookup
+    __hash__ = object.__hash__
+
     LOAD = auto()
     STORE = auto()
     FENCE = auto()
@@ -84,7 +88,7 @@ class ParseError(ValueError):
 
 
 _SECTION = re.compile(r"^\[\s*core\s+(\d+)\s*\]$", re.I)
-_SPIN = re.compile(r"^SpinUntil\s+(\S+)\s*==\s*(-?\d+)$", re.I)
+_SPIN = re.compile(r"^SpinUntil\s+(\S+)\s*==\s*(\S+)$", re.I)
 # the most tokens an op takes, its name included (SpinUntil has _SPIN)
 _MAX_TOKENS = {"st": 3, "ld": 4, "fence": 1, "acq": 1, "acquire": 1,
                "rel": 1, "release": 1, "sleep": 2}
@@ -144,7 +148,7 @@ def parse_program(text: str, name: str = "program",
             elif head in ("rel", "release"):
                 current.append(MemOp(OpKind.RELEASE))
             elif head == "sleep":
-                n = int(toks[1])
+                n = int(toks[1], 0)
                 if n < 0:
                     raise ParseError(f"line {ln}: negative sleep {n}")
                 current.append(MemOp(OpKind.SLEEP, n=n))
@@ -153,7 +157,7 @@ def parse_program(text: str, name: str = "program",
                 if not m:
                     raise ParseError(f"line {ln}: expected 'SpinUntil A == v'")
                 current.append(MemOp(OpKind.SPIN, resolve(m.group(1)),
-                                     value=int(m.group(2))))
+                                     value=int(m.group(2), 0)))
             else:
                 raise ParseError(f"line {ln}: unknown op {toks[0]!r}")
         except (IndexError, ValueError) as exc:
@@ -382,6 +386,8 @@ def builtin(name: str, line_bytes: int = 64, **params) -> Program:
         for key, default in defaults.items():
             value = params.get(key, default)
             try:
+                if not isinstance(value, (int, str)):
+                    raise ValueError   # int() would truncate a float
                 counts[key] = n = int(value)
             except ValueError:
                 raise ParseError(f"builtin {name} parameter {key} wants int, "

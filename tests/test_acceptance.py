@@ -80,13 +80,16 @@ def test_criterion_03_litmus_outcomes_admitted_and_nested():
             allowed = {model: oracle_outcomes(p, model) for model in MODELS}
             # the plain MSI default, plus MESI (tardis-base), the lease
             # predictor with the livelock detector (tardis-opt) and the
-            # directory, except on the four-core iriw pair: there one
-            # preset takes 29-62 s on a 2 vCPU host, more than the other
-            # programs take under all three presets together (about 28 s)
-            configs = [("msi", None)]
-            if p.name not in ("iriw", "iriw_fence"):
-                configs += [(name, preset(name)) for name in
-                            ("tardis-base", "tardis-opt", "directory")]
+            # directory.  The four-core iriw pair skips tardis-opt: its
+            # search there is tardis-base's world for world (95,550
+            # popped and 62,358 unique for iriw, 119,760 and 75,196 for
+            # iriw_fence, over the four models); neither program sends a
+            # RENEW or CHECK message there
+            configs = [("msi", None)] + [
+                (name, preset(name)) for name in
+                ("tardis-base", "tardis-opt", "directory")
+                if not (name == "tardis-opt"
+                        and p.name in ("iriw", "iriw_fence"))]
             for label, cfg in configs:
                 protocol = cfg.protocol if cfg else "tardis"
                 seen = {}

@@ -87,7 +87,8 @@ def test_enumerate_stats_go_to_stderr(capsys):
                  "--stats"]) == 0
     out, err = capsys.readouterr()
     # the search size tests/test_fingerprint.py pins for mp under tso
-    assert "search: popped=402 unique=211 peak_frontier=" in err
+    assert "search: popped=269 unique=211 peak_frontier=" in err
+    assert " slept=182 reopened=24 " in err
     assert "states_per_s=" in err and "popped" not in out
 
 

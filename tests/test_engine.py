@@ -6,6 +6,7 @@ import math
 import random
 from dataclasses import is_dataclass, replace
 from enum import Enum
+from itertools import islice
 
 import pytest
 
@@ -16,12 +17,12 @@ from tardisim.config import preset
 from tardisim.directory import DirectoryLlc
 from tardisim.engine import (DRAW_BITS, ENUM_OP_LIMIT, DeadlockError,
                              SimulationError, Simulator, StepLimitError,
-                             _World, burn_draws, draw_numerator,
+                             _World, actor, burn_draws, draw_numerator,
                              draw_threshold, enumerate_outcomes,
                              trace_from_json)
 from tardisim.messages import LLC, MEM, Msg, MsgKind
-from tardisim.workloads import (OpKind, SynthParams, WarmLine, builtin,
-                                parse_program, synth)
+from tardisim.workloads import (LITMUS_NAMES, OpKind, SynthParams, WarmLine,
+                                builtin, parse_program, synth)
 from conftest import ONE_SET_CACHES, ONE_WAY_CACHES, run
 from test_fingerprint import (CAPACITY_CFG, CAPACITY_SEEDS,
                               ENUM_SEARCH_PINS, MODELS, PROGRAMS, RUN_PINS,
@@ -500,6 +501,8 @@ def test_enumeration_stats_count_the_search(searched):
     assert size == ENUM_SEARCH_PINS[("mp", "tardis")][MODELS.index("tso")]
     assert 1 < stats["peak_frontier"] < stats["unique"]
     assert stats["seconds"] > 0
+    # what the sleep sets saved, and how often a revisit woke an action
+    assert (stats["slept"], stats["reopened"]) == (182, 24)
 
 
 def test_enumerate_rejects_big_and_conditional_programs():
@@ -540,6 +543,144 @@ def test_enumeration_skips_sleeps():
                 == {(0, 0), (0, 1), (1, 1)}), model
 
 
+# The searches the reduction is checked on: every litmus program but the
+# four-core iriw pair, under MSI Tardis, the MSI directory and MESI
+# Tardis with one-set caches, at SC and TSO
+_REDUCED = [(name, label, model)
+            for name in LITMUS_NAMES if name not in ("iriw", "iriw_fence")
+            for label in ("tardis", "directory", "tardis-base one-set")
+            for model in ("sc", "tso")]
+
+
+def _reduced_search(name, label, model):
+    cfg = None
+    if label == "tardis-base one-set":
+        cfg = replace(preset("tardis-base"), **ONE_SET_CACHES)
+    return enumerate_outcomes(builtin(name), model,
+                              protocol=None if cfg else label, cfg=cfg)
+
+
+def _plain_search(root):
+    """The world keys and outcomes reachable from root, by a depth-first
+    search that expands every enabled action."""
+    seen, outcomes, stack = set(), set(), [root]
+    while stack:
+        world = stack.pop()
+        k = world.key()
+        if k in seen:
+            continue
+        seen.add(k)
+        if world.terminal():
+            outcomes.add(world.outcome())
+        for action in world.actions():
+            nxt = copy.deepcopy(world)
+            nxt.apply(action)
+            stack.append(nxt)
+    return seen, outcomes
+
+
+@pytest.mark.parametrize("name,label,model", _REDUCED)
+def test_sleep_sets_reach_every_world(name, label, model, monkeypatch):
+    """The sleep sets only skip transitions: the search reaches the same
+    world keys and outcomes as a search that expands everything."""
+    key, keys, roots = _World.key, set(), []
+
+    def kept(world):
+        k = key(world)
+        if not roots:
+            roots.append(world)
+        keys.add(k)
+        return k
+
+    monkeypatch.setattr(_World, "key", kept)
+    got = _reduced_search(name, label, model)
+    monkeypatch.undo()
+    # the root is never applied to, and its copies intern through the
+    # same dict, so both searches key worlds alike
+    assert _plain_search(roots[0]) == (keys, got)
+
+
+@pytest.mark.parametrize("name,label,model", _REDUCED)
+def test_actions_change_only_their_actor(name, label, model, monkeypatch):
+    """The premise of the independence relation: an action clones only
+    its actor's component, and every message it sends leaves from it."""
+    apply, send, own = _World.apply, _World.send, _World._own
+    acting = []
+
+    def applied(world, action):
+        acting.append(actor(action))
+        apply(world, action)
+        acting.pop()
+
+    def sent(world, msg):
+        assert msg.src == acting[-1], msg
+        send(world, msg)
+
+    def owned(world, target):
+        assert target == acting[-1]
+        own(world, target)
+
+    monkeypatch.setattr(_World, "apply", applied)
+    monkeypatch.setattr(_World, "send", sent)
+    monkeypatch.setattr(_World, "_own", owned)
+    assert _reduced_search(name, label, model)
+
+
+# A state graph whose actions commute exactly when their actors differ:
+# three components that talk through one-slot channels, found by a
+# random search over small such systems.  A search that skips every
+# revisit reaches states 0-8 only: states 9 and 10 are found only because
+# a world reached again with fewer actions asleep is explored again.
+_REVISIT_GRAPH = {
+    0: {("drain", 0): 6, ("drain", 2): 4, ("op", 0): 5},
+    1: {("deliver", (0, 1)): 3, ("drain", 0): 7},
+    2: {("deliver", (0, 1)): 4, ("drain", 0): 8, ("op", 2): 1},
+    3: {("deliver", (2, 0)): 2, ("drain", 0): 9, ("op", 0): 7},
+    4: {("drain", 0): 10, ("op", 0): 8, ("op", 2): 3},
+    5: {("deliver", (0, 1)): 6, ("drain", 2): 8},
+    6: {("drain", 2): 10},
+    7: {("deliver", (0, 1)): 9},
+    8: {("deliver", (0, 1)): 10, ("op", 2): 7},
+    9: {("deliver", (2, 0)): 8},
+    10: {("op", 2): 9},
+}
+
+
+def test_a_revisit_with_fewer_asleep_explores_again(monkeypatch):
+    graph = _REVISIT_GRAPH
+    for succ in graph.values():   # the premise: actors differ, so commute
+        for a, s in succ.items():
+            for b, t in succ.items():
+                if actor(a) != actor(b):
+                    assert graph[s].get(b) == graph[t].get(a) is not None
+    reached = set()
+
+    class GraphWorld:
+        """Stands in for _World: a world is a state of the graph."""
+
+        def __init__(self, cfg, program):
+            self.state = 0
+
+        def key(self):
+            reached.add(self.state)
+            return self.state
+
+        def actions(self):
+            return sorted(graph[self.state])
+
+        def apply(self, action):
+            self.state = graph[self.state][action]
+
+        def terminal(self):
+            return False
+
+    monkeypatch.setattr(engine, "_World", GraphWorld)
+    stats = {}
+    assert enumerate_outcomes(builtin("single"), "sc", stats=stats) == set()
+    assert reached == set(graph)
+    assert stats["reopened"] > 0
+
+
 # Three addresses, so that one-set caches make the home evict and park
 # fills, and repeated loads of a line core 1 starts with in S, so that
 # the livelock detector (with its threshold at 1) sends checks.
@@ -567,15 +708,16 @@ class _Enough(Exception):
 
 def _popped_worlds(monkeypatch, program, cfg, n):
     """The first n worlds the enumerator pops, in search order.  At each
-    pop, every component key the world has cached must be the key its
-    component has now."""
+    pop, every component key the world has cached must be the one the
+    search interned for the key its component has now."""
     worlds = []
     key = _World.key
 
     def collect(world):
         parts = [*world.cores, world.mem, world.llc]   # at MEM and LLC
         for cached, part in zip(world._keys, parts):
-            assert cached is None or cached == part.state_key(), part
+            assert (cached is None
+                    or cached == world._ids.get(part.state_key())), part
         worlds.append(world)
         if len(worlds) == n:
             raise _Enough
@@ -637,7 +779,9 @@ def _isolated(world):
 
 
 def _fresh_key(world):
-    """world.key() with no component key taken from the cache."""
+    """world.key() with no component key taken from the cache.  The copy
+    interns through the search's dict, so its ints equal the cached ones
+    exactly when the component keys are equal."""
     probe = copy.deepcopy(world)
     probe._keys = [None] * len(world._keys)
     return probe.key()
@@ -645,6 +789,30 @@ def _fresh_key(world):
 
 # the caches of each test_world_copies_are_exact_and_independent case
 _COPY_CACHES = {False: {}, True: ONE_SET_CACHES, "one_way": ONE_WAY_CACHES}
+
+
+def _situations(w):
+    """The names of the states of the fabric that world w is in."""
+    llc = w.llc
+    return {name for name, hit in {
+        "message in flight": w.channels,
+        "request queued at the home": any(
+            h.queue for h in llc.waitq.values()),
+        "directory transaction": any(
+            h.txn.kind not in ("recall", "fill", "parked", "blocked",
+                               "evict")
+            for h in llc.waitq.values()),
+        "livelock history": any(
+            c.detector is not None and c.detector.ahb for c in w.cores),
+        "check out": any(
+            m.kind in (MsgKind.CHECK_REQ, MsgKind.CHECK_RESP)
+            for q in (*w.channels.values(),
+                      *(h.queue for h in llc.waitq.values()))
+            for m in q),
+        "parked fill": any(
+            h.txn.kind == "parked" for h in llc.waitq.values()),
+        "blocked fill": llc.blocked,
+    }.items() if hit}
 
 
 @pytest.mark.parametrize("one_set", list(_COPY_CACHES))
@@ -655,14 +823,21 @@ def test_world_copies_are_exact_and_independent(preset_name, one_set,
     """A copy shares every component with its parent until an action
     clones the one it changes.  Branching must still be exact: each
     sibling ends as an isolated copy given the same action would, and
-    neither the parent nor any other sibling changes meanwhile."""
+    neither the parent nor any other sibling changes meanwhile.  The
+    worlds checked are the first 200 popped, plus the first popped of
+    each situation they miss, looked for among the first 600."""
     cfg = replace(preset(preset_name, thresh_min=1), **_COPY_CACHES[one_set])
-    worlds = _popped_worlds(monkeypatch, _clone_program(), cfg, 200)
-    reached = set()
+    popped = _popped_worlds(monkeypatch, _clone_program(), cfg, 600)
+    worlds = popped[:200]
+    reached = set().union(*map(_situations, worlds))
+    for w in popped[200:]:
+        if not _situations(w) <= reached:
+            worlds.append(w)
+            reached |= _situations(w)
     for w in worlds:
         # the config, the program and its op lists may be shared, and
-        # so may messages (see _graph)
-        shared = set()
+        # so may messages (see _graph) and the search's intern dict
+        shared = {id(w._ids)}
         for part in (w.cfg, w.program, *(c.ops for c in w.cores)):
             shared |= _graph(part)[1]
         key = w.key()
@@ -697,26 +872,6 @@ def test_world_copies_are_exact_and_independent(preset_name, one_set,
                    if all(c is not p for p in parents)]
             assert len(own) == 1, action
             assert getattr(own[0], "sim", sib) is sib
-        llc = w.llc
-        reached |= {name for name, hit in {
-            "message in flight": w.channels,
-            "request queued at the home": any(
-                h.queue for h in llc.waitq.values()),
-            "directory transaction": any(
-                h.txn.kind not in ("recall", "fill", "parked", "blocked",
-                                   "evict")
-                for h in llc.waitq.values()),
-            "livelock history": any(
-                c.detector is not None and c.detector.ahb for c in w.cores),
-            "check out": any(
-                m.kind in (MsgKind.CHECK_REQ, MsgKind.CHECK_RESP)
-                for q in (*w.channels.values(),
-                          *(h.queue for h in llc.waitq.values()))
-                for m in q),
-            "parked fill": any(
-                h.txn.kind == "parked" for h in llc.waitq.values()),
-            "blocked fill": llc.blocked,
-        }.items() if hit}
     want = {"message in flight", "request queued at the home"}
     if preset_name == "directory":
         want.add("directory transaction")
@@ -744,15 +899,21 @@ def _deep_hash(key):
                          ("tardis-base", "tardis-opt", "directory"))
 def test_state_keys_never_change_once_taken(preset_name, caches,
                                             monkeypatch):
-    """A world key holds the records of its components (lines, clocks,
-    messages, transactions), which is exact only while no search step
-    changes a record after the key holding it was taken."""
+    """A world key holds the messages in flight, and the search's intern
+    dict the records of each component key (lines, clocks, messages,
+    transactions).  Both are exact only while no search step changes a
+    record after the key holding it was taken."""
     cfg = replace(preset(preset_name, thresh_min=1), **_COPY_CACHES[caches])
-    key, taken = _World.key, []
+    key, taken, interned = _World.key, [], {}
 
     def kept(world):
         k = key(world)
         taken.append((k, _deep_hash(k)))
+        ids = world._ids
+        # the component keys this call interned, hashed as they were then
+        n = interned.setdefault(id(ids), [ids, 0])
+        taken.extend((c, _deep_hash(c)) for c in islice(ids, n[1], None))
+        n[1] = len(ids)
         return k
 
     monkeypatch.setattr(_World, "key", kept)

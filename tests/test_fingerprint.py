@@ -159,20 +159,20 @@ ENUM_PINS = {
 # (states popped, unique states) of each ENUM_PINS search, one pair per
 # model in MODELS order
 ENUM_SEARCH_PINS = {
-    ("corr", "tardis"): ((73, 48),) * 4,
-    ("corr", "directory"): ((82, 56),) * 4,
+    ("corr", "tardis"): ((52, 48),) * 4,
+    ("corr", "directory"): ((60, 56),) * 4,
     ("single", "tardis"): ((8, 8),) + ((18, 13),) * 3,
     ("single", "directory"): ((8, 8),) + ((18, 13),) * 3,
-    ("mp", "tardis"): ((256, 158),) + ((402, 211),) * 3,
-    ("mp", "directory"): ((250, 156),) + ((397, 210),) * 3,
-    ("lb", "tardis"): ((215, 134),) * 4,
-    ("lb", "directory"): ((253, 158),) * 4,
-    ("mp_fence", "tardis"): ((308, 186),) * 4,
-    ("mp_fence", "directory"): ((300, 183),) * 4,
-    ("rc_mp", "tardis"): ((308, 186),) * 4,
-    ("rc_mp", "directory"): ((300, 183),) * 4,
-    ("renew_fence", "tardis"): ((4746, 2116),) * 4,
-    ("renew_fence", "directory"): ((6208, 2677),) * 4,
+    ("mp", "tardis"): ((195, 158),) + ((269, 211),) * 3,
+    ("mp", "directory"): ((197, 156),) + ((271, 210),) * 3,
+    ("lb", "tardis"): ((166, 134),) * 4,
+    ("lb", "directory"): ((202, 158),) * 4,
+    ("mp_fence", "tardis"): ((232, 186),) * 4,
+    ("mp_fence", "directory"): ((235, 183),) * 4,
+    ("rc_mp", "tardis"): ((232, 186),) * 4,
+    ("rc_mp", "directory"): ((235, 183),) * 4,
+    ("renew_fence", "tardis"): ((3004, 2116),) * 4,
+    ("renew_fence", "directory"): ((4112, 2677),) * 4,
 }
 
 # Enumeration under the configurations the paper is about: MESI
@@ -193,36 +193,36 @@ PRESET_ENUM_PINS = {
 # (states popped, unique states) per model in MODELS order, keyed by
 # program, preset and whether the caches are ONE_SET_CACHES
 PRESET_SEARCH_PINS = {
-    ("mp", "tardis-base", False): ((327, 212),) + ((482, 270),) * 3,
-    ("mp", "tardis-opt", False): ((327, 212),) + ((482, 270),) * 3,
-    ("mp", "directory", False): ((250, 156),) + ((397, 210),) * 3,
-    ("sb_fence", "tardis-base", False): ((395, 249),) * 4,
-    ("sb_fence", "tardis-opt", False): ((395, 249),) * 4,
-    ("sb_fence", "directory", False): ((301, 183),) * 4,
-    ("lb", "tardis-base", False): ((323, 210),) * 4,
-    ("lb", "tardis-opt", False): ((323, 210),) * 4,
-    ("lb", "directory", False): ((253, 158),) * 4,
-    ("corr", "tardis-base", False): ((95, 68),) * 4,
-    ("corr", "tardis-opt", False): ((95, 68),) * 4,
-    ("corr", "directory", False): ((82, 56),) * 4,
-    ("rc_mp", "tardis-base", False): ((389, 246),) * 4,
-    ("rc_mp", "tardis-opt", False): ((389, 246),) * 4,
-    ("rc_mp", "directory", False): ((300, 183),) * 4,
-    ("mp", "tardis-base", True): ((386, 246),) + ((557, 310),) * 3,
-    ("mp", "tardis-opt", True): ((386, 246),) + ((557, 310),) * 3,
-    ("mp", "directory", True): ((392, 235),) + ((566, 299),) * 3,
-    ("sb_fence", "tardis-base", True): ((477, 301),) * 4,
-    ("sb_fence", "tardis-opt", True): ((477, 301),) * 4,
-    ("sb_fence", "directory", True): ((501, 295),) * 4,
-    ("lb", "tardis-base", True): ((365, 232),) * 4,
-    ("lb", "tardis-opt", True): ((365, 232),) * 4,
-    ("lb", "directory", True): ((369, 222),) * 4,
-    ("corr", "tardis-base", True): ((95, 68),) * 4,
-    ("corr", "tardis-opt", True): ((95, 68),) * 4,
-    ("corr", "directory", True): ((82, 56),) * 4,
-    ("rc_mp", "tardis-base", True): ((454, 283),) * 4,
-    ("rc_mp", "tardis-opt", True): ((454, 283),) * 4,
-    ("rc_mp", "directory", True): ((454, 268),) * 4,
+    ("mp", "tardis-base", False): ((257, 212),) + ((333, 270),) * 3,
+    ("mp", "tardis-opt", False): ((257, 212),) + ((333, 270),) * 3,
+    ("mp", "directory", False): ((197, 156),) + ((271, 210),) * 3,
+    ("sb_fence", "tardis-base", False): ((301, 249),) * 4,
+    ("sb_fence", "tardis-opt", False): ((301, 249),) * 4,
+    ("sb_fence", "directory", False): ((227, 183),) * 4,
+    ("lb", "tardis-base", False): ((258, 210),) * 4,
+    ("lb", "tardis-opt", False): ((258, 210),) * 4,
+    ("lb", "directory", False): ((202, 158),) * 4,
+    ("corr", "tardis-base", False): ((70, 68),) * 4,
+    ("corr", "tardis-opt", False): ((70, 68),) * 4,
+    ("corr", "directory", False): ((60, 56),) * 4,
+    ("rc_mp", "tardis-base", False): ((306, 246),) * 4,
+    ("rc_mp", "tardis-opt", False): ((306, 246),) * 4,
+    ("rc_mp", "directory", False): ((235, 183),) * 4,
+    ("mp", "tardis-base", True): ((302, 246),) + ((386, 310),) * 3,
+    ("mp", "tardis-opt", True): ((302, 246),) + ((386, 310),) * 3,
+    ("mp", "directory", True): ((289, 235),) + ((375, 299),) * 3,
+    ("sb_fence", "tardis-base", True): ((365, 301),) * 4,
+    ("sb_fence", "tardis-opt", True): ((365, 301),) * 4,
+    ("sb_fence", "directory", True): ((359, 295),) * 4,
+    ("lb", "tardis-base", True): ((290, 232),) * 4,
+    ("lb", "tardis-opt", True): ((290, 232),) * 4,
+    ("lb", "directory", True): ((280, 222),) * 4,
+    ("corr", "tardis-base", True): ((70, 68),) * 4,
+    ("corr", "tardis-opt", True): ((70, 68),) * 4,
+    ("corr", "directory", True): ((60, 56),) * 4,
+    ("rc_mp", "tardis-base", True): ((357, 283),) * 4,
+    ("rc_mp", "tardis-opt", True): ((357, 283),) * 4,
+    ("rc_mp", "directory", True): ((337, 268),) * 4,
 }
 
 
@@ -392,5 +392,7 @@ def test_renew_fence_renews(monkeypatch):
 
     monkeypatch.setattr(_World, "send", counted)
     enumerate_outcomes(builtin("renew_fence"), "tso", protocol="tardis")
-    assert sent == {MsgKind.RENEW_REQ: 128, (MsgKind.RENEW_RESP, True): 83,
+    # sends are counted over the transitions the search expands, so the
+    # sleep sets lower these counts; both kinds of RENEW_RESP remain
+    assert sent == {MsgKind.RENEW_REQ: 86, (MsgKind.RENEW_RESP, True): 51,
                     (MsgKind.RENEW_RESP, False): 27}

@@ -95,6 +95,28 @@ def test_spin_workload_params():
 def test_lease_case_iterations():
     p = builtin("lease_case", iterations=3)
     assert len(p.cores[0]) == 12 and len(p.cores[1]) == 12
+    assert builtin("lease_case", iterations="3") == p
+
+
+@pytest.mark.parametrize("value", (1.5, 2.0, None, "1.5", "x"))
+def test_builtin_count_rejects_a_non_integer(value):
+    with pytest.raises(ParseError, match="iterations wants int"):
+        builtin("lease_case", iterations=value)
+
+
+def test_integer_literals_read_alike():
+    """St, Sleep and SpinUntil all read a literal as Python source does."""
+    p = parse_program("""
+    [core 0]
+    St A 0x10
+    Sleep 0x10
+    SpinUntil A == 0x10
+    SpinUntil A == -0b11
+    """)
+    st, sleep, spin, negative = p.cores[0]
+    assert (st.value, sleep.n, spin.value, negative.value) == (16, 16, 16, -3)
+    with pytest.raises(ParseError, match="malformed op"):
+        parse_program("[core 0]\nSpinUntil A == x")
 
 
 def test_synth_is_deterministic():
