@@ -92,6 +92,10 @@ class TraceOp:
                 f'"seq": {self.seq}, "ts": {self.ts}{val}}}')
 
 
+# one call into the C scanner per line: (value, end), or StopIteration
+_scan_json = json.JSONDecoder().scan_once
+
+
 def trace_from_json(lines) -> list[TraceOp]:
     """The rows TraceOp.to_json wrote, one a line; a line that is not
     such a row, or whose fields do not fit its op, raises ParseError
@@ -102,11 +106,15 @@ def trace_from_json(lines) -> list[TraceOp]:
         if not raw:
             continue
         try:
-            d = json.loads(raw)
+            d, end = _scan_json(raw, 0)
+            if end != len(raw):
+                raise ValueError(f"extra data from column {end + 1}")
             core, idx, ts, step, seq = (d["core"], d["i"], d["ts"], d["pt"],
                                         d["seq"])
             kind = _STR_KIND[d["op"]]
             addr, val, fwd = d.get("addr"), d.get("val"), d.get("fwd", False)
+        except StopIteration:
+            raise ParseError(f"trace line {n}: not a JSON value") from None
         except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(f"trace line {n}: {exc!r}") from None
         if not (int is type(core) is type(idx) is type(ts) is type(step)

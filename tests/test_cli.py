@@ -116,9 +116,10 @@ _ROW = {"addr": 0, "core": 0, "i": 0, "op": "St", "pt": 1, "seq": 1, "ts": 1,
 @pytest.mark.parametrize("bad", [
     "{}", {**_ROW, "op": "Nope"}, {**_ROW, "val": [1]}, [1, 2],
     {**_ROW, "ts": 1.5}, {**_ROW, "core": "0"}, {**_ROW, "addr": True},
-    {**_ROW, "val": [0, 1, None]}, "not json",
+    {**_ROW, "val": [0, 1, None]}, "not json", json.dumps(_ROW) + " x",
+    json.dumps(_ROW)[:-1],
 ], ids=["empty", "unknown-op", "short-val", "list", "float-ts", "str-core",
-        "bool-addr", "null-in-val", "not-json"])
+        "bool-addr", "null-in-val", "not-json", "trailing-data", "truncated"])
 def test_check_rejects_malformed_trace_line(bad, tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     bad = bad if isinstance(bad, str) else json.dumps(bad)
