@@ -124,15 +124,17 @@ class SetAssocCache:
         s = self.sets.get((addr // self.line_bytes) % self.n_sets, ())
         return len(s) < self.ways
 
-    def lru_victim(self, addr: int, avoid=None):
+    def lru_victim(self, addr: int, avoid=None, rank=None):
         """Least recently used line of addr's set, skipping lines for
-        which avoid(line) is true.  None if the set has a free way or
-        every candidate is excluded."""
+        which avoid(line) is true; given rank, the least recently used
+        of those with the lowest rank(line).  None if the set has a free
+        way or every candidate is excluded."""
         s = self.sets.get(self.set_index(addr), ())
         if len(s) < self.ways:
             return None
-        return next((l for l in s.values() if avoid is None or not avoid(l)),
-                    None)
+        lines = (l for l in s.values() if avoid is None or not avoid(l))
+        return next(lines, None) if rank is None else min(
+            lines, key=rank, default=None)
 
     def insert(self, line) -> None:
         idx = self.set_index(line.addr)

@@ -19,6 +19,10 @@ from .workloads import MemOp
 
 M, E, S = LineState.M, LineState.E, LineState.S
 
+# a request on an owned line: its transaction, and what goes to the owner
+_FORWARD = {MsgKind.GETS: ("gets_fwd", MsgKind.FWD_GETS),
+            MsgKind.GETM: ("getm_fwd", MsgKind.FWD_GETM)}
+
 
 class DirectoryCore(BaseCore):
     def __init__(self, sim, cid, ops):
@@ -55,26 +59,19 @@ class DirectoryCore(BaseCore):
                 assert line.state is S, "invalidation hit an owned line"
                 self.l1.remove(msg.addr)
             self.sim.send(Msg(MsgKind.INV_ACK, msg.addr, self.cid, LLC))
-        elif kind is MsgKind.FWD_GETS:
+        elif kind in (MsgKind.FWD_GETS, MsgKind.FWD_GETM):
             line = self.l1.lookup(msg.addr, touch=False)
             if line is None or line.state is S:
                 self.sim.send(Msg(MsgKind.FWD_RESP, msg.addr, self.cid, LLC,
                                   data=False))
                 return
-            line.state = S
-            line.dirty = False
+            if kind is MsgKind.FWD_GETS:
+                line.state = S
+                line.dirty = False
+            else:
+                self.l1.remove(msg.addr)
             self.sim.send(Msg(MsgKind.FWD_RESP, msg.addr, self.cid, LLC,
                               data=True, value=line.value))
-        elif kind is MsgKind.FWD_GETM:
-            line = self.l1.lookup(msg.addr, touch=False)
-            if line is None or line.state is S:
-                self.sim.send(Msg(MsgKind.FWD_RESP, msg.addr, self.cid, LLC,
-                                  data=False))
-                return
-            value = line.value
-            self.l1.remove(msg.addr)
-            self.sim.send(Msg(MsgKind.FWD_RESP, msg.addr, self.cid, LLC,
-                              data=True, value=value))
         elif kind in (MsgKind.PUTS_ACK, MsgKind.PUTM_ACK):
             pass
         else:
@@ -143,48 +140,32 @@ class DirectoryLlc(BaseLlc):
                 self._fwd_done(addr, None, owner_kept_copy=False)
         self.sim.send(Msg(MsgKind.PUTM_ACK, addr, LLC, msg.src))
 
-    # -- request admission ------------------------------------------------
+    # -- serving a resident line -------------------------------------------
 
-    def _admit(self, msg: Msg) -> None:
-        line = self.lines.lookup(msg.addr)
-        if line is None:
-            self._start_fill(msg)
-            return
-        if msg.kind is MsgKind.GETS:
-            self._gets(msg, line)
-        else:
-            self._getm(msg, line)
-
-    def _gets(self, msg: Msg, line: LlcLine) -> None:
+    def _serve(self, msg: Msg, line: LlcLine) -> None:
         if line.owner is not None:
+            kind, fwd = _FORWARD[msg.kind]
             self.waitq.setdefault(msg.addr, HomeWait()).txn = Txn(
-                "gets_fwd", req=msg, target=line.owner)
-            self.sim.send(Msg(MsgKind.FWD_GETS, msg.addr, LLC, line.owner))
-            return
-        if self.sim.cfg.mesi and not line.sharers:
-            line.owner = msg.src
+                kind, req=msg, target=line.owner)
+            self.sim.send(Msg(fwd, msg.addr, LLC, line.owner))
+        elif msg.kind is MsgKind.GETS:
+            if self.sim.cfg.mesi and not line.sharers:
+                line.owner = msg.src   # a lone reader gets E
+            else:
+                line.sharers |= {msg.src}
             self.sim.send(Msg(MsgKind.DATA_RESP, msg.addr, LLC, msg.src,
-                              data=True, excl=True, value=line.value))
-            return
-        line.sharers |= {msg.src}
-        self.sim.send(Msg(MsgKind.DATA_RESP, msg.addr, LLC, msg.src,
-                          data=True, value=line.value))
-
-    def _getm(self, msg: Msg, line: LlcLine) -> None:
-        if line.owner is not None:
-            self.waitq.setdefault(msg.addr, HomeWait()).txn = Txn(
-                "getm_fwd", req=msg, target=line.owner)
-            self.sim.send(Msg(MsgKind.FWD_GETM, msg.addr, LLC, line.owner))
-            return
-        was = msg.src in line.sharers
-        others = line.sharers - {msg.src}
-        if others:
-            self.waitq.setdefault(msg.addr, HomeWait()).txn = Txn(
-                "getm_inv", req=msg, need=len(others), was_sharer=was)
-            for s in sorted(others):
-                self.sim.send(Msg(MsgKind.INV, msg.addr, LLC, s))
-            return
-        self._grant_m(msg, line, was)
+                              data=True, excl=line.owner is not None,
+                              value=line.value))
+        else:
+            was = msg.src in line.sharers
+            others = line.sharers - {msg.src}
+            if others:
+                self.waitq.setdefault(msg.addr, HomeWait()).txn = Txn(
+                    "getm_inv", req=msg, need=len(others), was_sharer=was)
+                for s in sorted(others):
+                    self.sim.send(Msg(MsgKind.INV, msg.addr, LLC, s))
+            else:
+                self._grant_m(msg, line, was)
 
     def _grant_m(self, msg: Msg, line: LlcLine, was_sharer: bool) -> None:
         line.sharers = frozenset()
@@ -225,31 +206,15 @@ class DirectoryLlc(BaseLlc):
             self._drain(addr)
 
     def _replay(self, wait: HomeWait, line: LlcLine) -> None:
-        msg = wait.queue.pop(0)
-        if msg.kind is MsgKind.GETS:
-            self._gets(msg, line)
-        else:
-            self._getm(msg, line)
+        self._serve(wait.queue.pop(0), line)
 
     # -- capacity -----------------------------------------------------------
 
-    def _clean(self, line: LlcLine) -> bool:
-        return line.owner is None and not line.sharers
-
-    def _reclaim(self, fill_addr: int) -> LlcLine | None:
-        victim = self.lines.lru_victim(fill_addr, avoid=lambda l: (
-            l.addr in self.waitq or l.owner is not None))
-        if victim is not None:
-            self.waitq[victim.addr] = HomeWait(txn=Txn(
-                "evict_inv", need=len(victim.sharers), fill=fill_addr))
-            for s in sorted(victim.sharers):
-                self.sim.send(Msg(MsgKind.INV, victim.addr, LLC, s))
-            return victim
-        victim = self.lines.lru_victim(fill_addr,
-                                       avoid=lambda l: l.addr in self.waitq)
-        if victim is not None:
-            self.waitq[victim.addr] = HomeWait(txn=Txn(
-                "evict_fwd", target=victim.owner, fill=fill_addr))
+    def _take_back(self, victim: LlcLine, fill_addr: int) -> Txn:
+        if victim.owner is not None:
             self.sim.send(Msg(MsgKind.FWD_GETM, victim.addr, LLC,
                               victim.owner))
-        return victim
+            return Txn("evict_fwd", target=victim.owner, fill=fill_addr)
+        for s in sorted(victim.sharers):
+            self.sim.send(Msg(MsgKind.INV, victim.addr, LLC, s))
+        return Txn("evict_inv", need=len(victim.sharers), fill=fill_addr)

@@ -357,21 +357,6 @@ class BaseCore:
         l1.insert(line)
         return line
 
-    # -- protocol hooks -------------------------------------------------
-
-    def _load(self, op: MemOp) -> None:
-        raise NotImplementedError
-
-    def _drain_issue(self, entry: StoreEntry) -> None:
-        raise NotImplementedError
-
-    def handle(self, msg: Msg) -> None:
-        raise NotImplementedError
-
-    def _evicted(self, victim: CacheLine) -> None:
-        """Notify the home that victim left the L1."""
-        raise NotImplementedError
-
     def state_key(self) -> tuple:
         return (self.pc, tuple(sorted(self.regs.items())), self.clock,
                 tuple(self.buffer), self.drain_inflight, self.waiting,
@@ -432,16 +417,21 @@ class BaseLlc:
     """The shared-cache array, DRAM fills, capacity eviction and the one
     record per busy line.
 
-    A fill takes a free way, else the LRU clean line, else it parks while
-    the home takes a line back from the cores; the victim's return
-    (_close) installs it.  A fill that finds every way of its
-    set busy waits in blocked until a record in that set goes.  Requests
-    for a busy line queue in its waitq record and _drain replays them
-    once it is free.  Protocol subclasses provide handle, _clean (the
-    line may leave without asking any core), _reclaim (give a line with
-    no record an eviction record and start taking it back, or None if
-    every way is busy) and _replay (act on the head of a free line's
-    queue).
+    A request for a line with no record is admitted (_admit): a missing
+    line starts a fill, a resident one goes to the protocol's _serve.
+    A fill takes a free way, else its set's LRU line with no record,
+    clean ones (no owner, no sharers) first, then shared, then owned.
+    A clean victim leaves at once; any other parks the fill while the
+    home takes it back from the cores, and the victim's return (_close)
+    installs the fill.  A fill that finds every way of its set busy
+    waits in blocked until a record in that set goes.  Requests for a
+    busy line queue in its waitq record and _drain replays them once it
+    is free.  Protocol subclasses provide handle (every message the home
+    gets), warm_install (a pre-run resident line), _serve (act on a
+    request for a resident line with no transaction: answer it or open
+    one), _replay (act on the head of a free line's queue) and
+    _take_back (send what takes a held victim back from the cores and
+    return its eviction transaction).
     """
 
     def __init__(self, sim):
@@ -451,9 +441,14 @@ class BaseLlc:
         self.waitq: dict[int, HomeWait] = {}
         self.blocked: list[int] = []   # blocked fill addrs, oldest first
 
-    def _start_fill(self, msg: Msg) -> None:
-        self.waitq[msg.addr] = HomeWait([msg], Txn("fill"))
-        self.sim.send(Msg(MsgKind.MEM_READ, msg.addr, LLC, MEM))
+    def _admit(self, msg: Msg) -> None:
+        """Serve a request for a line with no record, or fetch the line."""
+        line = self.lines.lookup(msg.addr)
+        if line is None:
+            self.waitq[msg.addr] = HomeWait([msg], Txn("fill"))
+            self.sim.send(Msg(MsgKind.MEM_READ, msg.addr, LLC, MEM))
+        else:
+            self._serve(msg, line)
 
     def _awaits(self, addr: int, core: int) -> bool:
         """Whether the line's transaction waits on an answer from core."""
@@ -493,15 +488,18 @@ class BaseLlc:
         addr = msg.addr
         wait = self.waitq[addr]
         if not self.lines.has_room(addr):
-            victim = self.lines.lru_victim(addr, avoid=lambda l: (
-                l.addr in self.waitq or not self._clean(l)))
+            victim = self.lines.lru_victim(
+                addr, avoid=lambda l: l.addr in self.waitq,
+                rank=lambda l: (l.owner is not None, bool(l.sharers)))
             if victim is None:
-                # every candidate is held by a core: take one back and
-                # park the fill until it is home, or wait for a way
-                victim = self._reclaim(addr)
-                wait.txn = Txn("parked" if victim else "blocked", req=msg)
-                if victim is None:
-                    self.blocked.append(addr)
+                wait.txn = Txn("blocked", req=msg)
+                self.blocked.append(addr)
+                return
+            if victim.owner is not None or victim.sharers:
+                # held by the cores: park the fill until it is home
+                self.waitq[victim.addr] = HomeWait(
+                    txn=self._take_back(victim, addr))
+                wait.txn = Txn("parked", req=msg)
                 return
             self._evict(victim)
         wait.txn = None
@@ -546,19 +544,6 @@ class BaseLlc:
         new.waitq = {a: w.clone() for a, w in self.waitq.items()}
         new.blocked = list(self.blocked)
         return new
-
-    # -- protocol hooks -------------------------------------------------
-
-    def _clean(self, line: LlcLine) -> bool:
-        raise NotImplementedError
-
-    def _reclaim(self, fill_addr: int) -> LlcLine | None:
-        raise NotImplementedError
-
-    def _replay(self, wait: HomeWait, line: LlcLine) -> None:
-        """Act on wait.queue[0] for the free, resident line: serve it (and
-        pop it) or open a transaction."""
-        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -1005,12 +990,12 @@ def enumerate_outcomes(program: Program, model: str,
     seen: dict[tuple, frozenset] = {}   # key -> the sleep set explored with
     outcomes = set()
     stack = [(root, frozenset())]
-    popped = peak = slept = reopened = 0   # kept only for stats
+    popped = peak = slept = reopened = 0
     try:
         while stack:
-            if stats is not None:
-                popped += 1
-                peak = max(peak, len(stack))
+            popped += 1
+            if len(stack) > peak:
+                peak = len(stack)
             world, sleep = stack.pop()
             key = world.key()
             old = seen.get(key)
@@ -1033,10 +1018,8 @@ def enumerate_outcomes(program: Program, model: str,
                 seen[key] = sleep = old & sleep
                 acts = world.actions()
                 todo = [a for a in acts if a in old and a not in sleep]
-                if stats is not None:
-                    reopened += 1
-            if stats is not None:
-                slept += len(acts) - len(todo)
+                reopened += 1
+            slept += len(acts) - len(todo)
             done = list(sleep)   # asleep, then each action once explored
             for action in todo:
                 nxt = copy.deepcopy(world)

@@ -192,18 +192,10 @@ class TardisLlc(BaseLlc):
                 pend.queue.append(
                     copy_record(msg, recalled=True)
                     if pend.txn.kind == "recall" or not pend.queue else msg)
-                return
-            line = self.lines.lookup(msg.addr)
-            if line is None:
-                self._start_fill(msg)
-            elif line.owner is not None:
-                msg = copy_record(msg, recalled=True)
-                pend = self.waitq[msg.addr] = HomeWait([msg])
-                self._send_recall(line, msg, pend)
             else:
-                self._serve(msg, line)
+                self._admit(msg)
 
-    # -- serving a shared (home-mastered) line ------------------------------
+    # -- serving a resident line --------------------------------------------
 
     def _lease_for(self, line: LlcLine, req: Msg) -> int:
         cfg = self.sim.cfg
@@ -213,6 +205,12 @@ class TardisLlc(BaseLlc):
         return line.cur_lease
 
     def _serve(self, msg: Msg, line: LlcLine) -> None:
+        if line.owner is not None:
+            # the owner gives it back first; msg waits, marked, meanwhile
+            msg = copy_record(msg, recalled=True)
+            pend = self.waitq[msg.addr] = HomeWait([msg])
+            self._send_recall(line, msg, pend)
+            return
         cfg = self.sim.cfg
         kind = msg.kind
         if kind is MsgKind.LOAD_REQ:
@@ -305,15 +303,7 @@ class TardisLlc(BaseLlc):
 
     # -- capacity ------------------------------------------------------------
 
-    def _clean(self, line: LlcLine) -> bool:
-        return line.owner is None
-
-    def _reclaim(self, fill_addr: int) -> LlcLine | None:
-        victim = self.lines.lru_victim(fill_addr,
-                                       avoid=lambda l: l.addr in self.waitq)
-        if victim is not None:
-            self.waitq[victim.addr] = HomeWait(txn=Txn(
-                "evict", target=victim.owner, fill=fill_addr))
-            self.sim.send(Msg(MsgKind.RECALL, victim.addr, LLC, victim.owner,
-                              downgrade=TO_I, extend_ts=None))
-        return victim
+    def _take_back(self, victim: LlcLine, fill_addr: int) -> Txn:
+        self.sim.send(Msg(MsgKind.RECALL, victim.addr, LLC, victim.owner,
+                          downgrade=TO_I, extend_ts=None))
+        return Txn("evict", target=victim.owner, fill=fill_addr)

@@ -50,10 +50,13 @@ def test_criterion_01_fig1_exact_timestamps():
         assert st_a.ts == 1                  # store A writes at ts 1
         a_l1 = sim.cores[0].l1.lookup(st_a.addr, touch=False)
         assert a_l1.wts == 1                 # its snapshot stays wts 1
+        assert a_l1.rts >= 1
         assert ld_b.ts == 1
         llc_b = sim.llc.lines.lookup(ld_b.addr, touch=False)
         assert llc_b.rts == 11               # load B leased it through 11
         assert st_b.ts == 12                 # store B must clear that lease
+        b_l1 = sim.cores[1].l1.lookup(st_b.addr, touch=False)
+        assert b_l1.wts == 12                # ...and its copy starts there
         assert ld_a.ts == 12
         llc_a = sim.llc.lines.lookup(st_a.addr, touch=False)
         assert llc_a.rts == 22               # load A leased it through 22
@@ -65,8 +68,10 @@ def test_criterion_02_fig2_store_buffer_timestamps():
         cfg = preset("tardis-base", model="tso", static_lease=10, seed=0)
         sim = Simulator(cfg, builtin("fig2"))
         rep = sim.run()
-        ts = {(r.core, r.idx): r.ts for r in sim.trace}
+        rows = {(r.core, r.idx): r for r in sim.trace}
+        ts = {key: r.ts for key, r in rows.items()}
         assert (ts[(0, 0)], ts[(0, 1)], ts[(0, 2)]) == (11, 0, 0)
+        assert rows[(0, 1)].fwd              # Ld B reads the buffered St B
         assert (ts[(1, 0)], ts[(1, 1)], ts[(1, 2)]) == (6, 6, 6)
         assert rep.outcome == {"c0.r1": 1, "c0.r2": 0, "c1.r3": 0}
 
@@ -115,6 +120,7 @@ def test_criterion_04_model_separating_outcomes():
         assert (1, 0, 0) in enumerate_outcomes(listing2, "tso")
         assert (1, 0, 0) not in enumerate_outcomes(listing2, "sc")
         assert (1, 0, 0) not in oracle_outcomes(listing2, "sc")
+        assert (1, 0, 0) in oracle_outcomes(listing2, "tso")
 
 
 def test_criterion_05_randomized_runs_audited_clean():

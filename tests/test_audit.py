@@ -261,6 +261,10 @@ def test_holder_index_matches_every_l1_under_capacity_pressure(preset_name):
                 auditor=CoherenceAuditor())
             sim.run()
             assert sim.ticks_checked > 0
+            if sim.cfg.protocol == "tardis":
+                # the home's victim rule ranks a line with sharers as
+                # shared, and a Tardis home never records one
+                assert not any(l.sharers for l in sim.llc.lines.lines())
 
 
 class _RecordingAuditor(CoherenceAuditor):

@@ -33,6 +33,10 @@ def test_set_indexing_and_lru():
     victim = cache.lru_victim(c, avoid=lambda l: l.addr == b)
     assert victim.addr == a
     assert cache.lru_victim(c, avoid=lambda l: True) is None
+    # the lowest rank first, then the least recently used
+    assert cache.lru_victim(c, rank=lambda l: l.addr != a).addr == a
+    assert cache.lru_victim(c, rank=lambda l: 0).addr == b
+    assert cache.remove(64) is None       # set 1 holds nothing
 
 
 def test_lru_victim_none_while_room():

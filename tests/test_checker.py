@@ -11,7 +11,7 @@ from tardisim.cachemem import ValueToken, initial_token
 from tardisim.checker import check_trace, ordered, oracle_outcomes
 from tardisim.config import preset
 from tardisim.consistency import MemoryModel
-from tardisim.engine import Simulator, TraceOp
+from tardisim.engine import Simulator, TraceOp, enumerate_outcomes
 from tardisim.workloads import OpKind, SynthParams, builtin, parse_program, synth
 
 SC, TSO, PSO, RC = (MemoryModel.SC, MemoryModel.TSO, MemoryModel.PSO,
@@ -294,6 +294,16 @@ def test_oracle_rejects_oversized_and_spinning_programs():
         oracle_outcomes(big, "sc")
     with pytest.raises(ValueError):
         oracle_outcomes(builtin("spin"), "sc")
+
+
+def test_oracle_restores_a_register_a_later_load_overwrote():
+    # both loads write r1, so backing out of the second puts back the
+    # first one's value, which backing out of the first then removes
+    p = parse_program("[core 0]\nLd A -> r1\nLd B -> r1\n\n"
+                      "[core 1]\nSt B 1\nSt A 1")
+    for model in ("sc", "tso", "pso", "rc"):
+        assert oracle_outcomes(p, model) == {(0,), (1,)}
+        assert enumerate_outcomes(p, model) == {(0,), (1,)}
 
 
 def test_oracle_single_core_is_deterministic():

@@ -3,14 +3,16 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import tardisim
+from tardisim import cli
 from tardisim.cli import main, resolve_program
-from tardisim.config import SimConfig, preset
+from tardisim.config import PRESETS, ConfigError, SimConfig, preset
 from tardisim.engine import Simulator
 from tardisim.workloads import builtin
 
@@ -55,6 +57,12 @@ def test_run_rejects_unknown_program(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unknown_preset_names_every_preset():
+    with pytest.raises(ConfigError, match=re.escape(
+            f"unknown preset 'nope'; have {sorted(PRESETS)}")):
+        preset("nope")
+
+
 def test_run_rejects_unknown_config_key(capsys):
     assert main(["run", "--program", "mp", "--set", "warp_factor=9"]) == 2
 
@@ -80,6 +88,16 @@ def test_enumerate_with_oracle_agrees(capsys):
     out = capsys.readouterr().out
     assert "registers: c0.r1 c1.r2" in out
     assert "admitted" in out
+
+
+def test_enumerate_exits_1_on_an_outcome_the_oracle_rejects(monkeypatch,
+                                                            capsys):
+    monkeypatch.setattr(cli, "oracle_outcomes", lambda program, model: set())
+    assert main(["enumerate", "--program", "dekker", "--model", "tso",
+                 "--oracle"]) == 1
+    out, err = capsys.readouterr()
+    assert "oracle admits 0 outcome(s)" in out
+    assert "NOT ADMITTED: (0, 0)" in err
 
 
 def test_enumerate_stats_go_to_stderr(capsys):

@@ -121,7 +121,8 @@ def test_sequential_schedule_runs_cores_in_order():
 
 def test_trace_json_round_trip():
     sim, _ = run(synth(CONTended), model="rc", seed=8)
-    text = "\n".join(r.to_json() for r in sim.trace)
+    # blank lines, as an editor may leave them, are skipped
+    text = "\n\n".join(r.to_json() for r in sim.trace) + "\n \n"
     back = trace_from_json(io.StringIO(text))
     assert len(back) == len(sim.trace)
     for a, b in zip(sim.trace, back):
