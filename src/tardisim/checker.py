@@ -224,14 +224,19 @@ def oracle_outcomes(program: Program, model) -> set:
             p.append(req)
         preds.append(p)
 
-    registers = program.registers()
+    # a register ends with its program-last load's value, wherever the
+    # arrangement puts that load: each load's value is read at the end
+    last_load = {(cid, op.reg): k for cid, seq in enumerate(per_core)
+                 for k, op in enumerate(seq) if op.kind is OpKind.LOAD}
+    slots = [(cid, last_load[cid, reg]) for cid, reg in program.registers()]
+    loaded = [[0] * len(s) for s in per_core]   # each load's value
     outcomes = set()
     n_cores = len(per_core)
     placed = [[False] * len(s) for s in per_core]
 
-    def run(done: int, last_store: dict, regs: dict):
+    def run(done: int, last_store: dict):
         if done == total:
-            outcomes.add(tuple(regs.get(cr, 0) for cr in registers))
+            outcomes.add(tuple(loaded[c][k] for c, k in slots))
             return
         for cid in range(n_cores):
             seq = per_core[cid]
@@ -245,7 +250,7 @@ def oracle_outcomes(program: Program, model) -> set:
                 if op.kind is OpKind.STORE:
                     saved = last_store.get(op.addr)
                     last_store[op.addr] = (cid, k, op.value)
-                    run(done + 1, last_store, regs)
+                    run(done + 1, last_store)
                     if saved is None:
                         del last_store[op.addr]
                     else:
@@ -264,19 +269,11 @@ def oracle_outcomes(program: Program, model) -> set:
                     if val is None:
                         hit = last_store.get(op.addr)
                         val = hit[2] if hit is not None else 0
-                    saved = regs.get((cid, op.reg)) if op.reg else None
-                    had = op.reg and (cid, op.reg) in regs
-                    if op.reg:
-                        regs[(cid, op.reg)] = val
-                    run(done + 1, last_store, regs)
-                    if op.reg:
-                        if had:
-                            regs[(cid, op.reg)] = saved
-                        else:
-                            del regs[(cid, op.reg)]
+                    loaded[cid][k] = val
+                    run(done + 1, last_store)
                 else:
-                    run(done + 1, last_store, regs)
+                    run(done + 1, last_store)
                 placed[cid][k] = False
 
-    run(0, {}, {})
+    run(0, {})
     return outcomes

@@ -25,7 +25,7 @@ from .config import (ConfigError, PRESETS, SimConfig, load_config, preset,
 from .engine import (SimulationError, Simulator, enumerate_outcomes,
                      trace_from_json)
 from .workloads import (BUILTIN_NAMES, ParseError, Program, SynthParams,
-                        builtin, load_program, synth)
+                        builtin, coerce, load_program, synth)
 
 log = logging.getLogger("tardisim")
 
@@ -48,21 +48,23 @@ def _parse_kv(pairs) -> dict:
     return out
 
 
+# each synth parameter's type, which reads its value from text
+_SYNTH_TYPES = get_type_hints(SynthParams)
+
+
 def resolve_program(spec: str, line_bytes: int = 64) -> Program:
     """`name`, `name:key=val,...`, or a path to a program file."""
     name, _, argstr = spec.partition(":")
     params = _parse_kv(argstr.split(",")) if argstr else {}
     if name == "synth":
-        types = get_type_hints(SynthParams)
         kw = {}
         for k, v in params.items():
-            if k not in types:
+            if k not in _SYNTH_TYPES:
                 raise ParseError(f"unknown synth parameter {k!r}")
             try:
-                kw[k] = types[k](v)
-            except ValueError:
-                raise ParseError(f"synth parameter {k} wants "
-                                 f"{types[k].__name__}, got {v!r}") from None
+                kw[k] = coerce(_SYNTH_TYPES[k], v)
+            except ValueError as exc:
+                raise ParseError(f"synth parameter {k} {exc}") from None
         return synth(SynthParams(**kw), line_bytes=line_bytes)
     if name in BUILTIN_NAMES:
         return builtin(name, line_bytes=line_bytes, **params)
@@ -135,6 +137,8 @@ def _report_violations(violations: list[Violation], n_ops: int) -> int:
 
 def cmd_enumerate(args) -> int:
     program = resolve_program(args.program)
+    # the oracle first, so a program too big for it fails before the search
+    allowed = oracle_outcomes(program, args.model) if args.oracle else None
     stats = {} if args.stats else None
     try:
         got = enumerate_outcomes(program, args.model, protocol=args.protocol,
@@ -150,9 +154,8 @@ def cmd_enumerate(args) -> int:
     print("registers: " + " ".join(regs))
     for o in sorted(got):
         print("  " + " ".join(str(v) for v in o))
-    if not args.oracle:
+    if allowed is None:
         return 0
-    allowed = oracle_outcomes(program, args.model)
     print(f"oracle admits {len(allowed)} outcome(s)")
     extra = got - allowed
     if extra:

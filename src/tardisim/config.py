@@ -9,11 +9,13 @@ with livelock detection, and fully optimized tardis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import get_type_hints
 
 from .cachemem import LEASE_VALUES
 from .consistency import MemoryModel
+from .workloads import coerce
 
 
 class ConfigError(ValueError):
@@ -24,7 +26,6 @@ class ConfigError(ValueError):
 class SimConfig:
     protocol: str = "tardis"            # tardis | directory
     model: str = "tso"                  # sc | tso | pso | rc
-    cores: int = 2
     mesi: bool = True
     static_lease: int = 8
     lease_predictor: bool = False
@@ -54,8 +55,6 @@ class SimConfig:
             MemoryModel(self.model)
         except ValueError:
             raise ConfigError(f"unknown model {self.model!r}") from None
-        if self.cores < 1:
-            raise ConfigError("cores must be >= 1")
         for key in ("static_lease", "ahb_entries", "l1_kb", "l1_ways",
                     "llc_kb", "llc_ways", "line_bytes", "flit_bits",
                     "dram_latency", "hop_cycles", "max_steps"):
@@ -103,14 +102,12 @@ class SimConfig:
             return 0
         return self.store_buffer
 
-    def home_tile(self, addr: int) -> int:
-        return (addr // self.line_bytes) % self.cores
-
-    def identity(self) -> dict:
+    def identity(self, cores: int) -> dict:
+        """A report's config block; the core count is the run's."""
         return {
             "protocol": self.protocol,
             "model": self.model,
-            "cores": self.cores,
+            "cores": cores,
             "mesi": self.mesi,
             "static_lease": self.static_lease,
             "lease_predictor": self.lease_predictor,
@@ -131,38 +128,22 @@ def hop_table(cores: int) -> tuple[tuple[int, ...], ...]:
                        for b in range(cores)) for a in range(cores))
 
 
-_BOOL_KEYS = {"mesi", "lease_predictor", "livelock_detector"}
-_ON = {"on", "true", "1", "yes"}
-_OFF = {"off", "false", "0", "no"}
-
-
-def _coerce(key: str, raw: str):
-    raw = raw.strip()
-    if key in _BOOL_KEYS:
-        low = raw.lower()
-        if low in _ON:
-            return True
-        if low in _OFF:
-            return False
-        raise ConfigError(f"{key} wants on/off, got {raw!r}")
-    if key in ("protocol", "model"):
-        return raw.lower()
-    if key == "skip_prob":
-        return float(raw)
-    try:
-        return int(raw, 0)
-    except ValueError:
-        raise ConfigError(f"bad value for {key}: {raw!r}") from None
+# each field's type, which reads its value from text
+_TYPES = get_type_hints(SimConfig)
 
 
 def _checked(mapping: dict) -> dict:
-    """Reject unknown keys and coerce string values to their field type."""
-    known = {f.name for f in fields(SimConfig)}
+    """Reject unknown keys and read string values as their field type."""
     kwargs = {}
     for key, val in mapping.items():
-        if key not in known:
+        if key not in _TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        kwargs[key] = _coerce(key, val) if isinstance(val, str) else val
+        if isinstance(val, str):
+            try:
+                val = coerce(_TYPES[key], val)
+            except ValueError as exc:
+                raise ConfigError(f"{key} {exc}") from None
+        kwargs[key] = val
     return kwargs
 
 

@@ -109,8 +109,8 @@ class DirectoryLlc(BaseLlc):
                 self._admit(msg)
         elif kind is MsgKind.INV_ACK:
             txn = self.waitq[msg.addr].txn
-            txn.got += 1
-            if txn.got >= txn.need:
+            txn.need -= 1
+            if txn.need <= 0:
                 self._acks_done(msg.addr)
         elif kind is MsgKind.FWD_RESP:
             if self._awaits(msg.addr, msg.src):

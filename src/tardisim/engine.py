@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 from .cachemem import (CacheLine, LineState, LlcLine, MainMemory,
                        SetAssocCache, ValueToken, copy_record, initial_token)
-from .config import SimConfig, hop_table
+from .config import ConfigError, SimConfig, hop_table
 from .consistency import CLOCKS
 from .messages import LLC, MEM, Msg, MsgKind
 from .workloads import MemOp, OpKind, ParseError, Program
@@ -387,8 +387,7 @@ class Txn:
 
     kind: str
     req: Msg | None = None      # the request it serves, or a waiting fill
-    need: int = 0               # invalidation acks to collect
-    got: int = 0
+    need: int = 0               # invalidation acks still to come
     target: int | None = None   # the core whose answer ends it
     was_sharer: bool = False
     fill: int | None = None     # an eviction's: the line that takes the way
@@ -603,8 +602,8 @@ _END = {LLC: "llc", MEM: "mem"}   # endpoint names in a dump; cores by id
 class Simulator:
     def __init__(self, cfg: SimConfig, program: Program,
                  auditor=None):
-        if program.n_cores != cfg.cores:
-            cfg = replace(cfg, cores=program.n_cores)
+        if not program.cores:
+            raise ConfigError("cores must be >= 1")
         self.cfg = cfg
         self.program = program
         self.step = 0
@@ -612,7 +611,9 @@ class Simulator:
         # lockstep is the seeded schedule with no core ever sitting out
         self._pass_at = (0 if program.schedule == "lockstep"
                          else draw_threshold(cfg.skip_prob))
-        self._hops = hop_table(cfg.cores)
+        # one tile per core; a line's home is its line number mod tiles
+        self._tiles = program.n_cores
+        self._hops = hop_table(self._tiles)
         self.mem = MainMemory()
         # (kind, carries a line) -> [messages sent, hops they travelled];
         # the report derives every message count and the traffic from it
@@ -642,7 +643,8 @@ class Simulator:
                           if msg.kind is MsgKind.MEM_READ else half)
         else:
             core_end = msg.src if msg.src >= 0 else msg.dst
-            hops = self._hops[core_end][cfg.home_tile(msg.addr)]
+            home = msg.addr // cfg.line_bytes % self._tiles
+            hops = self._hops[core_end][home]
             latency = max(1, hops * cfg.hop_cycles)
         tally = self.tally[msg.kind, msg.data]
         tally[0] += 1
@@ -970,16 +972,11 @@ def enumerate_outcomes(program: Program, model: str,
             if op.kind is OpKind.SPIN:
                 raise ValueError("conditional spins cannot be enumerated")
     if cfg is None:
-        cfg = SimConfig(protocol="tardis" if protocol is None else protocol,
-                        model=model, cores=max(1, program.n_cores),
-                        mesi=False, livelock_detector=False,
-                        lease_predictor=False, self_increment_period=10**9)
+        cfg = SimConfig("tardis" if protocol is None else protocol, mesi=False)
     elif protocol not in (None, cfg.protocol):
         raise ValueError(f"protocol {protocol!r} conflicts with the config's "
                          f"{cfg.protocol!r}")
-    else:
-        cfg = replace(cfg, model=model, cores=max(1, program.n_cores),
-                      self_increment_period=10**9)
+    cfg = replace(cfg, model=model, self_increment_period=10**9)
     # a sleep only passes time, and enumeration has no clock
     cores = [[op for op in ops if op.kind is not OpKind.SLEEP]
              for ops in program.cores]

@@ -84,7 +84,7 @@ def build_report(sim) -> Report:
     mem_ops = loads + rows[OpKind.STORE]
     llc_accesses = sum(sent[k] for k in _LLC_REQUESTS)
     ts_per_core = [core.clock.current_max for core in sim.cores]
-    ts_max = max(ts_per_core) if ts_per_core else 0
+    ts_max = max(ts_per_core)
     outcome = {f"c{cid}.{reg}": sim.cores[cid].regs.get(reg, 0)
                for cid, reg in sim.program.registers()}
     return Report(
@@ -110,5 +110,5 @@ def build_report(sim) -> Report:
         ts_increase_rate=ts_max / mem_ops if mem_ops else 0.0,
         traffic=traffic,
         outcome=outcome,
-        config=cfg.identity(),
+        config=cfg.identity(len(sim.cores)),
     )

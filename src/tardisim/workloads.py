@@ -171,6 +171,25 @@ def parse_program(text: str, name: str = "program",
     return Program(name, [cores.get(i, []) for i in range(n)], addr_names=names)
 
 
+# how text reads as each type: a switch on or off, an int as a DSL literal
+_SWITCH = {**dict.fromkeys(("on", "true", "yes", "1"), True),
+           **dict.fromkeys(("off", "false", "no", "0"), False)}
+_READ = {bool: lambda t: _SWITCH[t.lower()], int: lambda t: int(t, 0),
+         float: float, str: str.lower}
+
+
+def coerce(kind: type, raw: str):
+    """raw read as a value of kind (bool, int, float or str), so 0x20 is
+    32 and 010 is an error as in the DSL.  Config files, --set, synth:
+    and builtin parameters all read values here; the ValueError says
+    what was wanted, and the caller names the key."""
+    try:
+        return _READ[kind](raw.strip())
+    except (KeyError, ValueError):
+        want = "on/off" if kind is bool else kind.__name__
+        raise ValueError(f"wants {want}, got {raw!r}") from None
+
+
 def load_program(path: str, line_bytes: int = 64) -> Program:
     with open(path) as fh:
         text = fh.read()
@@ -384,14 +403,13 @@ def builtin(name: str, line_bytes: int = 64, **params) -> Program:
     if make:
         counts = {}
         for key, default in defaults.items():
-            value = params.get(key, default)
+            # read as text, so a float or None is refused, not truncated
+            raw = str(params.get(key, default))
             try:
-                if not isinstance(value, (int, str)):
-                    raise ValueError   # int() would truncate a float
-                counts[key] = n = int(value)
-            except ValueError:
-                raise ParseError(f"builtin {name} parameter {key} wants int, "
-                                 f"got {value!r}") from None
+                counts[key] = n = coerce(type(default), raw)
+            except ValueError as exc:
+                raise ParseError(
+                    f"builtin {name} parameter {key} {exc}") from None
             if n < 0:
                 raise ParseError(f"{key} must be >= 0, got {n}")
         return make(name, line_bytes, **counts)

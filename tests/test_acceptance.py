@@ -264,7 +264,8 @@ def test_criterion_10_readme_states_desk_scale_scope():
 
 
 # Criterion 11's config domain: a fixed set of values per SimConfig
-# field, the edges validation lets through among them.
+# field, the edges validation lets through among them, and the core
+# count of the synth program each config runs.
 CONFIG_DOMAIN = {
     "protocol": ("tardis", "directory"),
     "model": MODELS,
@@ -319,16 +320,18 @@ def test_criterion_11_capacity_and_config_stress():
                          llc_ways=llc_ways, seed=i)
             _audited_and_checked(cfg, synth(params))
         # config space: every config validation accepts runs clean
-        assert set(CONFIG_DOMAIN) == {f.name for f in fields(SimConfig)}
+        assert set(CONFIG_DOMAIN) == {"cores"} | {
+            f.name for f in fields(SimConfig)}
         accepted = 0
         for i in range(1500):
             rng = random.Random(i)
+            drawn = {k: rng.choice(v) for k, v in CONFIG_DOMAIN.items()}
+            cores = drawn.pop("cores")   # the program's, not the config's
             try:
-                cfg = SimConfig(**{k: rng.choice(v)
-                                   for k, v in CONFIG_DOMAIN.items()})
+                cfg = SimConfig(**drawn)
             except ConfigError:
                 continue
-            params = SynthParams(cores=cfg.cores, ops_per_core=20,
+            params = SynthParams(cores=cores, ops_per_core=20,
                                  hot_lines=2, shared_lines=8,
                                  private_lines=2, seed=i)
             _audited_and_checked(cfg, synth(params, cfg.line_bytes))

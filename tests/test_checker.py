@@ -297,13 +297,23 @@ def test_oracle_rejects_oversized_and_spinning_programs():
 
 
 def test_oracle_restores_a_register_a_later_load_overwrote():
-    # both loads write r1, so backing out of the second puts back the
-    # first one's value, which backing out of the first then removes
+    # both loads write r1, which ends with the second one's value
     p = parse_program("[core 0]\nLd A -> r1\nLd B -> r1\n\n"
                       "[core 1]\nSt B 1\nSt A 1")
     for model in ("sc", "tso", "pso", "rc"):
         assert oracle_outcomes(p, model) == {(0,), (1,)}
         assert enumerate_outcomes(p, model) == {(0,), (1,)}
+
+
+def test_oracle_register_takes_its_program_last_load():
+    # RC may arrange the two loads into r1 out of program order; r1
+    # still ends with Ld B's value, never the first Ld A's 2
+    p = parse_program("[core 0]\nLd A -> r1\nLd B -> r1\nLd A -> r2\n"
+                      "[core 1]\nSt B 1\nSt A 2")
+    rc = oracle_outcomes(p, "rc")
+    assert rc == {(0, 0), (0, 2), (1, 0), (1, 2)}
+    for protocol in ("tardis", "directory"):
+        assert enumerate_outcomes(p, "rc", protocol) <= rc
 
 
 def test_oracle_single_core_is_deterministic():

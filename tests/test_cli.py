@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -74,7 +75,7 @@ def test_run_rejects_bad_model(capsys):
 def test_config_file_with_set_overrides(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("# comment\nprotocol = tardis\nmodel = sc\n"
-                   "static_lease = 16\ncores = 2\n")
+                   "static_lease = 16\n")
     assert main(["run", "--program", "mp", "--config", str(cfg),
                  "--set", "static_lease=32", "--seed", "0"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -108,6 +109,15 @@ def test_enumerate_stats_go_to_stderr(capsys):
     assert "search: popped=269 unique=211 peak_frontier=" in err
     assert " slept=182 reopened=24 " in err
     assert "states_per_s=" in err and "popped" not in out
+
+
+def test_enumerate_oracle_limit_fails_before_the_search(tmp_path, capsys):
+    # 9 ops: the search takes them, the oracle does not
+    prog = tmp_path / "nine.prog"
+    prog.write_text("[core 0]\n" + "Ld A -> r1\n" * 9)
+    assert main(["enumerate", "--program", str(prog), "--oracle"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "oracle is limited to 8 ops" in err
 
 
 def test_enumerate_rejects_spinning_programs(capsys):
@@ -332,6 +342,50 @@ def test_bad_synth_value_names_its_parameter(spec, capsys):
     err = capsys.readouterr().err
     param, value = spec.split(":")[1].split("=")
     assert param in err and repr(value) in err, err
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["run", "--program", "synth:cores=0"], "cores must be >= 1"),
+    (_run_mp("skip_prob=abc"), "skip_prob wants float, got 'abc'"),
+    # the core count is the program's, never the config's
+    (_run_mp("cores=4"), "'cores'"),
+    (["run", "--program", "mp", "--config", "cores.cfg"], "'cores'"),
+    (["sweep", "--program", "mp", "--param", "cores", "--values", "2,8"],
+     "'cores'"),
+    # an integer reads as in the DSL, where 010 is no literal
+    (_run_mp("l1_kb=010"), "l1_kb wants int, got '010'"),
+    (["run", "--program", "synth:cores=010"], "cores wants int, got '010'"),
+    (["run", "--program", "lease_case:iterations=010"],
+     "iterations wants int, got '010'"),
+], ids=lambda arg: " ".join(arg[2:]) if isinstance(arg, list) else "err")
+def test_bad_input_exits_2_and_names_its_key(argv, words, tmp_path,
+                                             monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cores.cfg").write_text("protocol = tardis\ncores = 2\n")
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and words in err, err
+
+
+def test_synth_reads_integers_as_the_dsl_does(capsys):
+    outs = []
+    for cores in ("0x4", "4"):
+        assert main(["run", "--program", f"synth:cores={cores}",
+                     "--seed", "0"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0])
+    assert report["cores"] == report["config"]["cores"] == 4
+
+
+def test_readme_configuration_table_lists_every_field():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("## Configuration", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    keys = {key for row in section.splitlines() if row.startswith("| `")
+            for key in re.findall(r"`(\w+)`", row.split("|")[1])}
+    assert keys == {f.name for f in fields(SimConfig)}
 
 
 def test_step_limit_exits_1(capsys):

@@ -85,7 +85,9 @@ def recount(sim) -> dict:
             hops = 1
         else:
             core = m.src if m.dst == LLC else m.dst
-            hops = hop_table(cfg.cores)[core][cfg.home_tile(m.addr)]
+            tiles = len(sim.cores)
+            home = m.addr // cfg.line_bytes % tiles
+            hops = hop_table(tiles)[core][home]
         for t in (traffic[TRAFFIC_CLASS[m.kind]], traffic["total"]):
             t["messages"] += 1
             t["flits"] += flits
