@@ -158,6 +158,13 @@ class SetAssocCache:
         for idx in sorted(self.sets):
             yield from self.sets[idx].values()
 
+    def order(self) -> tuple:
+        """The resident addresses, set by set in index order, each set
+        least recently used first: the LRU order that lines() leaves
+        out and victim choice reads."""
+        sets = self.sets
+        return tuple(a for idx in sorted(sets) for a in sets[idx])
+
     def clone(self) -> SetAssocCache:
         """An independent copy.  A line's fields are all immutable, so a
         shallow copy of each line is exact."""

@@ -149,6 +149,8 @@ def cmd_enumerate(args) -> int:
             print(f"search: popped={stats['popped']} unique={stats['unique']}"
                   f" peak_frontier={stats['peak_frontier']}"
                   f" slept={stats['slept']} reopened={stats['reopened']}"
+                  f" transitions={stats['transitions']}"
+                  f" reused={stats['reused']}"
                   f" states_per_s={rate:.0f}", file=sys.stderr)
     regs = [f"c{c}.{r}" for c, r in program.registers()]
     print("registers: " + " ".join(regs))

@@ -49,6 +49,14 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key, kind in _TYPES.items():
+            val = getattr(self, key)
+            fits = (int, float) if kind is float else kind
+            # a bool is an int to isinstance: only a bool field takes one
+            if (not isinstance(val, fits)
+                    or isinstance(val, bool) is not (kind is bool)):
+                raise ConfigError(f"{key} wants {kind.__name__}, "
+                                  f"got {val!r}")
         if self.protocol not in ("tardis", "directory"):
             raise ConfigError(f"unknown protocol {self.protocol!r}")
         try:

@@ -811,25 +811,55 @@ def _apply_warm(fabric) -> None:
 class _World(Simulator):
     """Fabric for enumeration.  It differs from Simulator only in
     delivery: messages sit in per-channel FIFOs until the search
-    delivers them, so there is no clock, schedule, send tally or
-    trace.
+    delivers them, so there is no clock (step stays 0), schedule, send
+    tally or trace.
 
     A copy shares every component (each core, the home and main memory)
-    with the world it was copied from.  apply() first clones the one
-    component its action changes, since a handler reaches past its own
-    component only through the world's send and trace_append.  A shared
-    component's sim is thus a back-reference to the world that cloned
-    it.  Each component's state key is cached in the world, as a small
-    int, until the component is cloned."""
+    with the world it was copied from, and apply() replaces only the
+    one component its action changes, since a handler reaches past its
+    own component only through the world's send and trace_append.  Each
+    component's state key is cached in the world, as a small int.
+
+    apply() memoizes steps, in one dict per search that every copy
+    shares.  A step is looked up by its actor, the actor's interned
+    key, the LRU order of its cache sets, the action kind and the
+    delivered message.  The first time, the actor's component is cloned
+    and its handler runs; the result, its interned key and the messages
+    and rows the step sent and appended are stored.  Every later time,
+    the stored result is installed, and its sends and rows are replayed
+    through send and trace_append.  A stored component is shared and
+    never changes, because the next action on it clones it first.  It
+    is stored once per (actor, key, LRU order).  A handler runs only on
+    a fresh clone, whose sim is the world that cloned it; every other
+    component, the root's included, has sim None, so no component keeps
+    a world alive, and a search's memo goes with its last world.
+
+    The LRU order is not in the key, but a victim choice reads it, so
+    the lookup needs it.  Nothing else a component holds outside its
+    key changes a step's result, its sends or its rows: seq and
+    access_count count commits, which follow from the key (pc,
+    store_seq and the buffer), and access_count only times forced
+    self-increments, which enumerate_outcomes puts 10**9 accesses apart;
+    committed_step is the world's step, which stays 0; and sim is the
+    fabric."""
 
     def __init__(self, cfg: SimConfig, program: Program):
         self.channels: dict[tuple, tuple] = {}
         super().__init__(cfg, program)
         # the search picks every step and reads only registers
         self.tally = self.trace = self._queue = self.rng = self._ready = None
+        # only a clone taking a step has a sim (see _compute)
+        for part in (*self.cores, self.llc):
+            part.sim = None
         # component state key -> its int; one dict per search, which
         # every copy of this world shares
         self._ids: dict[tuple, int] = {}
+        # (actor, key, LRU order, action kind, message) -> (result, its
+        # key, sends, rows), and (actor, key, LRU order) -> the one
+        # stored component in that state; shared like _ids
+        self._memo: dict[tuple, tuple] = {}
+        self._stored: dict[tuple, object] = {}
+        self._log = None   # ([sent], [rows]) while apply computes a step
         # the interned state keys of the cores, the home and memory (at
         # LLC and MEM, which are -1 and -2); None until computed since
         # the last clone
@@ -840,9 +870,14 @@ class _World(Simulator):
         # of them sends on it or delivers from it
         ch = (msg.src, msg.dst)
         self.channels[ch] = self.channels.get(ch, ()) + (msg,)
+        if self._log is not None:
+            self._log[0].append(msg)
 
     def trace_append(self, row: TraceOp) -> None:
-        pass   # outcomes come from registers; a trace would only grow copies
+        # outcomes come from registers, so there is no trace; a step
+        # being computed records its rows for the memo
+        if self._log is not None:
+            self._log[1].append(row)
 
     def in_flight(self) -> list:
         """(None, message) for each message in flight, channel by
@@ -860,32 +895,83 @@ class _World(Simulator):
         return acts
 
     def apply(self, action) -> None:
-        self.step += 1
-        what, arg = action
+        what, target = action
+        msg = None
         if what == "deliver":
-            q = self.channels.pop(arg)
+            q = self.channels.pop(target)
             if len(q) > 1:
-                self.channels[arg] = q[1:]
-            self._own(q[0].dst)
-            self.route(q[0])
-            return
-        self._own(arg)
-        core = self.cores[arg]
-        if what == "op":
-            core.exec_op()
+                self.channels[target] = q[1:]
+            msg = q[0]
+            target = msg.dst
+        part = self._part(target)
+        kid = self._keys[target]
+        if kid is None:
+            kid = self._intern(part)
+        look = (target, kid, self._lru(target, part), what, msg)
+        step = self._memo.get(look)
+        if step is None:
+            step = self._memo[look] = self._compute(target, what, msg)
         else:
-            core._drain_issue(core.buffer[0])
+            for m in step[2]:
+                self.send(m)
+            for row in step[3]:
+                self.trace_append(row)
+        self._put(target, step[0])
+        self._keys[target] = step[1]
+
+    def _compute(self, target: int, what: str, msg: Msg | None) -> tuple:
+        """Take the step on a clone of the component at target: the
+        stored result, its interned key, and the messages and rows the
+        step sent and appended."""
+        self._own(target)
+        part = self._part(target)
+        self._log = sent, rows = [], []
+        if msg is not None:
+            self.route(msg)
+        elif what == "op":
+            part.exec_op()
+        else:
+            part._drain_issue(part.buffer[0])
+        self._log = None
+        kid = self._intern(part)
+        part = self._stored.setdefault(
+            (target, kid, self._lru(target, part)), part)
+        if target != MEM:
+            part.sim = None
+        return part, kid, tuple(sent), tuple(rows)
+
+    def _part(self, target: int):
+        """The component at target: a core id, LLC or MEM."""
+        if target >= 0:
+            return self.cores[target]
+        return self.llc if target == LLC else self.mem
+
+    def _put(self, target: int, part) -> None:
+        if target >= 0:
+            self.cores[target] = part
+        elif target == LLC:
+            self.llc = part
+        else:
+            self.mem = part
+
+    @staticmethod
+    def _lru(target: int, part) -> tuple:
+        """The LRU order of the component's cache sets; memory has none."""
+        if target == MEM:
+            return ()
+        return (part.lines if target == LLC else part.l1).order()
 
     def _own(self, target: int) -> None:
-        """Replace the component at target (a core id, LLC or MEM) with a
-        clone only this world holds, and drop its cached key."""
+        """Replace the component at target with a clone only this world
+        holds, and drop its cached key."""
         self._keys[target] = None
-        if target == MEM:
-            self.mem = self.mem.clone()
-        elif target == LLC:
-            self.llc = self.llc.clone(self)
-        else:
-            self.cores[target] = self.cores[target].clone(self)
+        part = self._part(target)
+        self._put(target, part.clone() if target == MEM else part.clone(self))
+
+    def _intern(self, part) -> int:
+        """The int the component's state key is interned to."""
+        ids = self._ids
+        return ids.setdefault(part.state_key(), len(ids))
 
     def terminal(self) -> bool:
         return not self.channels and all(c.done for c in self.cores)
@@ -893,7 +979,7 @@ class _World(Simulator):
     def __deepcopy__(self, memo) -> _World:
         """The copy the search branches with: its own channel map, core
         list and key cache, and every component shared until apply
-        clones it.  The config, the program and its op lists never
+        replaces it.  The config, the program and its op lists never
         change, and neither does a message once sent."""
         new = copy_record(self)
         new.channels = self.channels.copy()
@@ -911,11 +997,10 @@ class _World(Simulator):
         equality leaves out."""
         keys = self._keys
         if None in keys:
-            ids = self._ids
             parts = [*self.cores, self.mem, self.llc]   # at MEM and LLC
             for i, k in enumerate(keys):
                 if k is None:
-                    keys[i] = ids.setdefault(parts[i].state_key(), len(ids))
+                    keys[i] = self._intern(parts[i])
         return (*keys, *sorted(self.channels.items()))
 
 
@@ -923,7 +1008,8 @@ class _World(Simulator):
 # exactly when their actors differ.  The actor of an action is the one
 # component it changes: the destination of a delivery, the core of an
 # op or a drain.
-# - apply() clones and changes the actor's component only (_own).
+# - apply() replaces the actor's component only: with a clone it
+#   changes (_own) or with the stored result of the same step.
 # - A handler reaches other components only through send and
 #   trace_append, and reads none of them.
 # - Every message a component sends has itself as src, so an action
@@ -932,8 +1018,8 @@ class _World(Simulator):
 #   actor can only append to that channel's tail.
 # - Whether a core can take an op or a drain depends on its own state
 #   alone, so neither action disables the other.
-# - The world's step moves on every apply, but no keyed state reads it
-#   (committed_step is not in a core's key).
+# - A world has no clock: its step stays 0, so no state reads how
+#   many actions led to it.
 def actor(action) -> int:
     what, arg = action
     return arg[1] if what == "deliver" else arg
@@ -955,7 +1041,9 @@ def enumerate_outcomes(program: Program, model: str,
     given, receives the size of the search, also when it fails: the
     worlds popped, the unique states, the peak frontier (the most worlds
     on the stack at once), the seconds taken, the enabled actions left
-    unexpanded (slept) and the revisits explored again (reopened).
+    unexpanded (slept), the revisits explored again (reopened), the
+    component steps computed (transitions) and the steps replayed from
+    the search's memo (reused).
 
     The search is a depth-first search with sleep sets and a state
     cache (Godefroid, LNCS 1032, 1996), with the revisit rule of Yang,
@@ -987,7 +1075,7 @@ def enumerate_outcomes(program: Program, model: str,
     seen: dict[tuple, frozenset] = {}   # key -> the sleep set explored with
     outcomes = set()
     stack = [(root, frozenset())]
-    popped = peak = slept = reopened = 0
+    popped = peak = slept = reopened = applied = 0
     try:
         while stack:
             popped += 1
@@ -1021,13 +1109,17 @@ def enumerate_outcomes(program: Program, model: str,
             for action in todo:
                 nxt = copy.deepcopy(world)
                 nxt.apply(action)
+                applied += 1
                 who = actor(action)
                 stack.append((nxt, frozenset(
                     a for a in done if actor(a) != who)))
                 done.append(action)
     finally:
         if stats is not None:
+            # each step applied is computed once, then replayed
+            computed = len(root._memo)
             stats.update(popped=popped, unique=len(seen),
                          peak_frontier=peak, slept=slept, reopened=reopened,
+                         transitions=computed, reused=applied - computed,
                          seconds=time.perf_counter() - start)
     return outcomes

@@ -64,6 +64,26 @@ def test_unknown_preset_names_every_preset():
         preset("nope")
 
 
+@pytest.mark.parametrize("overrides,message", [
+    ({"mesi": 1}, "mesi wants bool, got 1"),
+    ({"static_lease": 2.5}, "static_lease wants int, got 2.5"),
+    ({"static_lease": True}, "static_lease wants int, got True"),
+    ({"skip_prob": False}, "skip_prob wants float, got False"),
+])
+def test_config_rejects_a_python_value_of_the_wrong_type(overrides, message):
+    # a value that arrives as an object, not text, is checked too: mesi=1
+    # used to run and write "mesi": 1 into the report's config block
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        preset("tardis-base", **overrides)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        SimConfig(**overrides)
+
+
+def test_config_takes_an_int_for_a_float():
+    cfg = preset("tardis-base", skip_prob=0, mesi=False)
+    assert cfg.skip_prob == 0 and cfg.mesi is False
+
+
 def test_run_rejects_unknown_config_key(capsys):
     assert main(["run", "--program", "mp", "--set", "warp_factor=9"]) == 2
 
@@ -108,6 +128,9 @@ def test_enumerate_stats_go_to_stderr(capsys):
     # the search size tests/test_fingerprint.py pins for mp under tso
     assert "search: popped=269 unique=211 peak_frontier=" in err
     assert " slept=182 reopened=24 " in err
+    # of the 268 steps applied, 78 are computed and 190 replayed from
+    # the search's memo
+    assert " transitions=78 reused=190 " in err
     assert "states_per_s=" in err and "popped" not in out
 
 

@@ -563,7 +563,10 @@ def _reduced_search(name, label, model):
 
 def _plain_search(root):
     """The world keys and outcomes reachable from root, by a depth-first
-    search that expands every enabled action."""
+    search that expands every enabled action.  It computes its steps
+    through a memo of its own, so it reuses none of the search's."""
+    root = copy.deepcopy(root)
+    root._memo, root._stored = {}, {}
     seen, outcomes, stack = set(), set(), [root]
     while stack:
         world = stack.pop()
@@ -603,7 +606,7 @@ def test_sleep_sets_reach_every_world(name, label, model, monkeypatch):
 
 @pytest.mark.parametrize("name,label,model", _REDUCED)
 def test_actions_change_only_their_actor(name, label, model, monkeypatch):
-    """The premise of the independence relation: an action clones only
+    """The premise of the independence relation: an action replaces only
     its actor's component, and every message it sends leaves from it."""
     apply, send, own = _World.apply, _World.send, _World._own
     acting = []
@@ -624,6 +627,48 @@ def test_actions_change_only_their_actor(name, label, model, monkeypatch):
     monkeypatch.setattr(_World, "apply", applied)
     monkeypatch.setattr(_World, "send", sent)
     monkeypatch.setattr(_World, "_own", owned)
+    assert _reduced_search(name, label, model)
+
+
+@pytest.mark.parametrize("name,label,model", _REDUCED)
+def test_memoized_transitions_are_exact(name, label, model, monkeypatch):
+    """Every step the search replays from its memo is the step computed
+    anew: on an isolated copy of the world with a memo of its own, the
+    actor ends with the same interned key and LRU order, and the step
+    sends the same messages and appends the same rows."""
+    apply, send, append = _World.apply, _World.send, _World.trace_append
+    made = []   # (sent, rows) of each apply in progress, innermost last
+
+    def sent(world, msg):
+        made[-1][0].append(msg)
+        send(world, msg)
+
+    def appended(world, row):
+        made[-1][1].append(row)
+        append(world, row)
+
+    def applied(world, action):
+        if made:   # the recomputation below
+            return apply(world, action)
+        # a copy shares the components, which no apply changes
+        before, n = copy.deepcopy(world), len(world._memo)
+        made.append(([], []))
+        apply(world, action)
+        got = made.pop()
+        if len(world._memo) > n:
+            return   # computed here, not replayed
+        made.append(([], []))
+        ref = _recomputed(before, action)
+        assert made.pop() == got, action
+        who = actor(action)
+        part, want = world._part(who), ref._part(who)
+        assert world._keys[who] == ref._keys[who], action
+        assert _World._lru(who, part) == _World._lru(who, want), action
+        assert world.key() == ref.key(), action
+
+    monkeypatch.setattr(_World, "apply", applied)
+    monkeypatch.setattr(_World, "send", sent)
+    monkeypatch.setattr(_World, "trace_append", appended)
     assert _reduced_search(name, label, model)
 
 
@@ -658,6 +703,8 @@ def test_a_revisit_with_fewer_asleep_explores_again(monkeypatch):
 
     class GraphWorld:
         """Stands in for _World: a world is a state of the graph."""
+
+        _memo = {}   # the search counts the steps memoized: none here
 
         def __init__(self, cfg, program):
             self.state = 0
@@ -739,8 +786,8 @@ def _graph(root, shared=frozenset()):
     the mutable ones among them.  A message is visited in full but does
     not count as mutable: none may change once sent, so worlds share
     them.  A component's sim is a back-reference to the world that
-    cloned it, not state, so it is not followed.  Objects whose id is in
-    shared stand in by id only."""
+    cloned it, or None outside a step, not state, so it is not
+    followed.  Objects whose id is in shared stand in by id only."""
     number, mutable = {}, set()
 
     def visit(obj):
@@ -777,6 +824,15 @@ def _isolated(world):
         new._own(target)
     new.key()
     return new
+
+
+def _recomputed(world, action):
+    """world after action, with the step computed anew: an isolated copy
+    applies it through a memo of its own."""
+    ref = _isolated(world)
+    ref._memo, ref._stored = {}, {}
+    ref.apply(action)
+    return ref
 
 
 def _fresh_key(world):
@@ -822,11 +878,12 @@ def _situations(w):
 def test_world_copies_are_exact_and_independent(preset_name, one_set,
                                                 monkeypatch):
     """A copy shares every component with its parent until an action
-    clones the one it changes.  Branching must still be exact: each
-    sibling ends as an isolated copy given the same action would, and
-    neither the parent nor any other sibling changes meanwhile.  The
-    worlds checked are the first 200 popped, plus the first popped of
-    each situation they miss, looked for among the first 600."""
+    replaces the one it changes.  Branching must still be exact: each
+    sibling ends as an isolated copy given the same action would, in the
+    state the step computed anew reaches, and neither the parent nor
+    any other sibling changes meanwhile.  The worlds checked are the
+    first 200 popped, plus the first popped of each situation they
+    miss, looked for among the first 600."""
     cfg = replace(preset(preset_name, thresh_min=1), **_COPY_CACHES[one_set])
     popped = _popped_worlds(monkeypatch, _clone_program(), cfg, 600)
     worlds = popped[:200]
@@ -837,8 +894,9 @@ def test_world_copies_are_exact_and_independent(preset_name, one_set,
             reached |= _situations(w)
     for w in worlds:
         # the config, the program and its op lists may be shared, and
-        # so may messages (see _graph) and the search's intern dict
-        shared = {id(w._ids)}
+        # so may messages (see _graph), the search's intern dict and its
+        # memo of steps and their stored results
+        shared = {id(w._ids), id(w._memo), id(w._stored)}
         for part in (w.cfg, w.program, *(c.ops for c in w.cores)):
             shared |= _graph(part)[1]
         key = w.key()
@@ -864,15 +922,29 @@ def test_world_copies_are_exact_and_independent(preset_name, one_set,
             ref.apply(action)
             keys[i] = ref.key()
             graphs[i] = _graph(ref, shared)[0]
+            # the search's memo may hand both the same stored result, so
+            # the step is also computed anew; only the key and the LRU
+            # order are compared, since a stored component keeps the
+            # insertion order of dicts whose order no step reads
+            # (waitq, for one)
+            fresh, who = _recomputed(w, action), actor(action)
+            assert fresh.key() == keys[i], action
+            assert (_World._lru(who, fresh._part(who))
+                    == _World._lru(who, sib._part(who))), action
             for x, graph, k in zip(family, graphs, keys):
                 assert x.key() == _fresh_key(x) == k, (action, x is sib)
                 assert _graph(x, shared)[0] == graph, (action, x is sib)
-            # the action cloned exactly its target, into the sibling
-            parents = (*w.cores, w.llc, w.mem)
-            own = [c for c in (*sib.cores, sib.llc, sib.mem)
-                   if all(c is not p for p in parents)]
-            assert len(own) == 1, action
-            assert getattr(own[0], "sim", sib) is sib
+            # the actor's component is the search's stored object for
+            # its new state, which is the fresh clone when the step was
+            # first computed here; every other component is the parent's
+            # own object
+            for target in (*range(len(w.cores)), LLC, MEM):
+                if target != who:
+                    assert sib._part(target) is w._part(target), action
+            part = sib._part(who)
+            state = (who, sib._keys[who], _World._lru(who, part))
+            assert part is sib._stored[state], action
+            assert getattr(part, "sim", None) is None, action
     want = {"message in flight", "request queued at the home"}
     if preset_name == "directory":
         want.add("directory transaction")

@@ -57,7 +57,7 @@ def test_renew_rate_definition():
 
 def test_ts_increase_rate_definition():
     sim, rep = run(builtin("fig1"), "tardis-base", model="sc",
-                   static_lease=10, store_buffer=False)
+                   static_lease=10, store_buffer=0)
     assert rep.ts_max == max(rep.ts_per_core)
     assert rep.ts_increase_rate == rep.ts_max / (rep.loads + rep.stores)
 
