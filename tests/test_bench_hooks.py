@@ -3,14 +3,21 @@
 attribute that moves from the owner to a base class breaks the traced
 run; this test breaks first."""
 
+import copy
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 
+import jobs  # noqa: E402
 import layers  # noqa: E402
+import spans  # noqa: E402
 from tardisim import directory, engine, tardis  # noqa: E402
+from tardisim.workloads import builtin  # noqa: E402
+
+_SEARCH_COUNTS = ("popped", "unique", "slept", "reopened", "transitions",
+                  "reused")
 
 
 class _Recorder:
@@ -37,3 +44,43 @@ def test_every_bench_hook_point_is_defined_on_its_owner():
                   (directory.DirectoryLlc, "handle"),
                   (engine, "copy"), (tardis, "predict")]:
         assert point in rec.hooked
+
+
+def test_enumerate_litmus_search_totals():
+    """The full search statistics summed over the 32 searches of the
+    benchmark's enumerate-litmus workload.  A faster search must make
+    the same search: the same worlds popped and kept, the same actions
+    slept and reopened, the same steps computed and replayed."""
+    totals = Counter()
+    for name in jobs.SIZES["full"]["litmus"]:
+        for protocol in jobs.PROTOCOLS:
+            for model in jobs.MODELS:
+                stats = {}
+                engine.enumerate_outcomes(builtin(name), model,
+                                          protocol=protocol, stats=stats)
+                totals.update({k: stats[k] for k in _SEARCH_COUNTS})
+    assert totals == {"popped": 12_275, "unique": 9_219, "slept": 7_673,
+                      "reopened": 987, "transitions": 3_196,
+                      "reused": 9_047}
+
+
+def test_traced_enumerator_counts_match_the_search():
+    """The traced benchmark counts worlds popped by world.key() calls and
+    copies by the enumerator's copy.deepcopy calls.  Over one search
+    with the real tracer installed, those counts equal the search's own
+    statistics: one key per pop, one copy and one apply per step."""
+    tr = spans.Tracer()
+    layers.install(tr)
+    try:
+        stats = {}
+        engine.enumerate_outcomes(builtin("mp"), "tso", stats=stats)
+    finally:
+        tr.uninstall()
+    calls = {name: n for name, (n, _) in tr.totals().items()}
+    steps = stats["transitions"] + stats["reused"]
+    assert calls["engine.world_key"] == stats["popped"]
+    assert calls["engine.deepcopy"] == calls["engine.world_apply"] == steps
+    assert tr.counts["unique_states"] == stats["unique"]
+    # uninstall put every hooked attribute back
+    assert engine.copy.deepcopy is copy.deepcopy
+    assert "wrapper" not in engine._World.key.__qualname__
