@@ -74,12 +74,18 @@ def resolve_program(spec: str, line_bytes: int = 64) -> Program:
                      f"(builtins: {', '.join(BUILTIN_NAMES)}, synth)")
 
 
-def _config_from_args(args, preset_name: str | None = None) -> SimConfig:
+def _config_from_args(args, preset_name: str | None = None,
+                      default: SimConfig | None = None) -> SimConfig:
+    """The --config file, else the preset (preset_name or --preset), else
+    default, else tardis-base; then the --set, --model and --seed
+    overrides."""
+    name = preset_name or getattr(args, "preset", None)
     if getattr(args, "config", None):
         cfg = load_config(args.config)
+    elif name or default is None:
+        cfg = preset(name or "tardis-base")
     else:
-        cfg = preset(preset_name or getattr(args, "preset", None)
-                     or "tardis-base")
+        cfg = default
     sets = _parse_kv(getattr(args, "set", None) or [])
     if getattr(args, "model", None):
         sets.setdefault("model", args.model)
@@ -88,10 +94,11 @@ def _config_from_args(args, preset_name: str | None = None) -> SimConfig:
     return with_overrides(cfg, sets)
 
 
-def _add_config_args(p, with_seed: bool = True) -> None:
+def _add_config_args(p, with_seed: bool = True,
+                     default: str = "tardis-base") -> None:
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--preset", choices=sorted(PRESETS),
-                   help="named configuration (default tardis-base)")
+                   help=f"named configuration (default {default})")
     p.add_argument("--set", action="append", metavar="KEY=VAL",
                    help="override a config entry (repeatable)")
     p.add_argument("--model", help="memory model override (sc/tso/pso/rc)")
@@ -136,13 +143,16 @@ def _report_violations(violations: list[Violation], n_ops: int) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    program = resolve_program(args.program)
+    # with no --config or --preset, the MSI default of the protocol
+    cfg = _config_from_args(args, default=SimConfig(
+        args.protocol or "tardis", mesi=False))
+    program = resolve_program(args.program, line_bytes=cfg.line_bytes)
     # the oracle first, so a program too big for it fails before the search
-    allowed = oracle_outcomes(program, args.model) if args.oracle else None
+    allowed = oracle_outcomes(program, cfg.model) if args.oracle else None
     stats = {} if args.stats else None
     try:
-        got = enumerate_outcomes(program, args.model, protocol=args.protocol,
-                                 stats=stats)
+        got = enumerate_outcomes(program, cfg.model, protocol=args.protocol,
+                                 cfg=cfg, stats=stats)
     finally:
         if stats:
             rate = stats["unique"] / stats["seconds"] if stats["seconds"] else 0
@@ -164,7 +174,7 @@ def cmd_enumerate(args) -> int:
         for o in sorted(extra):
             print(f"NOT ADMITTED: {o}", file=sys.stderr)
         return 1
-    print(f"all {len(got)} protocol outcome(s) admitted under {args.model}")
+    print(f"all {len(got)} protocol outcome(s) admitted under {cfg.model}")
     return 0
 
 
@@ -248,10 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate",
                        help="all reachable outcomes of a small program")
+    _add_config_args(p, with_seed=False,
+                     default="the MSI config of --protocol")
     p.add_argument("--program", required=True)
-    p.add_argument("--model", default="tso", choices=["sc", "tso", "pso", "rc"])
-    p.add_argument("--protocol", default="tardis",
-                   choices=["tardis", "directory"])
+    p.add_argument("--protocol", choices=["tardis", "directory"],
+                   help="protocol of the MSI config (default tardis); with "
+                   "--config or --preset, it must be the config's")
     p.add_argument("--oracle", action="store_true",
                    help="also compute the axiomatic outcome set and compare")
     p.add_argument("--stats", action="store_true",

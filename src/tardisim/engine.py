@@ -31,6 +31,7 @@ import random
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 from .cachemem import (CacheLine, LineState, LlcLine, MainMemory,
                        SetAssocCache, ValueToken, copy_record, initial_token)
@@ -686,20 +687,20 @@ class Simulator:
 
     def route(self, msg: Msg) -> None:
         if msg.dst == MEM:
-            self._mem_handle(msg)
+            self._mem_handle(self.mem, msg)
         elif msg.dst == LLC:
             self.llc.handle(msg)
         else:
             self.cores[msg.dst].handle(msg)
 
-    def _mem_handle(self, msg: Msg) -> None:
+    def _mem_handle(self, mem: MainMemory, msg: Msg) -> None:
         if msg.kind is MsgKind.MEM_READ:
-            line = self.mem.read(msg.addr)
+            line = mem.read(msg.addr)
             self.send(Msg(MsgKind.MEM_DATA, msg.addr, MEM, LLC, data=True,
                           value=line.value, wts=line.wts, rts=line.rts,
                           lease=line.lease))
         elif msg.kind is MsgKind.MEM_WRITE:
-            self.mem.write(msg.addr, msg.value, msg.wts, msg.rts, msg.lease)
+            mem.write(msg.addr, msg.value, msg.wts, msg.rts, msg.lease)
 
     def _turn_order(self) -> list[int]:
         """The ready cores that take a turn this tick, in core order."""
@@ -808,70 +809,152 @@ def _apply_warm(fabric) -> None:
 # exhaustive enumeration
 
 
+class _Search:
+    """The tables every world of one search shares, which let a world be
+    a few small ints: its components as slot ids and its channels as
+    message numbers (the collapse compression of SPIN, Holzmann 1997).
+
+    A slot is one stored component: the first one the search met at a
+    position (a core id, LLC or MEM) with a given interned state key and
+    LRU order.  A stored component never changes, since a step takes
+    place on a clone of it, and it has sim None, so the tables keep no
+    world alive and go with a search's last world."""
+
+    def __init__(self):
+        self.ids: dict[tuple, int] = {}    # component state key -> key id
+        self.slot_of: dict[tuple, int] = {}   # (position, key id, LRU) -> slot
+        self.parts: list = []              # slot -> stored component
+        self.kids: list[int] = []          # slot -> key id
+        self.moves: list[tuple] = []       # slot -> a core's enabled actions
+        self.done: list[bool] = []         # slot -> whether a core is done
+        self.msgs: list[Msg] = []          # number -> message
+        self.numbers: dict[Msg, int] = {}  # message -> number, by value
+        # id(msg) -> number of each message in msgs, which keeps it alive
+        self.by_id: dict[int, int] = {}
+        # (slot, action kind or message number) -> (result slot, numbers
+        # of the messages sent, rows appended)
+        self.memo: dict[tuple, tuple] = {}
+
+    def store(self, target: int, part) -> int:
+        """The slot of part, a component at target that no step will
+        change: a new one if part is the first in its state."""
+        ids = self.ids
+        kid = ids.setdefault(part.state_key(), len(ids))
+        state = (target, kid, _lru(target, part))
+        slot = self.slot_of.get(state)
+        if slot is None:
+            slot = self.slot_of[state] = len(self.parts)
+            if target != MEM:
+                part.sim = None
+            moves = ()
+            if target >= 0:
+                if part.can_exec():
+                    moves += (("op", target),)
+                if part.can_drain():
+                    moves += (("drain", target),)
+            self.parts.append(part)
+            self.kids.append(kid)
+            self.moves.append(moves)
+            self.done.append(target < 0 or part.done)
+        return slot
+
+    def number(self, msg: Msg) -> int:
+        """The number of a message a step has just made.  It is hashed
+        once; the first of equal messages is stored, and found by
+        identity from then on."""
+        n = self.numbers.get(msg)
+        if n is None:
+            n = self.numbers[msg] = self.by_id[id(msg)] = len(self.msgs)
+            self.msgs.append(msg)
+        return n
+
+
+def _lru(target: int, part) -> tuple:
+    """The LRU order of the component's cache sets; memory has none."""
+    if target == MEM:
+        return ()
+    return (part.lines if target == LLC else part.l1).order()
+
+
 class _World(Simulator):
     """Fabric for enumeration.  It differs from Simulator only in
     delivery: messages sit in per-channel FIFOs until the search
     delivers them, so there is no clock (step stays 0), schedule, send
     tally or trace.
 
-    A copy shares every component (each core, the home and main memory)
-    with the world it was copied from, and apply() replaces only the
-    one component its action changes, since a handler reaches past its
-    own component only through the world's send and trace_append.  Each
-    component's state key is cached in the world, as a small int.
+    A world is its slot list and its channel map.  Position i of the
+    slot list holds the slot id of core i's component, and positions
+    MEM and LLC (-2 and -1) those of memory and the home; a channel
+    holds message numbers.  Slots, messages and steps live in the
+    search's _Search, which every copy of a world shares, so a copy is
+    two small containers.  The key of a world maps each slot to the
+    key id its component was interned to, and adds the channels.
 
-    apply() memoizes steps, in one dict per search that every copy
-    shares.  A step is looked up by its actor, the actor's interned
-    key, the LRU order of its cache sets, the action kind and the
-    delivered message.  The first time, the actor's component is cloned
-    and its handler runs; the result, its interned key and the messages
-    and rows the step sent and appended are stored.  Every later time,
-    the stored result is installed, and its sends and rows are replayed
-    through send and trace_append.  A stored component is shared and
-    never changes, because the next action on it clones it first.  It
-    is stored once per (actor, key, LRU order).  A handler runs only on
-    a fresh clone, whose sim is the world that cloned it; every other
-    component, the root's included, has sim None, so no component keeps
-    a world alive, and a search's memo goes with its last world.
+    apply() memoizes steps.  A step is looked up by the actor's slot and
+    the action kind or the delivered message's number.  The first time,
+    the stored component is cloned and its handler runs on the clone
+    (the only component with a sim: the world); the clone is stored,
+    unless its position already has a slot with the same key and LRU
+    order, and the step's result slot, sends and rows go in the memo.
+    Every later time, the world takes the result slot, and the step's
+    messages and rows are replayed through send and trace_append.  Each
+    slot's enabled actions and whether its core is done are computed
+    once, when it is stored.
 
-    The LRU order is not in the key, but a victim choice reads it, so
-    the lookup needs it.  Nothing else a component holds outside its
-    key changes a step's result, its sends or its rows: seq and
-    access_count count commits, which follow from the key (pc,
-    store_seq and the buffer), and access_count only times forced
-    self-increments, which enumerate_outcomes puts 10**9 accesses apart;
-    committed_step is the world's step, which stays 0; and sim is the
-    fabric."""
+    The LRU order is not in the key, but a victim choice reads it, so a
+    slot holds it.  Nothing else a component holds outside its key
+    changes a step's result, its sends or its rows: seq and access_count
+    count commits, which follow from the key (pc, store_seq and the
+    buffer), and access_count only times forced self-increments, which
+    enumerate_outcomes puts 10**9 accesses apart; committed_step is the
+    world's step, which stays 0; and sim is the fabric."""
+
+    step = 0
+    _ready = None   # read by _dump: a world has no schedule
 
     def __init__(self, cfg: SimConfig, program: Program):
-        self.channels: dict[tuple, tuple] = {}
-        super().__init__(cfg, program)
-        # the search picks every step and reads only registers
-        self.tally = self.trace = self._queue = self.rng = self._ready = None
-        # only a clone taking a step has a sim (see _compute)
-        for part in (*self.cores, self.llc):
-            part.sim = None
-        # component state key -> its int; one dict per search, which
-        # every copy of this world shares
-        self._ids: dict[tuple, int] = {}
-        # (actor, key, LRU order, action kind, message) -> (result, its
-        # key, sends, rows), and (actor, key, LRU order) -> the one
-        # stored component in that state; shared like _ids
-        self._memo: dict[tuple, tuple] = {}
-        self._stored: dict[tuple, object] = {}
-        self._log = None   # ([sent], [rows]) while apply computes a step
-        # the interned state keys of the cores, the home and memory (at
-        # LLC and MEM, which are -1 and -2); None until computed since
-        # the last clone
-        self._keys = [None] * (len(self.cores) + 2)
+        if not program.cores:
+            raise ConfigError("cores must be >= 1")
+        self.cfg = cfg
+        self.program = program
+        self.channels: dict[tuple, tuple] = {}   # (src, dst) -> numbers
+        self._log = None   # ([numbers sent], [rows]) while a step runs
+        self._search = search = _Search()
+        cores, llc = _build_parts(self, program)
+        parts = SimpleNamespace(program=program, cores=cores, llc=llc,
+                                mem=MainMemory())
+        _apply_warm(parts)
+        self._slots = [search.store(target, part) for target, part in zip(
+            (*range(len(cores)), MEM, LLC), (*cores, parts.mem, llc))]
+
+    @property
+    def cores(self) -> list:
+        parts = self._search.parts
+        return [parts[s] for s in self._slots[:-2]]
+
+    @property
+    def llc(self):
+        return self._search.parts[self._slots[LLC]]
+
+    @property
+    def mem(self):
+        return self._search.parts[self._slots[MEM]]
+
+    def _part(self, target: int):
+        """The component at target: a core id, LLC or MEM."""
+        return self._search.parts[self._slots[target]]
 
     def send(self, msg: Msg) -> None:
         # a channel is a tuple, so copies of a world share it until one
-        # of them sends on it or delivers from it
+        # of them sends on it or delivers from it; a replayed message is
+        # the stored one, found by identity
+        n = self._search.by_id.get(id(msg))
+        if n is None:
+            n = self._search.number(msg)
         ch = (msg.src, msg.dst)
-        self.channels[ch] = self.channels.get(ch, ()) + (msg,)
+        self.channels[ch] = self.channels.get(ch, ()) + (n,)
         if self._log is not None:
-            self._log[0].append(msg)
+            self._log[0].append(n)
 
     def trace_append(self, row: TraceOp) -> None:
         # outcomes come from registers, so there is no trace; a step
@@ -882,134 +965,90 @@ class _World(Simulator):
     def in_flight(self) -> list:
         """(None, message) for each message in flight, channel by
         channel: a world has no clock."""
-        return [(None, msg) for _, q in sorted(self.channels.items())
-                for msg in q]
+        msgs = self._search.msgs
+        return [(None, msgs[n]) for _, q in sorted(self.channels.items())
+                for n in q]
 
     def actions(self) -> list:
         acts = [("deliver", ch) for ch in sorted(self.channels)]
-        for core in self.cores:
-            if core.can_exec():
-                acts.append(("op", core.cid))
-            if core.can_drain():
-                acts.append(("drain", core.cid))
+        moves = self._search.moves
+        for slot in self._slots[:-2]:   # the cores'
+            acts += moves[slot]
         return acts
 
     def apply(self, action) -> None:
         what, target = action
+        search = self._search
         msg = None
         if what == "deliver":
             q = self.channels.pop(target)
             if len(q) > 1:
                 self.channels[target] = q[1:]
-            msg = q[0]
+            what = q[0]
+            msg = search.msgs[what]
             target = msg.dst
-        part = self._part(target)
-        kid = self._keys[target]
-        if kid is None:
-            kid = self._intern(part)
-        look = (target, kid, self._lru(target, part), what, msg)
-        step = self._memo.get(look)
+        look = (self._slots[target], what)
+        step = search.memo.get(look)
         if step is None:
-            step = self._memo[look] = self._compute(target, what, msg)
+            step = search.memo[look] = self._compute(target, msg, what)
         else:
-            for m in step[2]:
-                self.send(m)
-            for row in step[3]:
+            msgs = search.msgs
+            for n in step[1]:
+                self.send(msgs[n])
+            for row in step[2]:
                 self.trace_append(row)
-        self._put(target, step[0])
-        self._keys[target] = step[1]
+        self._slots[target] = step[0]
 
-    def _compute(self, target: int, what: str, msg: Msg | None) -> tuple:
-        """Take the step on a clone of the component at target: the
-        stored result, its interned key, and the messages and rows the
-        step sent and appended."""
-        self._own(target)
+    def _compute(self, target: int, msg: Msg | None, what) -> tuple:
+        """Take the step on a clone of the component at target: the slot
+        of the result, and the numbers of the messages the step sent and
+        the rows it appended."""
         part = self._part(target)
+        part = part.clone() if target == MEM else part.clone(self)
         self._log = sent, rows = [], []
-        if msg is not None:
-            self.route(msg)
-        elif what == "op":
-            part.exec_op()
+        if msg is None:
+            if what == "op":
+                part.exec_op()
+            else:
+                part._drain_issue(part.buffer[0])
+        elif target == MEM:
+            self._mem_handle(part, msg)
         else:
-            part._drain_issue(part.buffer[0])
+            part.handle(msg)
         self._log = None
-        kid = self._intern(part)
-        part = self._stored.setdefault(
-            (target, kid, self._lru(target, part)), part)
-        if target != MEM:
-            part.sim = None
-        return part, kid, tuple(sent), tuple(rows)
-
-    def _part(self, target: int):
-        """The component at target: a core id, LLC or MEM."""
-        if target >= 0:
-            return self.cores[target]
-        return self.llc if target == LLC else self.mem
-
-    def _put(self, target: int, part) -> None:
-        if target >= 0:
-            self.cores[target] = part
-        elif target == LLC:
-            self.llc = part
-        else:
-            self.mem = part
-
-    @staticmethod
-    def _lru(target: int, part) -> tuple:
-        """The LRU order of the component's cache sets; memory has none."""
-        if target == MEM:
-            return ()
-        return (part.lines if target == LLC else part.l1).order()
-
-    def _own(self, target: int) -> None:
-        """Replace the component at target with a clone only this world
-        holds, and drop its cached key."""
-        self._keys[target] = None
-        part = self._part(target)
-        self._put(target, part.clone() if target == MEM else part.clone(self))
-
-    def _intern(self, part) -> int:
-        """The int the component's state key is interned to."""
-        ids = self._ids
-        return ids.setdefault(part.state_key(), len(ids))
+        return self._search.store(target, part), tuple(sent), tuple(rows)
 
     def terminal(self) -> bool:
-        return not self.channels and all(c.done for c in self.cores)
+        done = self._search.done
+        return not self.channels and all(done[s] for s in self._slots)
 
     def __deepcopy__(self, memo) -> _World:
-        """The copy the search branches with: its own channel map, core
-        list and key cache, and every component shared until apply
-        replaces it.  The config, the program and its op lists never
-        change, and neither does a message once sent."""
-        new = copy_record(self)
-        new.channels = self.channels.copy()
-        new.cores = self.cores.copy()
-        new._keys = self._keys.copy()
+        """The copy the search branches with: its own slot list and
+        channel map.  Everything else is shared: the config, the
+        program, and the search's tables."""
+        new = object.__new__(_World)
+        new.__dict__ = d = self.__dict__.copy()
+        d["channels"] = self.channels.copy()
+        d["_slots"] = self._slots.copy()
         return new
 
     def key(self) -> tuple:
-        """The world's state key: the int each component's state key is
-        interned to, by position, then the channels.  A component key
-        holds the records themselves (lines, clocks, messages,
-        transactions), which compare by value.  That is exact because a
-        component never changes once its key is taken: an action clones
-        it first.  A lookup still moves a line's LRU stamp, which
-        equality leaves out."""
-        keys = self._keys
-        if None in keys:
-            parts = [*self.cores, self.mem, self.llc]   # at MEM and LLC
-            for i, k in enumerate(keys):
-                if k is None:
-                    keys[i] = self._intern(parts[i])
-        return (*keys, *sorted(self.channels.items()))
+        """The world's state key: the key id of each position's slot,
+        then the channels.  A component key holds the records themselves
+        (lines, clocks, messages, transactions), which compare by value;
+        it is taken once, when its component is stored, which is exact
+        because a stored component never changes.  A lookup still moves
+        a line's LRU stamp, which equality leaves out."""
+        return (*map(self._search.kids.__getitem__, self._slots),
+                *sorted(self.channels.items()))
 
 
 # Two actions are independent, so either order reaches the same world,
 # exactly when their actors differ.  The actor of an action is the one
 # component it changes: the destination of a delivery, the core of an
 # op or a drain.
-# - apply() replaces the actor's component only: with a clone it
-#   changes (_own) or with the stored result of the same step.
+# - apply() puts a new slot at the actor's position only: the step's
+#   result, computed on a clone of the actor's component or replayed.
 # - A handler reaches other components only through send and
 #   trace_append, and reads none of them.
 # - Every message a component sends has itself as src, so an action
@@ -1049,7 +1088,9 @@ def enumerate_outcomes(program: Program, model: str,
     cache (Godefroid, LNCS 1032, 1996), with the revisit rule of Yang,
     Chen, Gopalakrishnan and Kirby (SPIN 2008).  An action asleep at a
     world is one that a commuting path already covers, so the search
-    does not expand it there.  A world reached again with a sleep set
+    does not expand it there.  A sleep set is an int, one bit per action
+    in the order the search first meets them, and a world key is ints
+    (see _World), so the stack and the state cache hold no records.  A world reached again with a sleep set
     that lacks some of what it was explored with is explored again,
     for those actions only.  Every reachable world is still visited."""
     if program.dynamic_ops() > ENUM_OP_LIMIT:
@@ -1072,9 +1113,14 @@ def enumerate_outcomes(program: Program, model: str,
                    schedule=None, addr_names=program.addr_names)
     start = time.perf_counter()
     root = _World(cfg, prog)
-    seen: dict[tuple, frozenset] = {}   # key -> the sleep set explored with
+    seen: dict[tuple, int] = {}   # key -> the sleep set explored with
     outcomes = set()
-    stack = [(root, frozenset())]
+    # a sleep set is an int with one bit per action asleep; actions are
+    # numbered as the search meets them, and each actor's mask holds
+    # the bits of its actions
+    bits: dict[tuple, tuple] = {}   # action -> (its bit, its actor)
+    masks: dict[int, int] = {}
+    stack = [(root, 0)]
     popped = peak = slept = reopened = applied = 0
     try:
         while stack:
@@ -1094,30 +1140,37 @@ def enumerate_outcomes(program: Program, model: str,
                 acts = world.actions()
                 if not acts:
                     raise DeadlockError(f"enumeration wedged\n{world._dump()}")
-                todo = [a for a in acts if a not in sleep]
-            elif old <= sleep:
+                wake = ~sleep
+            elif not old & ~sleep:
                 continue
             else:
                 # explored before with more asleep: expand only what
                 # stayed asleep then and is awake now
                 seen[key] = sleep = old & sleep
                 acts = world.actions()
-                todo = [a for a in acts if a in old and a not in sleep]
+                wake = old & ~sleep
                 reopened += 1
+            todo = []
+            for a in acts:
+                got = bits.get(a)
+                if got is None:
+                    who = actor(a)
+                    got = bits[a] = (1 << len(bits), who)
+                    masks[who] = masks.get(who, 0) | got[0]
+                if got[0] & wake:
+                    todo.append((a, *got))
             slept += len(acts) - len(todo)
-            done = list(sleep)   # asleep, then each action once explored
-            for action in todo:
+            done = sleep   # asleep, then each action once explored
+            for action, bit, who in todo:
                 nxt = copy.deepcopy(world)
                 nxt.apply(action)
                 applied += 1
-                who = actor(action)
-                stack.append((nxt, frozenset(
-                    a for a in done if actor(a) != who)))
-                done.append(action)
+                stack.append((nxt, done & ~masks[who]))
+                done |= bit
     finally:
         if stats is not None:
             # each step applied is computed once, then replayed
-            computed = len(root._memo)
+            computed = len(root._search.memo)
             stats.update(popped=popped, unique=len(seen),
                          peak_frontier=peak, slept=slept, reopened=reopened,
                          transitions=computed, reused=applied - computed,

@@ -16,6 +16,7 @@ from tardisim.cli import main, resolve_program
 from tardisim.config import PRESETS, ConfigError, SimConfig, preset
 from tardisim.engine import Simulator
 from tardisim.workloads import builtin
+from test_fingerprint import MODELS, PRESET_ENUM_PINS, PRESET_SEARCH_PINS
 
 
 def test_run_prints_report_json(capsys):
@@ -132,6 +133,43 @@ def test_enumerate_stats_go_to_stderr(capsys):
     # the search's memo
     assert " transitions=78 reused=190 " in err
     assert "states_per_s=" in err and "popped" not in out
+
+
+def _enumerated(capsys, argv):
+    """The outcomes `sim enumerate` prints and the (popped, unique) pair
+    of its --stats line."""
+    assert main(["enumerate", "--stats", *argv]) == 0
+    out, err = capsys.readouterr()
+    got = {tuple(map(int, line.split())) for line in out.splitlines()
+           if line.startswith("  ")}
+    size = re.search(r"popped=(\d+) unique=(\d+)", err)
+    return got, tuple(map(int, size.groups()))
+
+
+def test_enumerate_takes_a_preset(capsys):
+    """--preset reaches the configs the exhaustive gate runs: MESI
+    tardis-base gives the pinned outcome sets and search sizes."""
+    for name, want in PRESET_ENUM_PINS.items():
+        sizes = PRESET_SEARCH_PINS[(name, "tardis-base", False)]
+        for model, size in zip(MODELS, sizes):
+            got = _enumerated(capsys, ["--program", name, "--model", model,
+                                       "--preset", "tardis-base"])
+            assert got == (want, size), (name, model)
+
+
+def test_enumerate_without_a_config_is_the_msi_default(capsys):
+    # --set alone overrides the MSI default: mesi=on is tardis-base
+    mp = ["--program", "mp", "--model", "tso"]
+    assert _enumerated(capsys, mp)[1] == (269, 211)
+    assert _enumerated(capsys, mp + ["--set", "mesi=on"]) == _enumerated(
+        capsys, mp + ["--preset", "tardis-base"])
+
+
+def test_enumerate_rejects_a_protocol_the_preset_contradicts(capsys):
+    assert main(["enumerate", "--program", "mp", "--preset", "directory",
+                 "--protocol", "tardis"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "conflicts" in err
 
 
 def test_enumerate_oracle_limit_fails_before_the_search(tmp_path, capsys):

@@ -17,7 +17,8 @@ from tardisim.config import preset
 from tardisim.directory import DirectoryLlc
 from tardisim.engine import (DRAW_BITS, ENUM_OP_LIMIT, DeadlockError,
                              SimulationError, Simulator, StepLimitError,
-                             _World, actor, burn_draws, draw_numerator,
+                             _World, _lru, actor, burn_draws,
+                             draw_numerator,
                              draw_threshold, enumerate_outcomes,
                              trace_from_json)
 from tardisim.messages import LLC, MEM, Msg, MsgKind
@@ -564,9 +565,8 @@ def _reduced_search(name, label, model):
 def _plain_search(root):
     """The world keys and outcomes reachable from root, by a depth-first
     search that expands every enabled action.  It computes its steps
-    through a memo of its own, so it reuses none of the search's."""
-    root = copy.deepcopy(root)
-    root._memo, root._stored = {}, {}
+    through tables of its own, so it reuses none of the search's."""
+    root = _isolated(root)
     seen, outcomes, stack = set(), set(), [root]
     while stack:
         world = stack.pop()
@@ -608,25 +608,30 @@ def test_sleep_sets_reach_every_world(name, label, model, monkeypatch):
 def test_actions_change_only_their_actor(name, label, model, monkeypatch):
     """The premise of the independence relation: an action replaces only
     its actor's component, and every message it sends leaves from it."""
-    apply, send, own = _World.apply, _World.send, _World._own
+    apply, send, compute = _World.apply, _World.send, _World._compute
     acting = []
 
     def applied(world, action):
-        acting.append(actor(action))
+        who = actor(action)
+        before = list(world._slots)
+        acting.append(who)
         apply(world, action)
         acting.pop()
+        for target in _positions(world):
+            if target != who:
+                assert world._slots[target] == before[target], action
 
     def sent(world, msg):
         assert msg.src == acting[-1], msg
         send(world, msg)
 
-    def owned(world, target):
+    def computed(world, target, msg, what):
         assert target == acting[-1]
-        own(world, target)
+        return compute(world, target, msg, what)
 
     monkeypatch.setattr(_World, "apply", applied)
     monkeypatch.setattr(_World, "send", sent)
-    monkeypatch.setattr(_World, "_own", owned)
+    monkeypatch.setattr(_World, "_compute", computed)
     assert _reduced_search(name, label, model)
 
 
@@ -650,20 +655,20 @@ def test_memoized_transitions_are_exact(name, label, model, monkeypatch):
     def applied(world, action):
         if made:   # the recomputation below
             return apply(world, action)
-        # a copy shares the components, which no apply changes
-        before, n = copy.deepcopy(world), len(world._memo)
+        # a copy shares the stored components, which no apply changes
+        before, n = copy.deepcopy(world), len(world._search.memo)
         made.append(([], []))
         apply(world, action)
         got = made.pop()
-        if len(world._memo) > n:
+        if len(world._search.memo) > n:
             return   # computed here, not replayed
         made.append(([], []))
         ref = _recomputed(before, action)
         assert made.pop() == got, action
         who = actor(action)
-        part, want = world._part(who), ref._part(who)
-        assert world._keys[who] == ref._keys[who], action
-        assert _World._lru(who, part) == _World._lru(who, want), action
+        assert _kid(world, who) == _kid(ref, who), action
+        assert (_lru(who, world._part(who))
+                == _lru(who, ref._part(who))), action
         assert world.key() == ref.key(), action
 
     monkeypatch.setattr(_World, "apply", applied)
@@ -704,7 +709,8 @@ def test_a_revisit_with_fewer_asleep_explores_again(monkeypatch):
     class GraphWorld:
         """Stands in for _World: a world is a state of the graph."""
 
-        _memo = {}   # the search counts the steps memoized: none here
+        # the search counts the steps memoized: none here
+        _search = engine._Search()
 
         def __init__(self, cfg, program):
             self.state = 0
@@ -754,18 +760,30 @@ class _Enough(Exception):
     pass
 
 
+def _positions(world):
+    """The targets of a world's slots: each core id, then MEM and LLC."""
+    return (*range(len(world._slots) - 2), MEM, LLC)
+
+
+def _kid(world, target):
+    """The key id of the component at target, as its slot records it."""
+    return world._search.kids[world._slots[target]]
+
+
 def _popped_worlds(monkeypatch, program, cfg, n):
     """The first n worlds the enumerator pops, in search order.  At each
-    pop, every component key the world has cached must be the one the
-    search interned for the key its component has now."""
+    pop, the slot at each position must be the one the search stored
+    for the state key and LRU order its component has now."""
     worlds = []
     key = _World.key
 
     def collect(world):
-        parts = [*world.cores, world.mem, world.llc]   # at MEM and LLC
-        for cached, part in zip(world._keys, parts):
-            assert (cached is None
-                    or cached == world._ids.get(part.state_key())), part
+        search = world._search
+        for target in _positions(world):
+            part, kid = world._part(target), _kid(world, target)
+            assert kid == search.ids.get(part.state_key()), part
+            state = (target, kid, _lru(target, part))
+            assert search.slot_of.get(state) == world._slots[target], part
         worlds.append(world)
         if len(worlds) == n:
             raise _Enough
@@ -786,7 +804,7 @@ def _graph(root, shared=frozenset()):
     the mutable ones among them.  A message is visited in full but does
     not count as mutable: none may change once sent, so worlds share
     them.  A component's sim is a back-reference to the world that
-    cloned it, or None outside a step, not state, so it is not
+    cloned it during a step, else None, not state, so it is not
     followed.  Objects whose id is in shared stand in by id only."""
     number, mutable = {}, set()
 
@@ -816,32 +834,55 @@ def _graph(root, shared=frozenset()):
     return visit(root), set(number), mutable
 
 
+# the tables that number component keys and messages
+_INTERNED = ("ids", "msgs", "numbers", "by_id")
+
+
 def _isolated(world):
-    """A copy of world that shares no component with it, its keys
-    computed anew."""
+    """A copy of world that shares no component with it and computes
+    every step anew: its search has slots, stored components and a memo
+    of its own, each component stored as a clone of world's.  It shares
+    only the intern tables of component keys and messages, so that both
+    key worlds alike."""
     new = copy.deepcopy(world)
-    for target in (*range(len(world.cores)), LLC, MEM):
-        new._own(target)
-    new.key()
+    search = new._search = engine._Search()
+    for name in _INTERNED:
+        setattr(search, name, getattr(world._search, name))
+    for target in _positions(world):
+        part = world._part(target)
+        part = part.clone() if target == MEM else part.clone(new)
+        new._slots[target] = search.store(target, part)
     return new
 
 
 def _recomputed(world, action):
     """world after action, with the step computed anew: an isolated copy
-    applies it through a memo of its own."""
+    applies it."""
     ref = _isolated(world)
-    ref._memo, ref._stored = {}, {}
     ref.apply(action)
     return ref
 
 
 def _fresh_key(world):
-    """world.key() with no component key taken from the cache.  The copy
-    interns through the search's dict, so its ints equal the cached ones
-    exactly when the component keys are equal."""
-    probe = copy.deepcopy(world)
-    probe._keys = [None] * len(world._keys)
-    return probe.key()
+    """world.key() with nothing taken from a slot or a message number:
+    each component's state key and each message in flight interned
+    now.  Both go through the search's dicts, so the ints equal the
+    stored ones exactly when the keys and messages are equal."""
+    search = world._search
+    parts = (search.ids.get(world._part(t).state_key())
+             for t in _positions(world))
+    flying = ((ch, tuple(search.numbers.get(search.msgs[n]) for n in q))
+              for ch, q in world.channels.items())
+    return (*parts, *sorted(flying))
+
+
+def _state(world, but=None):
+    """What a world's state is made of, for _graph: its components by
+    position, None at but, and the messages in each channel."""
+    msgs = world._search.msgs
+    return ([None if t == but else world._part(t)
+             for t in _positions(world)],
+            {ch: [msgs[n] for n in q] for ch, q in world.channels.items()})
 
 
 # the caches of each test_world_copies_are_exact_and_independent case
@@ -863,7 +904,7 @@ def _situations(w):
             c.detector is not None and c.detector.ahb for c in w.cores),
         "check out": any(
             m.kind in (MsgKind.CHECK_REQ, MsgKind.CHECK_RESP)
-            for q in (*w.channels.values(),
+            for q in ([m for _, m in w.in_flight()],
                       *(h.queue for h in llc.waitq.values()))
             for m in q),
         "parked fill": any(
@@ -877,13 +918,14 @@ def _situations(w):
                          ("tardis-base", "tardis-opt", "directory"))
 def test_world_copies_are_exact_and_independent(preset_name, one_set,
                                                 monkeypatch):
-    """A copy shares every component with its parent until an action
-    replaces the one it changes.  Branching must still be exact: each
-    sibling ends as an isolated copy given the same action would, in the
-    state the step computed anew reaches, and neither the parent nor
-    any other sibling changes meanwhile.  The worlds checked are the
-    first 200 popped, plus the first popped of each situation they
-    miss, looked for among the first 600."""
+    """A copy is a slot list and a channel map of its own: it shares
+    every stored component, and the search's tables, with its parent
+    until an action puts a new slot at the one position it changes.
+    Branching must still be exact: each sibling ends in the state the
+    step computed anew on an isolated copy reaches, and neither the
+    parent nor any other sibling changes meanwhile.  The worlds checked
+    are the first 200 popped, plus the first popped of each situation
+    they miss, looked for among the first 600."""
     cfg = replace(preset(preset_name, thresh_min=1), **_COPY_CACHES[one_set])
     popped = _popped_worlds(monkeypatch, _clone_program(), cfg, 600)
     worlds = popped[:200]
@@ -894,56 +936,60 @@ def test_world_copies_are_exact_and_independent(preset_name, one_set,
             reached |= _situations(w)
     for w in worlds:
         # the config, the program and its op lists may be shared, and
-        # so may messages (see _graph), the search's intern dict and its
-        # memo of steps and their stored results
-        shared = {id(w._ids), id(w._memo), id(w._stored)}
+        # so may messages (see _graph)
+        shared = set()
         for part in (w.cfg, w.program, *(c.ops for c in w.cores)):
             shared |= _graph(part)[1]
         key = w.key()
         assert _fresh_key(w) == key
         # every component's clone is exact and shares nothing mutable
-        before, _, mine = _graph(w, shared)
+        mine_state = _state(w)
+        before, _, mine = _graph(mine_state, shared)
         iso = _isolated(w)
-        after, _, theirs = _graph(iso, shared)
+        iso_state = _state(iso)
+        after, _, theirs = _graph(iso_state, shared)
         assert after == before
-        assert _fresh_key(iso) == key
+        assert _fresh_key(iso) == iso.key() == key
         assert not mine & theirs, "a clone shares mutable state"
-        assert all(c.sim is iso for c in iso.cores + [iso.llc])
-        # one sibling per action, each applied in turn; an isolated
-        # copy given the same action is what the sibling must become
+        assert all(c.sim is None for c in iso.cores + [iso.llc])
+        # one sibling per action, each applied in turn
         acts = w.actions()
         family = [w] + [copy.deepcopy(w) for _ in acts]
-        graphs = [_graph(x, shared)[0] for x in family]
+        for sib in family[1:]:
+            assert sib._search is w._search
+            assert sib._slots is not w._slots and sib._slots == w._slots
+            assert sib.channels is not w.channels
+        graphs = [_graph(_state(x), shared)[0] for x in family]
         keys = [key] * len(family)
         for i, action in enumerate(acts, 1):
             sib = family[i]
             sib.apply(action)
-            ref = _isolated(w)
-            ref.apply(action)
-            keys[i] = ref.key()
-            graphs[i] = _graph(ref, shared)[0]
-            # the search's memo may hand both the same stored result, so
-            # the step is also computed anew; only the key and the LRU
-            # order are compared, since a stored component keeps the
-            # insertion order of dicts whose order no step reads
-            # (waitq, for one)
+            keys[i] = sib.key()
+            graphs[i] = _graph(_state(sib), shared)[0]
+            # the step computed anew reaches the same key, the same LRU
+            # order of the actor, and the same other components and
+            # messages in flight.  The actor's own graph is not
+            # compared, since a stored component keeps the insertion
+            # order of dicts whose order no step reads (waitq, for one)
             fresh, who = _recomputed(w, action), actor(action)
             assert fresh.key() == keys[i], action
-            assert (_World._lru(who, fresh._part(who))
-                    == _World._lru(who, sib._part(who))), action
+            assert (_lru(who, fresh._part(who))
+                    == _lru(who, sib._part(who))), action
+            assert (_graph(_state(sib, but=who), shared)[0]
+                    == _graph(_state(fresh, but=who), shared)[0]), action
             for x, graph, k in zip(family, graphs, keys):
                 assert x.key() == _fresh_key(x) == k, (action, x is sib)
-                assert _graph(x, shared)[0] == graph, (action, x is sib)
-            # the actor's component is the search's stored object for
-            # its new state, which is the fresh clone when the step was
-            # first computed here; every other component is the parent's
-            # own object
-            for target in (*range(len(w.cores)), LLC, MEM):
+                assert _graph(_state(x), shared)[0] == graph, (action,
+                                                               x is sib)
+            # the actor's slot is the search's stored object for its new
+            # state and LRU order, which has no sim; every other
+            # position keeps the parent's slot
+            for target in _positions(w):
                 if target != who:
-                    assert sib._part(target) is w._part(target), action
+                    assert sib._slots[target] == w._slots[target], action
             part = sib._part(who)
-            state = (who, sib._keys[who], _World._lru(who, part))
-            assert part is sib._stored[state], action
+            state = (who, _kid(sib, who), _lru(who, part))
+            assert sib._search.slot_of[state] == sib._slots[who], action
             assert getattr(part, "sim", None) is None, action
     want = {"message in flight", "request queued at the home"}
     if preset_name == "directory":
@@ -972,21 +1018,27 @@ def _deep_hash(key):
                          ("tardis-base", "tardis-opt", "directory"))
 def test_state_keys_never_change_once_taken(preset_name, caches,
                                             monkeypatch):
-    """A world key holds the messages in flight, and the search's intern
-    dict the records of each component key (lines, clocks, messages,
-    transactions).  Both are exact only while no search step changes a
-    record after the key holding it was taken."""
+    """A world key is ints: the key id of each position's slot and the
+    numbers of the messages in flight.  The search's intern dicts hold
+    the records behind them: those of each component key (lines,
+    clocks, messages, transactions) and each message.  They are exact
+    only while no search step changes a record after it was interned,
+    and a slot only while its stored component keeps the state key and
+    LRU order it was stored with."""
     cfg = replace(preset(preset_name, thresh_min=1), **_COPY_CACHES[caches])
     key, taken, interned = _World.key, [], {}
 
     def kept(world):
         k = key(world)
         taken.append((k, _deep_hash(k)))
-        ids = world._ids
-        # the component keys this call interned, hashed as they were then
-        n = interned.setdefault(id(ids), [ids, 0])
-        taken.extend((c, _deep_hash(c)) for c in islice(ids, n[1], None))
-        n[1] = len(ids)
+        search = world._search
+        # the component keys and messages interned since the last
+        # call, hashed as they were then
+        for table in (search.ids, search.numbers):
+            n = interned.setdefault(id(table), [table, 0, search])
+            taken.extend((c, _deep_hash(c))
+                         for c in islice(table, n[1], None))
+            n[1] = len(table)
         return k
 
     monkeypatch.setattr(_World, "key", kept)
@@ -994,3 +1046,10 @@ def test_state_keys_never_change_once_taken(preset_name, caches,
         enumerate_outcomes(builtin(name), "tso", cfg=cfg)
     changed = sum(_deep_hash(k) != h for k, h in taken)
     assert taken and changed == 0, (changed, len(taken))
+    searches = {id(n[2]): n[2] for n in interned.values()}
+    assert len(searches) == 3
+    for search in searches.values():
+        for (target, kid, lru), slot in search.slot_of.items():
+            part = search.parts[slot]
+            assert search.ids[part.state_key()] == kid == search.kids[slot]
+            assert _lru(target, part) == lru
