@@ -31,7 +31,6 @@ import random
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
 
 from .cachemem import (CacheLine, LineState, LlcLine, MainMemory,
                        SetAssocCache, ValueToken, copy_record, initial_token)
@@ -629,7 +628,7 @@ class Simulator:
         self._touched: set[int] | None = None if auditor is None else set()
         self.cores, self.llc = _build_parts(self, program)
         self._ready = set(range(len(self.cores)))
-        _apply_warm(self)
+        _apply_warm(program, self.cores, self.llc, self.mem)
         if auditor is not None:
             auditor.attach(self)
 
@@ -793,16 +792,16 @@ class Simulator:
                      for cid, reg in self.program.registers())
 
 
-def _apply_warm(fabric) -> None:
-    for warm in fabric.program.warm:
+def _apply_warm(program: Program, cores, llc, mem: MainMemory) -> None:
+    for warm in program.warm:
         tok = initial_token(warm.addr)
-        fabric.mem.write(warm.addr, tok, warm.wts, warm.rts)
-        fabric.llc.warm_install(warm.addr, tok, warm.wts, warm.rts,
-                                sharers=warm.in_l1)
+        mem.write(warm.addr, tok, warm.wts, warm.rts)
+        llc.warm_install(warm.addr, tok, warm.wts, warm.rts,
+                         sharers=warm.in_l1)
         for cid in warm.in_l1:
             line = CacheLine(addr=warm.addr, state=LineState.S,
                              wts=warm.wts, rts=warm.rts, value=tok)
-            fabric.cores[cid].l1.insert(line)
+            cores[cid].l1.insert(line)
 
 
 # ---------------------------------------------------------------------------
@@ -877,10 +876,10 @@ def _lru(target: int, part) -> tuple:
 
 
 class _World(Simulator):
-    """Fabric for enumeration.  It differs from Simulator only in
-    delivery: messages sit in per-channel FIFOs until the search
-    delivers them, so there is no clock (step stays 0), schedule, send
-    tally or trace.
+    """Fabric for enumeration.  It differs from Simulator in delivery
+    and in how it holds its state.  Messages sit in per-channel FIFOs
+    until the search delivers them, so there is no clock (step stays 0),
+    schedule, send tally or trace.
 
     A world is its slot list and its channel map.  Position i of the
     slot list holds the slot id of core i's component, and positions
@@ -921,11 +920,10 @@ class _World(Simulator):
         self._log = None   # ([numbers sent], [rows]) while a step runs
         self._search = search = _Search()
         cores, llc = _build_parts(self, program)
-        parts = SimpleNamespace(program=program, cores=cores, llc=llc,
-                                mem=MainMemory())
-        _apply_warm(parts)
+        mem = MainMemory()
+        _apply_warm(program, cores, llc, mem)
         self._slots = [search.store(target, part) for target, part in zip(
-            (*range(len(cores)), MEM, LLC), (*cores, parts.mem, llc))]
+            (*range(len(cores)), MEM, LLC), (*cores, mem, llc))]
 
     @property
     def cores(self) -> list:
@@ -984,13 +982,13 @@ class _World(Simulator):
             q = self.channels.pop(target)
             if len(q) > 1:
                 self.channels[target] = q[1:]
-            what = q[0]
+            what = q[0]   # a delivery is looked up by its message number
             msg = search.msgs[what]
             target = msg.dst
         look = (self._slots[target], what)
         step = search.memo.get(look)
         if step is None:
-            step = search.memo[look] = self._compute(target, msg, what)
+            step = search.memo[look] = self._compute(target, what, msg)
         else:
             msgs = search.msgs
             for n in step[1]:
@@ -999,7 +997,7 @@ class _World(Simulator):
                 self.trace_append(row)
         self._slots[target] = step[0]
 
-    def _compute(self, target: int, msg: Msg | None, what) -> tuple:
+    def _compute(self, target: int, what, msg: Msg | None) -> tuple:
         """Take the step on a clone of the component at target: the slot
         of the result, and the numbers of the messages the step sent and
         the rows it appended."""

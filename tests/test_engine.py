@@ -18,9 +18,8 @@ from tardisim.directory import DirectoryLlc
 from tardisim.engine import (DRAW_BITS, ENUM_OP_LIMIT, DeadlockError,
                              SimulationError, Simulator, StepLimitError,
                              _World, _lru, actor, burn_draws,
-                             draw_numerator,
-                             draw_threshold, enumerate_outcomes,
-                             trace_from_json)
+                             draw_numerator, draw_threshold,
+                             enumerate_outcomes, trace_from_json)
 from tardisim.messages import LLC, MEM, Msg, MsgKind
 from tardisim.workloads import (LITMUS_NAMES, OpKind, SynthParams, WarmLine,
                                 builtin, parse_program, synth)
@@ -625,9 +624,9 @@ def test_actions_change_only_their_actor(name, label, model, monkeypatch):
         assert msg.src == acting[-1], msg
         send(world, msg)
 
-    def computed(world, target, msg, what):
+    def computed(world, target, what, msg):
         assert target == acting[-1]
-        return compute(world, target, msg, what)
+        return compute(world, target, what, msg)
 
     monkeypatch.setattr(_World, "apply", applied)
     monkeypatch.setattr(_World, "send", sent)
