@@ -1086,11 +1086,12 @@ def enumerate_outcomes(program: Program, model: str,
     cache (Godefroid, LNCS 1032, 1996), with the revisit rule of Yang,
     Chen, Gopalakrishnan and Kirby (SPIN 2008).  An action asleep at a
     world is one that a commuting path already covers, so the search
-    does not expand it there.  A sleep set is an int, one bit per action
-    in the order the search first meets them, and a world key is ints
-    (see _World), so the stack and the state cache hold no records.  A world reached again with a sleep set
+    does not expand it there.  A world reached again with a sleep set
     that lacks some of what it was explored with is explored again,
-    for those actions only.  Every reachable world is still visited."""
+    for those actions only.  Every reachable world is still visited.
+    A sleep set is an int, one bit per action in the order the search
+    first meets them, and a world key is ints (see _World), so the
+    stack and the state cache hold no records."""
     if program.dynamic_ops() > ENUM_OP_LIMIT:
         raise ValueError(f"enumeration is limited to {ENUM_OP_LIMIT} ops, "
                          f"program has {program.dynamic_ops()}")

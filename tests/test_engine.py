@@ -941,7 +941,8 @@ def test_world_copies_are_exact_and_independent(preset_name, one_set,
             shared |= _graph(part)[1]
         key = w.key()
         assert _fresh_key(w) == key
-        # every component's clone is exact and shares nothing mutable
+        # every component's clone is exact and shares nothing mutable;
+        # both states stay referenced, so no id is reused meanwhile
         mine_state = _state(w)
         before, _, mine = _graph(mine_state, shared)
         iso = _isolated(w)
