@@ -1024,7 +1024,7 @@ class _World(Simulator):
         """The copy the search branches with: its own slot list and
         channel map.  Everything else is shared: the config, the
         program, and the search's tables."""
-        new = object.__new__(_World)
+        new = object.__new__(type(self))
         new.__dict__ = d = self.__dict__.copy()
         d["channels"] = self.channels.copy()
         d["_slots"] = self._slots.copy()
