@@ -155,15 +155,11 @@ class SetAssocCache:
         return line
 
     def lines(self):
+        """The resident lines, set by set in index order, each set least
+        recently used first: the order victim choice reads, so a tuple
+        of them keys the cache exactly."""
         for idx in sorted(self.sets):
             yield from self.sets[idx].values()
-
-    def order(self) -> tuple:
-        """The resident addresses, set by set in index order, each set
-        least recently used first: the LRU order that lines() leaves
-        out and victim choice reads."""
-        sets = self.sets
-        return tuple(a for idx in sorted(sets) for a in sets[idx])
 
     def clone(self) -> SetAssocCache:
         """An independent copy.  A line's fields are all immutable, so a

@@ -20,8 +20,9 @@ from typing import get_type_hints
 
 from .audit import AuditError, CoherenceAuditor
 from .checker import Violation, check_trace, oracle_outcomes
-from .config import (ConfigError, PRESETS, SimConfig, load_config, preset,
-                     with_overrides)
+from .config import (ConfigError, PRESETS, PROTOCOLS, SimConfig, load_config,
+                     preset, with_overrides)
+from .consistency import MemoryModel
 from .engine import (SimulationError, Simulator, enumerate_outcomes,
                      trace_from_json)
 from .workloads import (BUILTIN_NAMES, ParseError, Program, SynthParams,
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p, with_seed=False,
                      default="the MSI config of --protocol")
     p.add_argument("--program", required=True)
-    p.add_argument("--protocol", choices=["tardis", "directory"],
+    p.add_argument("--protocol", choices=PROTOCOLS,
                    help="protocol of the MSI config (default tardis); with "
                    "--config or --preset, it must be the config's")
     p.add_argument("--oracle", action="store_true",
@@ -272,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="check a dumped trace")
     p.add_argument("--trace", required=True)
-    p.add_argument("--model", default="tso", choices=["sc", "tso", "pso", "rc"])
+    p.add_argument("--model", default="tso",
+                   choices=[m.value for m in MemoryModel])
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("sweep", help="sweep one config knob into CSV")

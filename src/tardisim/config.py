@@ -22,6 +22,9 @@ class ConfigError(ValueError):
     pass
 
 
+PROTOCOLS = ("tardis", "directory")
+
+
 @dataclass
 class SimConfig:
     protocol: str = "tardis"            # tardis | directory
@@ -57,7 +60,7 @@ class SimConfig:
                     or isinstance(val, bool) is not (kind is bool)):
                 raise ConfigError(f"{key} wants {kind.__name__}, "
                                   f"got {val!r}")
-        if self.protocol not in ("tardis", "directory"):
+        if self.protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
         try:
             MemoryModel(self.model)

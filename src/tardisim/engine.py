@@ -360,7 +360,7 @@ class BaseCore:
     def state_key(self) -> tuple:
         return (self.pc, tuple(sorted(self.regs.items())), self.clock,
                 tuple(self.buffer), self.drain_inflight, self.waiting,
-                self.sleep_left, self.store_seq, frozenset(self.l1.lines()))
+                self.sleep_left, self.store_seq, tuple(self.l1.lines()))
 
     def clone(self, sim) -> BaseCore:
         """An exact, independent copy of this core inside sim.  The op
@@ -533,7 +533,7 @@ class BaseLlc:
     def state_key(self) -> tuple:
         waits = tuple((a, tuple(w.queue), w.txn)
                       for a, w in sorted(self.waitq.items()))
-        return frozenset(self.lines.lines()), waits, tuple(self.blocked)
+        return tuple(self.lines.lines()), waits, tuple(self.blocked)
 
     def clone(self, sim) -> BaseLlc:
         """An exact, independent copy of this home node inside sim."""
@@ -550,6 +550,8 @@ class BaseLlc:
 
 
 def _build_parts(sim, program: Program):
+    if not program.cores:
+        raise ConfigError("cores must be >= 1")
     if sim.cfg.protocol == "tardis":
         from .tardis import TardisCore, TardisLlc
         cores = [TardisCore(sim, cid, ops) for cid, ops in enumerate(program.cores)]
@@ -602,8 +604,6 @@ _END = {LLC: "llc", MEM: "mem"}   # endpoint names in a dump; cores by id
 class Simulator:
     def __init__(self, cfg: SimConfig, program: Program,
                  auditor=None):
-        if not program.cores:
-            raise ConfigError("cores must be >= 1")
         self.cfg = cfg
         self.program = program
         self.step = 0
@@ -814,16 +814,14 @@ class _Search:
     message numbers (the collapse compression of SPIN, Holzmann 1997).
 
     A slot is one stored component: the first one the search met at a
-    position (a core id, LLC or MEM) with a given interned state key and
-    LRU order.  A stored component never changes, since a step takes
-    place on a clone of it, and it has sim None, so the tables keep no
-    world alive and go with a search's last world."""
+    position (a core id, LLC or MEM) with a given state key.  A stored
+    component never changes, since a step takes place on a clone of it,
+    and it has sim None, so the tables keep no world alive and go with a
+    search's last world."""
 
     def __init__(self):
-        self.ids: dict[tuple, int] = {}    # component state key -> key id
-        self.slot_of: dict[tuple, int] = {}   # (position, key id, LRU) -> slot
+        self.slot_of: dict[tuple, int] = {}   # (position, state key) -> slot
         self.parts: list = []              # slot -> stored component
-        self.kids: list[int] = []          # slot -> key id
         self.moves: list[tuple] = []       # slot -> a core's enabled actions
         self.done: list[bool] = []         # slot -> whether a core is done
         self.msgs: list[Msg] = []          # number -> message
@@ -837,12 +835,9 @@ class _Search:
     def store(self, target: int, part) -> int:
         """The slot of part, a component at target that no step will
         change: a new one if part is the first in its state."""
-        ids = self.ids
-        kid = ids.setdefault(part.state_key(), len(ids))
-        state = (target, kid, _lru(target, part))
-        slot = self.slot_of.get(state)
-        if slot is None:
-            slot = self.slot_of[state] = len(self.parts)
+        slot = self.slot_of.setdefault((target, part.state_key()),
+                                       len(self.parts))
+        if slot == len(self.parts):
             if target != MEM:
                 part.sim = None
             moves = ()
@@ -852,7 +847,6 @@ class _Search:
                 if part.can_drain():
                     moves += (("drain", target),)
             self.parts.append(part)
-            self.kids.append(kid)
             self.moves.append(moves)
             self.done.append(target < 0 or part.done)
         return slot
@@ -868,13 +862,6 @@ class _Search:
         return n
 
 
-def _lru(target: int, part) -> tuple:
-    """The LRU order of the component's cache sets; memory has none."""
-    if target == MEM:
-        return ()
-    return (part.lines if target == LLC else part.l1).order()
-
-
 class _World(Simulator):
     """Fabric for enumeration.  It differs from Simulator in delivery
     and in how it holds its state.  Messages sit in per-channel FIFOs
@@ -886,25 +873,24 @@ class _World(Simulator):
     MEM and LLC (-2 and -1) those of memory and the home; a channel
     holds message numbers.  Slots, messages and steps live in the
     search's _Search, which every copy of a world shares, so a copy is
-    two small containers.  The key of a world maps each slot to the
-    key id its component was interned to, and adds the channels.
+    two small containers.  The key of a world is its slots and its
+    channels.
 
     apply() memoizes steps.  A step is looked up by the actor's slot and
     the action kind or the delivered message's number.  The first time,
     the stored component is cloned and its handler runs on the clone
     (the only component with a sim: the world); the clone is stored,
-    unless its position already has a slot with the same key and LRU
-    order, and the step's result slot, sends and rows go in the memo.
-    Every later time, the world takes the result slot, and the step's
-    messages and rows are replayed through send and trace_append.  Each
-    slot's enabled actions and whether its core is done are computed
-    once, when it is stored.
+    unless its position already has a slot with the same state key, and
+    the step's result slot, sends and rows go in the memo.  Every later
+    time, the world takes the result slot, and the step's messages and
+    rows are replayed through send and trace_append.  Each slot's
+    enabled actions and whether its core is done are computed once,
+    when it is stored.
 
-    The LRU order is not in the key, but a victim choice reads it, so a
-    slot holds it.  Nothing else a component holds outside its key
-    changes a step's result, its sends or its rows: seq and access_count
-    count commits, which follow from the key (pc, store_seq and the
-    buffer), and access_count only times forced self-increments, which
+    Nothing a component holds outside its state key changes a step's
+    result, its sends or its rows: seq and access_count count commits,
+    which follow from the key (pc, store_seq and the buffer), and
+    access_count only times forced self-increments, which
     enumerate_outcomes puts 10**9 accesses apart; committed_step is the
     world's step, which stays 0; and sim is the fabric."""
 
@@ -912,8 +898,6 @@ class _World(Simulator):
     _ready = None   # read by _dump: a world has no schedule
 
     def __init__(self, cfg: SimConfig, program: Program):
-        if not program.cores:
-            raise ConfigError("cores must be >= 1")
         self.cfg = cfg
         self.program = program
         self.channels: dict[tuple, tuple] = {}   # (src, dst) -> numbers
@@ -1031,14 +1015,12 @@ class _World(Simulator):
         return new
 
     def key(self) -> tuple:
-        """The world's state key: the key id of each position's slot,
-        then the channels.  A component key holds the records themselves
+        """The world's state key: each position's slot, then the
+        channels.  A component's state key holds the records themselves
         (lines, clocks, messages, transactions), which compare by value;
         it is taken once, when its component is stored, which is exact
-        because a stored component never changes.  A lookup still moves
-        a line's LRU stamp, which equality leaves out."""
-        return (*map(self._search.kids.__getitem__, self._slots),
-                *sorted(self.channels.items()))
+        because a stored component never changes."""
+        return (*self._slots, *sorted(self.channels.items()))
 
 
 # Two actions are independent, so either order reaches the same world,
@@ -1092,9 +1074,6 @@ def enumerate_outcomes(program: Program, model: str,
     A sleep set is an int, one bit per action in the order the search
     first meets them, and a world key is ints (see _World), so the
     stack and the state cache hold no records."""
-    if program.dynamic_ops() > ENUM_OP_LIMIT:
-        raise ValueError(f"enumeration is limited to {ENUM_OP_LIMIT} ops, "
-                         f"program has {program.dynamic_ops()}")
     for ops in program.cores:
         for op in ops:
             if op.kind is OpKind.SPIN:
@@ -1110,6 +1089,9 @@ def enumerate_outcomes(program: Program, model: str,
              for ops in program.cores]
     prog = Program(program.name, cores, warm=program.warm,
                    schedule=None, addr_names=program.addr_names)
+    if prog.dynamic_ops() > ENUM_OP_LIMIT:
+        raise ValueError(f"enumeration is limited to {ENUM_OP_LIMIT} ops, "
+                         f"program has {prog.dynamic_ops()}")
     start = time.perf_counter()
     root = _World(cfg, prog)
     seen: dict[tuple, int] = {}   # key -> the sleep set explored with

@@ -4,6 +4,9 @@ import pytest
 
 from tardisim.cachemem import (CacheLine, LEASE_VALUES, LineState, MainMemory,
                                SetAssocCache, ValueToken, initial_token)
+from tardisim.config import preset
+from tardisim.engine import Simulator
+from tardisim.workloads import builtin
 
 
 def test_lease_codes_round_trip():
@@ -37,6 +40,31 @@ def test_set_indexing_and_lru():
     assert cache.lru_victim(c, rank=lambda l: l.addr != a).addr == a
     assert cache.lru_victim(c, rank=lambda l: 0).addr == b
     assert cache.remove(64) is None       # set 1 holds nothing
+
+
+def _filled(cache, addrs):
+    for addr in addrs:
+        cache.insert(CacheLine(addr=addr, state=LineState.S))
+    return cache
+
+
+def test_lru_order_is_in_the_key():
+    """Victim choice reads each set's LRU order, so caches and cores
+    that hold the same lines in different orders must key apart."""
+    a, b = 0, 8 * 64   # set 0 of both caches
+    first = _filled(SetAssocCache(size_kb=1, ways=2, line_bytes=64), (a, b))
+    second = _filled(SetAssocCache(size_kb=1, ways=2, line_bytes=64), (b, a))
+    assert set(first.lines()) == set(second.lines())
+    assert tuple(first.lines()) != tuple(second.lines())
+    sim = Simulator(preset("tardis-base"), builtin("single"))
+    core = sim.cores[0]
+    a, b = 0, core.l1.n_sets * 64
+    other = core.clone(sim)
+    _filled(core.l1, (a, b))
+    _filled(other.l1, (b, a))
+    assert core.state_key() != other.state_key()
+    other.l1.lookup(b)   # touched: now in core's order
+    assert core.state_key() == other.state_key()
 
 
 def test_lru_victim_none_while_room():

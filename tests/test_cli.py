@@ -407,6 +407,8 @@ def test_bad_synth_value_names_its_parameter(spec, capsys):
 
 @pytest.mark.parametrize("argv, words", [
     (["run", "--program", "synth:cores=0"], "cores must be >= 1"),
+    pytest.param(["enumerate", "--program", "synth:cores=0"],
+                 "cores must be >= 1", id="enumerate synth:cores=0"),
     (_run_mp("skip_prob=abc"), "skip_prob wants float, got 'abc'"),
     # the core count is the program's, never the config's
     (_run_mp("cores=4"), "'cores'"),

@@ -17,7 +17,7 @@ from tardisim.config import preset
 from tardisim.directory import DirectoryLlc
 from tardisim.engine import (DRAW_BITS, ENUM_OP_LIMIT, DeadlockError,
                              SimulationError, Simulator, StepLimitError,
-                             _World, _lru, actor, burn_draws,
+                             _World, actor, burn_draws,
                              draw_numerator, draw_threshold,
                              enumerate_outcomes, trace_from_json)
 from tardisim.messages import LLC, MEM, Msg, MsgKind
@@ -544,6 +544,13 @@ def test_enumeration_skips_sleeps():
                 == {(0, 0), (0, 1), (1, 1)}), model
 
 
+def test_enumeration_limit_counts_the_ops_it_searches():
+    fences = "[core 0]\n" + "Fence\n" * ENUM_OP_LIMIT
+    assert enumerate_outcomes(parse_program(fences + "Sleep 5"), "tso") == {()}
+    with pytest.raises(ValueError, match=f"program has {ENUM_OP_LIMIT + 1}"):
+        enumerate_outcomes(parse_program(fences + "Fence"), "tso")
+
+
 # The searches the reduction is checked on: every litmus program but the
 # four-core iriw pair, under MSI Tardis, the MSI directory and MESI
 # Tardis with one-set caches, at SC and TSO
@@ -562,9 +569,10 @@ def _reduced_search(name, label, model):
 
 
 def _plain_search(root):
-    """The world keys and outcomes reachable from root, by a depth-first
-    search that expands every enabled action.  It computes its steps
-    through tables of its own, so it reuses none of the search's."""
+    """The worlds, by value, and the outcomes reachable from root, by a
+    depth-first search that expands every enabled action.  It computes
+    its steps through tables of its own, so it reuses none of the
+    search's."""
     root = _isolated(root)
     seen, outcomes, stack = set(), set(), [root]
     while stack:
@@ -579,13 +587,14 @@ def _plain_search(root):
             nxt = copy.deepcopy(world)
             nxt.apply(action)
             stack.append(nxt)
-    return seen, outcomes
+    return set(map(_by_value(root._search), seen)), outcomes
 
 
 @pytest.mark.parametrize("name,label,model", _REDUCED)
 def test_sleep_sets_reach_every_world(name, label, model, monkeypatch):
     """The sleep sets only skip transitions: the search reaches the same
-    world keys and outcomes as a search that expands everything."""
+    worlds and outcomes as a search that expands everything.  The two
+    searches number their slots apart, so worlds compare by value."""
     key, keys, roots = _World.key, set(), []
 
     def kept(world):
@@ -598,9 +607,10 @@ def test_sleep_sets_reach_every_world(name, label, model, monkeypatch):
     monkeypatch.setattr(_World, "key", kept)
     got = _reduced_search(name, label, model)
     monkeypatch.undo()
-    # the root is never applied to, and its copies intern through the
-    # same dict, so both searches key worlds alike
-    assert _plain_search(roots[0]) == (keys, got)
+    # the root is never applied to, so the plain search starts where
+    # the reduced one did
+    reached = set(map(_by_value(roots[0]._search), keys))
+    assert _plain_search(roots[0]) == (reached, got)
 
 
 @pytest.mark.parametrize("name,label,model", _REDUCED)
@@ -638,8 +648,8 @@ def test_actions_change_only_their_actor(name, label, model, monkeypatch):
 def test_memoized_transitions_are_exact(name, label, model, monkeypatch):
     """Every step the search replays from its memo is the step computed
     anew: on an isolated copy of the world with a memo of its own, the
-    actor ends with the same interned key and LRU order, and the step
-    sends the same messages and appends the same rows."""
+    actor ends with the same state key, and the step sends the same
+    messages and appends the same rows."""
     apply, send, append = _World.apply, _World.send, _World.trace_append
     made = []   # (sent, rows) of each apply in progress, innermost last
 
@@ -664,11 +674,7 @@ def test_memoized_transitions_are_exact(name, label, model, monkeypatch):
         made.append(([], []))
         ref = _recomputed(before, action)
         assert made.pop() == got, action
-        who = actor(action)
-        assert _kid(world, who) == _kid(ref, who), action
-        assert (_lru(who, world._part(who))
-                == _lru(who, ref._part(who))), action
-        assert world.key() == ref.key(), action
+        assert _fresh_key(world) == _fresh_key(ref), action
 
     monkeypatch.setattr(_World, "apply", applied)
     monkeypatch.setattr(_World, "send", sent)
@@ -764,25 +770,19 @@ def _positions(world):
     return (*range(len(world._slots) - 2), MEM, LLC)
 
 
-def _kid(world, target):
-    """The key id of the component at target, as its slot records it."""
-    return world._search.kids[world._slots[target]]
-
-
 def _popped_worlds(monkeypatch, program, cfg, n):
     """The first n worlds the enumerator pops, in search order.  At each
     pop, the slot at each position must be the one the search stored
-    for the state key and LRU order its component has now."""
+    for the state key its component has now."""
     worlds = []
     key = _World.key
 
     def collect(world):
-        search = world._search
+        slot_of = world._search.slot_of
         for target in _positions(world):
-            part, kid = world._part(target), _kid(world, target)
-            assert kid == search.ids.get(part.state_key()), part
-            state = (target, kid, _lru(target, part))
-            assert search.slot_of.get(state) == world._slots[target], part
+            part = world._part(target)
+            assert (slot_of.get((target, part.state_key()))
+                    == world._slots[target]), part
         worlds.append(world)
         if len(worlds) == n:
             raise _Enough
@@ -833,16 +833,17 @@ def _graph(root, shared=frozenset()):
     return visit(root), set(number), mutable
 
 
-# the tables that number component keys and messages
-_INTERNED = ("ids", "msgs", "numbers", "by_id")
+# the tables that number messages
+_INTERNED = ("msgs", "numbers", "by_id")
 
 
 def _isolated(world):
     """A copy of world that shares no component with it and computes
     every step anew: its search has slots, stored components and a memo
     of its own, each component stored as a clone of world's.  It shares
-    only the intern tables of component keys and messages, so that both
-    key worlds alike."""
+    only the tables that number messages, so that its channels read as
+    world's do.  Its slots are numbered apart from world's, so the two
+    compare by value (_fresh_key)."""
     new = copy.deepcopy(world)
     search = new._search = engine._Search()
     for name in _INTERNED:
@@ -863,16 +864,25 @@ def _recomputed(world, action):
 
 
 def _fresh_key(world):
-    """world.key() with nothing taken from a slot or a message number:
-    each component's state key and each message in flight interned
-    now.  Both go through the search's dicts, so the ints equal the
-    stored ones exactly when the keys and messages are equal."""
-    search = world._search
-    parts = (search.ids.get(world._part(t).state_key())
-             for t in _positions(world))
-    flying = ((ch, tuple(search.numbers.get(search.msgs[n]) for n in q))
-              for ch, q in world.channels.items())
-    return (*parts, *sorted(flying))
+    """world.key() by value, with nothing taken from a slot or a message
+    number: each position's state key, taken now, and the messages in
+    flight.  Worlds of different searches compare by it."""
+    msgs = world._search.msgs
+    parts = (world._part(t).state_key() for t in _positions(world))
+    flying = ((ch, tuple(msgs[n] for n in q))
+              for ch, q in sorted(world.channels.items()))
+    return (*parts, *flying)
+
+
+def _by_value(search):
+    """A function from a world key of search to the same key by value,
+    as _fresh_key gives it: each slot read as its component's state
+    key, and each channel as its messages."""
+    state = {slot: key for (_, key), slot in search.slot_of.items()}
+    msgs = search.msgs.__getitem__
+    return lambda key: tuple(
+        state[k] if isinstance(k, int) else (k[0], tuple(map(msgs, k[1])))
+        for k in key)
 
 
 def _state(world, but=None):
@@ -939,8 +949,7 @@ def test_world_copies_are_exact_and_independent(preset_name, one_set,
         shared = set()
         for part in (w.cfg, w.program, *(c.ops for c in w.cores)):
             shared |= _graph(part)[1]
-        key = w.key()
-        assert _fresh_key(w) == key
+        key = w.key(), _fresh_key(w)
         # every component's clone is exact and shares nothing mutable;
         # both states stay referenced, so no id is reused meanwhile
         mine_state = _state(w)
@@ -949,7 +958,7 @@ def test_world_copies_are_exact_and_independent(preset_name, one_set,
         iso_state = _state(iso)
         after, _, theirs = _graph(iso_state, shared)
         assert after == before
-        assert _fresh_key(iso) == iso.key() == key
+        assert _fresh_key(iso) == key[1]
         assert not mine & theirs, "a clone shares mutable state"
         assert all(c.sim is None for c in iso.cores + [iso.llc])
         # one sibling per action, each applied in turn
@@ -964,32 +973,30 @@ def test_world_copies_are_exact_and_independent(preset_name, one_set,
         for i, action in enumerate(acts, 1):
             sib = family[i]
             sib.apply(action)
-            keys[i] = sib.key()
+            keys[i] = sib.key(), _fresh_key(sib)
             graphs[i] = _graph(_state(sib), shared)[0]
-            # the step computed anew reaches the same key, the same LRU
-            # order of the actor, and the same other components and
-            # messages in flight.  The actor's own graph is not
-            # compared, since a stored component keeps the insertion
-            # order of dicts whose order no step reads (waitq, for one)
+            # the step computed anew reaches the same state keys and the
+            # same other components and messages in flight.  The
+            # actor's own graph is not compared, since a stored
+            # component keeps the insertion order of dicts whose order
+            # no step reads (waitq, for one)
             fresh, who = _recomputed(w, action), actor(action)
-            assert fresh.key() == keys[i], action
-            assert (_lru(who, fresh._part(who))
-                    == _lru(who, sib._part(who))), action
+            assert _fresh_key(fresh) == keys[i][1], action
             assert (_graph(_state(sib, but=who), shared)[0]
                     == _graph(_state(fresh, but=who), shared)[0]), action
             for x, graph, k in zip(family, graphs, keys):
-                assert x.key() == _fresh_key(x) == k, (action, x is sib)
+                assert (x.key(), _fresh_key(x)) == k, (action, x is sib)
                 assert _graph(_state(x), shared)[0] == graph, (action,
                                                                x is sib)
             # the actor's slot is the search's stored object for its new
-            # state and LRU order, which has no sim; every other
-            # position keeps the parent's slot
+            # state, which has no sim; every other position keeps the
+            # parent's slot
             for target in _positions(w):
                 if target != who:
                     assert sib._slots[target] == w._slots[target], action
             part = sib._part(who)
-            state = (who, _kid(sib, who), _lru(who, part))
-            assert sib._search.slot_of[state] == sib._slots[who], action
+            assert (sib._search.slot_of[who, part.state_key()]
+                    == sib._slots[who]), action
             assert getattr(part, "sim", None) is None, action
     want = {"message in flight", "request queued at the home"}
     if preset_name == "directory":
@@ -1018,24 +1025,24 @@ def _deep_hash(key):
                          ("tardis-base", "tardis-opt", "directory"))
 def test_state_keys_never_change_once_taken(preset_name, caches,
                                             monkeypatch):
-    """A world key is ints: the key id of each position's slot and the
-    numbers of the messages in flight.  The search's intern dicts hold
-    the records behind them: those of each component key (lines,
-    clocks, messages, transactions) and each message.  They are exact
-    only while no search step changes a record after it was interned,
-    and a slot only while its stored component keeps the state key and
-    LRU order it was stored with."""
+    """A world key is ints: the slot of each position and the numbers of
+    the messages in flight.  The search's dicts hold the records behind
+    them: slot_of those of each stored component's state key (lines,
+    clocks, messages, transactions) and numbers each message.  They are
+    exact only while no search step changes a record after it was
+    keyed, and a slot only while its stored component keeps the state
+    key it was stored with."""
     cfg = replace(preset(preset_name, thresh_min=1), **_COPY_CACHES[caches])
-    key, taken, interned = _World.key, [], {}
+    key, taken, tracked = _World.key, [], {}
 
     def kept(world):
         k = key(world)
         taken.append((k, _deep_hash(k)))
         search = world._search
-        # the component keys and messages interned since the last
-        # call, hashed as they were then
-        for table in (search.ids, search.numbers):
-            n = interned.setdefault(id(table), [table, 0, search])
+        # the component keys and messages stored since the last call,
+        # hashed as they were then
+        for table in (search.slot_of, search.numbers):
+            n = tracked.setdefault(id(table), [table, 0, search])
             taken.extend((c, _deep_hash(c))
                          for c in islice(table, n[1], None))
             n[1] = len(table)
@@ -1046,10 +1053,8 @@ def test_state_keys_never_change_once_taken(preset_name, caches,
         enumerate_outcomes(builtin(name), "tso", cfg=cfg)
     changed = sum(_deep_hash(k) != h for k, h in taken)
     assert taken and changed == 0, (changed, len(taken))
-    searches = {id(n[2]): n[2] for n in interned.values()}
+    searches = {id(n[2]): n[2] for n in tracked.values()}
     assert len(searches) == 3
     for search in searches.values():
-        for (target, kid, lru), slot in search.slot_of.items():
-            part = search.parts[slot]
-            assert search.ids[part.state_key()] == kid == search.kids[slot]
-            assert _lru(target, part) == lru
+        for (target, state), slot in search.slot_of.items():
+            assert search.parts[slot].state_key() == state, target
