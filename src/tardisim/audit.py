@@ -103,7 +103,7 @@ class CoherenceAuditor:
             if not self.tardis:
                 self.last_store[row.addr] = row.value
                 return
-            self.token_when[row.value.as_tuple()] = (row.ts, row.step)
+            self.token_when[row.value] = (row.ts, row.step)
             key = row.physio_key()
             cur = self.max_store.get(row.addr)
             if cur is None or key > cur[0]:
@@ -127,7 +127,7 @@ class CoherenceAuditor:
             if (line.state is S and line.wts <= ts <= line.rts
                     and cid != row.core
                     and (line.wts < ts or self.token_when.get(
-                        line.value.as_tuple(), _UNWRITTEN)[1] < step)):
+                        line.value, _UNWRITTEN)[1] < step)):
                 if not ordered:
                     return self._no_store_in_window(row, True)
                 self._fail(
@@ -194,7 +194,7 @@ class CoherenceAuditor:
             self._fail(f"master window of addr {addr} shrank: "
                        f"{prev} -> ({master.wts}, {master.rts})")
         self.window[addr] = (master.wts, master.rts)
-        when = self.token_when.get(master.value.as_tuple())
+        when = self.token_when.get(master.value)
         if when is not None and when[0] != master.wts:
             self._fail(f"addr {addr} master wts {master.wts} but its "
                        f"value was written at ts {when[0]}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 # The four lease values a 2-bit lease field can encode.
 LEASE_VALUES = (8, 16, 32, 64)
@@ -16,9 +17,10 @@ MIN_LEASE = LEASE_VALUES[0]
 MAX_LEASE = LEASE_VALUES[-1]
 
 
-@dataclass(frozen=True)
-class ValueToken:
-    """Identity of one dynamic store (or of pre-run memory contents)."""
+class ValueToken(NamedTuple):
+    """Identity of one dynamic store (or of pre-run memory contents).
+    A tuple, so it hashes and compares in C, and its hash is that of
+    (writer, seq, literal)."""
 
     writer: int          # core id, -1 for initial memory contents
     seq: int             # per-core store sequence; the address for initials
@@ -27,9 +29,6 @@ class ValueToken:
     @property
     def is_initial(self) -> bool:
         return self.writer < 0
-
-    def as_tuple(self) -> tuple:
-        return (self.writer, self.seq, self.literal)
 
 
 def initial_token(addr: int) -> ValueToken:
@@ -170,7 +169,7 @@ class SetAssocCache:
         return new
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemLine:
     value: ValueToken
     wts: int = 0

@@ -31,6 +31,7 @@ import random
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .cachemem import (CacheLine, LineState, LlcLine, MainMemory,
                        SetAssocCache, ValueToken, copy_record, initial_token)
@@ -63,7 +64,7 @@ _MEMORY_KINDS = {OpKind.LOAD, OpKind.STORE, OpKind.SPIN}   # rows with addr, val
 _LOAD_KINDS = {OpKind.LOAD, OpKind.SPIN}                   # rows that may fwd
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceOp:
     """One committed operation."""
 
@@ -86,7 +87,7 @@ class TraceOp:
         addr = "" if self.addr is None else f'"addr": {self.addr}, '
         fwd = '"fwd": true, ' if self.fwd else ""
         val = ("" if self.value is None
-               else ', "val": [%d, %d, %d]' % self.value.as_tuple())
+               else ', "val": [%d, %d, %d]' % self.value)
         return (f'{{{addr}"core": {self.core}, {fwd}"i": {self.idx}, '
                 f'"op": "{_KIND_STR[self.kind]}", "pt": {self.step}, '
                 f'"seq": {self.seq}, "ts": {self.ts}{val}}}')
@@ -136,8 +137,7 @@ def trace_from_json(lines) -> list[TraceOp]:
     return out
 
 
-@dataclass(frozen=True)
-class StoreEntry:
+class StoreEntry(NamedTuple):
     idx: int
     addr: int
     token: ValueToken

@@ -38,7 +38,7 @@ class OpKind(Enum):
     SPIN = auto()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemOp:
     kind: OpKind
     addr: int | None = None
@@ -459,6 +459,10 @@ def synth(params: SynthParams, line_bytes: int = 64) -> Program:
         raise ParseError("synth: some accesses go to shared lines, "
                          "so shared_lines must be >= 1")
     rng = random.Random(params.seed)
+    # an op is immutable, so every load of an address (and every fence)
+    # is one shared record; a store carries its own literal
+    fence = MemOp(OpKind.FENCE)
+    loads: dict[int, MemOp] = {}
     hot = [i * line_bytes for i in range(params.hot_lines)]
     shared = [(params.hot_lines + i) * line_bytes
               for i in range(params.shared_lines)]
@@ -472,7 +476,7 @@ def synth(params: SynthParams, line_bytes: int = 64) -> Program:
         while len(ops) < params.ops_per_core:
             r = rng.random()
             if r < params.fence_frac:
-                ops.append(MemOp(OpKind.FENCE))
+                ops.append(fence)
                 continue
             pick = rng.random()
             if pick < params.hot_frac:
@@ -489,6 +493,9 @@ def synth(params: SynthParams, line_bytes: int = 64) -> Program:
                 lit += 1
                 ops.append(MemOp(OpKind.STORE, addr, value=lit))
             else:
-                ops.append(MemOp(OpKind.LOAD, addr, reg=None))
+                load = loads.get(addr)
+                if load is None:
+                    load = loads[addr] = MemOp(OpKind.LOAD, addr)
+                ops.append(load)
         cores.append(ops)
     return Program(f"synth-{params.seed}", cores)

@@ -3,7 +3,8 @@
 import pytest
 
 from tardisim.cachemem import (CacheLine, LEASE_VALUES, LineState, MainMemory,
-                               SetAssocCache, ValueToken, initial_token)
+                               MemLine, SetAssocCache, ValueToken,
+                               initial_token)
 from tardisim.config import preset
 from tardisim.engine import Simulator
 from tardisim.workloads import builtin
@@ -19,6 +20,25 @@ def test_value_tokens_distinguish_writers():
     assert a != b
     assert initial_token(64).is_initial
     assert not a.is_initial
+
+
+def test_value_token_is_a_compact_record():
+    """A token hashes as the tuple of its fields, the hash every pinned
+    set and dict order keyed by tokens was taken with; it prints with
+    its field names and cannot change.  A memory line is frozen and
+    slotted."""
+    tok = ValueToken(3, 7, 2)
+    assert hash(tok) == hash((3, 7, 2))
+    assert hash(initial_token(64)) == hash((-1, 64, 0))
+    assert repr(tok) == "ValueToken(writer=3, seq=7, literal=2)"
+    assert str(ValueToken(0, 1)) == "ValueToken(writer=0, seq=1, literal=0)"
+    with pytest.raises(AttributeError):
+        tok.literal = 5
+    line = MemLine(tok, wts=1, rts=2)
+    with pytest.raises(AttributeError):
+        line.wts = 3
+    assert not hasattr(line, "__dict__")
+    assert hash(line) == hash((tok, 1, 2, line.lease))
 
 
 def test_set_indexing_and_lru():

@@ -1,10 +1,12 @@
 """Engine behavior: determinism, buffering, tracing, traffic."""
 
 import copy
+import gc
 import io
 import math
 import random
-from dataclasses import is_dataclass, replace
+import tracemalloc
+from dataclasses import fields, is_dataclass, replace
 from enum import Enum
 from itertools import islice
 
@@ -12,17 +14,18 @@ import pytest
 
 from tardisim import engine
 from tardisim.audit import CoherenceAuditor
+from tardisim.cachemem import ValueToken
 from tardisim.checker import check_trace, oracle_outcomes
 from tardisim.config import preset
 from tardisim.directory import DirectoryLlc
 from tardisim.engine import (DRAW_BITS, ENUM_OP_LIMIT, DeadlockError,
                              SimulationError, Simulator, StepLimitError,
-                             _World, actor, burn_draws,
+                             StoreEntry, TraceOp, _World, actor, burn_draws,
                              draw_numerator, draw_threshold,
                              enumerate_outcomes, trace_from_json)
 from tardisim.messages import LLC, MEM, Msg, MsgKind
-from tardisim.workloads import (LITMUS_NAMES, OpKind, SynthParams, WarmLine,
-                                builtin, parse_program, synth)
+from tardisim.workloads import (LITMUS_NAMES, MemOp, OpKind, SynthParams,
+                                WarmLine, builtin, parse_program, synth)
 from conftest import ONE_SET_CACHES, ONE_WAY_CACHES, run
 from test_fingerprint import (CAPACITY_CFG, CAPACITY_SEEDS,
                               ENUM_SEARCH_PINS, MODELS, PROGRAMS, RUN_PINS,
@@ -128,6 +131,64 @@ def test_trace_json_round_trip():
     for a, b in zip(sim.trace, back):
         assert a.physio_key() == b.physio_key()
         assert (a.kind, a.addr, a.value, a.fwd) == (b.kind, b.addr, b.value, b.fwd)
+
+
+def test_trace_records_are_compact():
+    """Rows, ops and buffered stores are slotted records or tuples, and
+    a row's JSON text is pinned byte for byte."""
+    tok = ValueToken(2, 7, 5)
+    store = TraceOp(2, 3, OpKind.STORE, 128, tok, 41, 40, 6)
+    fence = TraceOp(0, 1, OpKind.FENCE, None, None, 9, 12, 2)
+    assert store.to_json() == ('{"addr": 128, "core": 2, "i": 3, "op": "St", '
+                               '"pt": 40, "seq": 6, "ts": 41, '
+                               '"val": [2, 7, 5]}')
+    assert fence.to_json() == ('{"core": 0, "i": 1, "op": "Fence", "pt": 12, '
+                               '"seq": 2, "ts": 9}')
+    assert trace_from_json([store.to_json(), fence.to_json()]) == [store,
+                                                                    fence]
+    entry = StoreEntry(3, 128, tok)
+    op = MemOp(OpKind.LOAD, 64)
+    for record in (store, entry, op, tok):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+    assert hash(entry) == hash((3, 128, tok))
+    for record, name in ((op, "addr"), (entry, "addr"), (tok, "seq")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    store.ts, store.step = 42, 41   # rows stay mutable: checker tests edit them
+    assert store.physio_key() == (42, 41, 2, 6)
+
+
+# Bytes that the trace and the program of one synth run hold per committed
+# op (trace row), measured with tracemalloc on Python 3.11.7: 176.4 (118,848
+# program bytes and 727,844 trace bytes over 4,800 rows).  The guard allows
+# 10% above it.
+FOOTPRINT_BYTES_PER_OP = 176.4
+
+
+def test_trace_and_program_footprint_per_op():
+    """A footprint guard: the program (measured as synth builds it) and
+    the trace (measured as it is dropped after the run) of one 16-core
+    run stay compact."""
+    params = SynthParams(cores=16, ops_per_core=300, seed=0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        program = synth(params)
+        program_bytes = tracemalloc.get_traced_memory()[0] - before
+        sim = Simulator(preset("tardis-opt", seed=0), program)
+        sim.run()
+        rows = sim.trace
+        sim.trace = []
+        held = tracemalloc.get_traced_memory()[0]
+        n = len(rows)
+        del rows
+        trace_bytes = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert n == params.cores * params.ops_per_core
+    per_op = (program_bytes + trace_bytes) / n
+    assert per_op <= 1.1 * FOOTPRINT_BYTES_PER_OP, per_op
 
 
 def test_cold_load_traffic_and_dram_latency():
@@ -827,8 +888,11 @@ def _graph(root, shared=frozenset()):
         if not (is_dataclass(obj) and obj.__dataclass_params__.frozen
                 or isinstance(obj, Msg)):
             mutable.add(id(obj))
+        # a slotted dataclass has no __dict__: its fields are its state
+        items = (vars(obj).items() if hasattr(obj, "__dict__") else
+                 ((f.name, getattr(obj, f.name)) for f in fields(obj)))
         return kind, tuple((k, "back-reference" if k == "sim" else visit(v))
-                           for k, v in vars(obj).items())
+                           for k, v in items)
 
     return visit(root), set(number), mutable
 

@@ -126,6 +126,28 @@ def test_synth_is_deterministic():
     assert synth(params) != other
 
 
+def test_synth_shares_one_record_per_load_address():
+    """Ops are immutable, so every load of one address in a synth
+    program is one record; stores keep their own literal, and each core
+    gets an op list of its own."""
+    params = SynthParams(cores=4, ops_per_core=200, write_frac=0.3, seed=3)
+    p = synth(params)
+    loads = {}
+    for ops in p.cores:
+        for op in ops:
+            if op.kind is OpKind.LOAD:
+                assert loads.setdefault(op.addr, op) is op
+    assert sum(op.kind is OpKind.LOAD for ops in p.cores
+               for op in ops) > 2 * len(loads)
+    for ops in p.cores:
+        stores = [op for op in ops if op.kind is OpKind.STORE]
+        assert [op.value for op in stores] == list(range(1, len(stores) + 1))
+    assert len({id(ops) for ops in p.cores}) == params.cores
+    again = synth(params)
+    assert again == p
+    assert all(a is not b for a, b in zip(again.cores, p.cores))
+
+
 def test_synth_respects_shape():
     params = SynthParams(cores=3, ops_per_core=40, hot_lines=2,
                          shared_lines=4, private_lines=2, private_frac=0.5,
