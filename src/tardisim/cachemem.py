@@ -1,8 +1,9 @@
-"""Cache line records, set-associative containers and main memory.
+"""Cache line records, set-associative containers and main-memory lines.
 
 Data is modeled as opaque value tokens (writer core + per-core store
 sequence + the program-level literal).  A token is enough to check the
-value axiom of every memory model without simulating real bytes.
+value axiom of every memory model without simulating real bytes.  Main
+memory itself is engine.MainMemory, a component like the cores.
 """
 
 from __future__ import annotations
@@ -175,31 +176,3 @@ class MemLine:
     wts: int = 0
     rts: int = 0
     lease: int = MIN_LEASE
-
-
-class MainMemory:
-    """Backing store.  Timestamps and the predictor lease survive LLC
-    eviction/refill round trips through here."""
-
-    def __init__(self):
-        self.lines: dict[int, MemLine] = {}
-
-    def read(self, addr: int) -> MemLine:
-        line = self.lines.get(addr)
-        if line is None:
-            line = MemLine(value=initial_token(addr))
-            self.lines[addr] = line
-        return line
-
-    def write(self, addr: int, value: ValueToken, wts: int, rts: int,
-              lease: int = MIN_LEASE) -> None:
-        self.lines[addr] = MemLine(value=value, wts=wts, rts=rts, lease=lease)
-
-    def state_key(self) -> frozenset:
-        return frozenset(self.lines.items())
-
-    def clone(self) -> MainMemory:
-        """An independent copy; a MemLine is immutable, so it is shared."""
-        new = copy_record(self)
-        new.lines = dict(self.lines)
-        return new

@@ -33,7 +33,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from .cachemem import (CacheLine, LineState, LlcLine, MainMemory,
+from .cachemem import (MIN_LEASE, CacheLine, LineState, LlcLine, MemLine,
                        SetAssocCache, ValueToken, copy_record, initial_token)
 from .config import ConfigError, SimConfig, hop_table
 from .consistency import CLOCKS
@@ -546,6 +546,50 @@ class BaseLlc:
 
 
 # ---------------------------------------------------------------------------
+# main memory: the DRAM end of every fill and writeback
+
+
+class MainMemory:
+    """Backing store.  Timestamps and the predictor lease survive LLC
+    eviction/refill round trips through here."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.lines: dict[int, MemLine] = {}
+
+    def read(self, addr: int) -> MemLine:
+        line = self.lines.get(addr)
+        if line is None:
+            line = MemLine(value=initial_token(addr))
+            self.lines[addr] = line
+        return line
+
+    def write(self, addr: int, value: ValueToken, wts: int, rts: int,
+              lease: int = MIN_LEASE) -> None:
+        self.lines[addr] = MemLine(value=value, wts=wts, rts=rts, lease=lease)
+
+    def handle(self, msg: Msg) -> None:
+        if msg.kind is MsgKind.MEM_READ:
+            line = self.read(msg.addr)
+            self.sim.send(Msg(MsgKind.MEM_DATA, msg.addr, MEM, LLC, data=True,
+                              value=line.value, wts=line.wts, rts=line.rts,
+                              lease=line.lease))
+        elif msg.kind is MsgKind.MEM_WRITE:
+            self.write(msg.addr, msg.value, msg.wts, msg.rts, msg.lease)
+
+    def state_key(self) -> frozenset:
+        return frozenset(self.lines.items())
+
+    def clone(self, sim) -> MainMemory:
+        """An exact, independent copy of this memory inside sim; a
+        MemLine is immutable, so it is shared."""
+        new = copy_record(self)
+        new.sim = sim
+        new.lines = dict(self.lines)
+        return new
+
+
+# ---------------------------------------------------------------------------
 # the timed simulator
 
 
@@ -561,6 +605,24 @@ def _build_parts(sim, program: Program):
         cores = [DirectoryCore(sim, cid, ops) for cid, ops in enumerate(program.cores)]
         llc = DirectoryLlc(sim)
     return cores, llc
+
+
+def _assemble(sim, program: Program) -> list:
+    """The components of a run by position, [*cores, mem, llc], so that a
+    core id, MEM or LLC indexes them, each holding the program's warm
+    lines."""
+    cores, llc = _build_parts(sim, program)
+    mem = MainMemory(sim)
+    for warm in program.warm:
+        tok = initial_token(warm.addr)
+        mem.write(warm.addr, tok, warm.wts, warm.rts)
+        llc.warm_install(warm.addr, tok, warm.wts, warm.rts,
+                         sharers=warm.in_l1)
+        for cid in warm.in_l1:
+            cores[cid].l1.insert(CacheLine(addr=warm.addr, state=LineState.S,
+                                           wts=warm.wts, rts=warm.rts,
+                                           value=tok))
+    return [*cores, mem, llc]
 
 
 # The seeded schedule draws one random.Random.random() per core per
@@ -614,7 +676,6 @@ class Simulator:
         # one tile per core; a line's home is its line number mod tiles
         self._tiles = program.n_cores
         self._hops = hop_table(self._tiles)
-        self.mem = MainMemory()
         # (kind, carries a line) -> [messages sent, hops they travelled];
         # the report derives every message count and the traffic from it
         self.tally: defaultdict[tuple, list] = defaultdict(lambda: [0, 0])
@@ -626,9 +687,10 @@ class Simulator:
         # every delivery's, every commit's, and every address an
         # audited cache inserts or removes
         self._touched: set[int] | None = None if auditor is None else set()
-        self.cores, self.llc = _build_parts(self, program)
+        # every endpoint by position: a message's dst indexes it
+        self.parts = _assemble(self, program)
+        *self.cores, self.mem, self.llc = self.parts
         self._ready = set(range(len(self.cores)))
-        _apply_warm(program, self.cores, self.llc, self.mem)
         if auditor is not None:
             auditor.attach(self)
 
@@ -685,21 +747,7 @@ class Simulator:
             touched.clear()
 
     def route(self, msg: Msg) -> None:
-        if msg.dst == MEM:
-            self._mem_handle(self.mem, msg)
-        elif msg.dst == LLC:
-            self.llc.handle(msg)
-        else:
-            self.cores[msg.dst].handle(msg)
-
-    def _mem_handle(self, mem: MainMemory, msg: Msg) -> None:
-        if msg.kind is MsgKind.MEM_READ:
-            line = mem.read(msg.addr)
-            self.send(Msg(MsgKind.MEM_DATA, msg.addr, MEM, LLC, data=True,
-                          value=line.value, wts=line.wts, rts=line.rts,
-                          lease=line.lease))
-        elif msg.kind is MsgKind.MEM_WRITE:
-            mem.write(msg.addr, msg.value, msg.wts, msg.rts, msg.lease)
+        self.parts[msg.dst].handle(msg)
 
     def _turn_order(self) -> list[int]:
         """The ready cores that take a turn this tick, in core order."""
@@ -792,18 +840,6 @@ class Simulator:
                      for cid, reg in self.program.registers())
 
 
-def _apply_warm(program: Program, cores, llc, mem: MainMemory) -> None:
-    for warm in program.warm:
-        tok = initial_token(warm.addr)
-        mem.write(warm.addr, tok, warm.wts, warm.rts)
-        llc.warm_install(warm.addr, tok, warm.wts, warm.rts,
-                         sharers=warm.in_l1)
-        for cid in warm.in_l1:
-            line = CacheLine(addr=warm.addr, state=LineState.S,
-                             wts=warm.wts, rts=warm.rts, value=tok)
-            cores[cid].l1.insert(line)
-
-
 # ---------------------------------------------------------------------------
 # exhaustive enumeration
 
@@ -814,10 +850,11 @@ class _Search:
     message numbers (the collapse compression of SPIN, Holzmann 1997).
 
     A slot is one stored component: the first one the search met at a
-    position (a core id, LLC or MEM) with a given state key.  A stored
-    component never changes, since a step takes place on a clone of it,
-    and it has sim None, so the tables keep no world alive and go with a
-    search's last world."""
+    position (a core id, MEM or LLC) with a given state key.  A stored
+    component never changes, since a step takes place on a clone of it.
+    Every one has sim None, memory and the home included, so the tables
+    keep no world alive and go with a search's last world; only a core
+    has moves."""
 
     def __init__(self):
         self.slot_of: dict[tuple, int] = {}   # (position, state key) -> slot
@@ -838,8 +875,7 @@ class _Search:
         slot = self.slot_of.setdefault((target, part.state_key()),
                                        len(self.parts))
         if slot == len(self.parts):
-            if target != MEM:
-                part.sim = None
+            part.sim = None
             moves = ()
             if target >= 0:
                 if part.can_exec():
@@ -868,18 +904,17 @@ class _World(Simulator):
     until the search delivers them, so there is no clock (step stays 0),
     schedule, send tally or trace.
 
-    A world is its slot list and its channel map.  Position i of the
-    slot list holds the slot id of core i's component, and positions
-    MEM and LLC (-2 and -1) those of memory and the home; a channel
-    holds message numbers.  Slots, messages and steps live in the
-    search's _Search, which every copy of a world shares, so a copy is
-    two small containers.  The key of a world is its slots and its
-    channels.
+    A world is its slot list and its channel map.  The slot list holds,
+    at each position of Simulator.parts (a core id, MEM or LLC), the
+    slot id of the component there; a channel holds message numbers.
+    Slots, messages and steps live in the search's _Search, which every
+    copy of a world shares, so a copy is two small containers.  The key
+    of a world is its slots and its channels.
 
     apply() memoizes steps.  A step is looked up by the actor's slot and
     the action kind or the delivered message's number.  The first time,
-    the stored component is cloned and its handler runs on the clone
-    (the only component with a sim: the world); the clone is stored,
+    the stored component at any position is cloned into the world and
+    its move or its handle runs on the clone; the clone is stored,
     unless its position already has a slot with the same state key, and
     the step's result slot, sends and rows go in the memo.  Every later
     time, the world takes the result slot, and the step's messages and
@@ -903,11 +938,9 @@ class _World(Simulator):
         self.channels: dict[tuple, tuple] = {}   # (src, dst) -> numbers
         self._log = None   # ([numbers sent], [rows]) while a step runs
         self._search = search = _Search()
-        cores, llc = _build_parts(self, program)
-        mem = MainMemory()
-        _apply_warm(program, cores, llc, mem)
+        parts = _assemble(self, program)
         self._slots = [search.store(target, part) for target, part in zip(
-            (*range(len(cores)), MEM, LLC), (*cores, mem, llc))]
+            (*range(len(parts) - 2), MEM, LLC), parts)]
 
     @property
     def cores(self) -> list:
@@ -917,10 +950,6 @@ class _World(Simulator):
     @property
     def llc(self):
         return self._search.parts[self._slots[LLC]]
-
-    @property
-    def mem(self):
-        return self._search.parts[self._slots[MEM]]
 
     def _part(self, target: int):
         """The component at target: a core id, LLC or MEM."""
@@ -954,7 +983,7 @@ class _World(Simulator):
     def actions(self) -> list:
         acts = [("deliver", ch) for ch in sorted(self.channels)]
         moves = self._search.moves
-        for slot in self._slots[:-2]:   # the cores'
+        for slot in self._slots:
             acts += moves[slot]
         return acts
 
@@ -985,18 +1014,14 @@ class _World(Simulator):
         """Take the step on a clone of the component at target: the slot
         of the result, and the numbers of the messages the step sent and
         the rows it appended."""
-        part = self._part(target)
-        part = part.clone() if target == MEM else part.clone(self)
+        part = self._part(target).clone(self)
         self._log = sent, rows = [], []
-        if msg is None:
-            if what == "op":
-                part.exec_op()
-            else:
-                part._drain_issue(part.buffer[0])
-        elif target == MEM:
-            self._mem_handle(part, msg)
-        else:
+        if msg is not None:
             part.handle(msg)
+        elif what == "op":
+            part.exec_op()
+        else:
+            part._drain_issue(part.buffer[0])
         self._log = None
         return self._search.store(target, part), tuple(sent), tuple(rows)
 

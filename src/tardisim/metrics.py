@@ -85,8 +85,8 @@ def build_report(sim) -> Report:
     llc_accesses = sum(sent[k] for k in _LLC_REQUESTS)
     ts_per_core = [core.clock.current_max for core in sim.cores]
     ts_max = max(ts_per_core)
-    outcome = {f"c{cid}.{reg}": sim.cores[cid].regs.get(reg, 0)
-               for cid, reg in sim.program.registers()}
+    names = [f"c{cid}.{reg}" for cid, reg in sim.program.registers()]
+    outcome = dict(zip(names, sim.outcome()))
     return Report(
         program=sim.program.name,
         protocol=cfg.protocol,

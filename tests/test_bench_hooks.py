@@ -14,7 +14,8 @@ import jobs  # noqa: E402
 import layers  # noqa: E402
 import spans  # noqa: E402
 from tardisim import directory, engine, tardis  # noqa: E402
-from tardisim.workloads import builtin  # noqa: E402
+from tardisim.config import preset  # noqa: E402
+from tardisim.workloads import SynthParams, builtin, synth  # noqa: E402
 
 _SEARCH_COUNTS = ("popped", "unique", "slept", "reopened", "transitions",
                   "reused")
@@ -84,3 +85,23 @@ def test_traced_enumerator_counts_match_the_search():
     # uninstall put every hooked attribute back
     assert engine.copy.deepcopy is copy.deepcopy
     assert "wrapper" not in engine._World.key.__qualname__
+
+
+def test_traced_timed_run_marks_the_llc_and_routes_every_message():
+    """mark_llc takes the shared cache from the (cores, llc) pair that
+    engine._build_parts returns, so a traced timed run counts lookups in
+    sim.llc.lines as LLC ones and no L1's.  route runs once per message
+    sent: the send tally, which the report counts from, matches the
+    deliveries."""
+    tr = spans.Tracer()
+    layers.install(tr)
+    try:
+        sim = engine.Simulator(preset("tardis-opt", seed=0),
+                               synth(SynthParams(cores=4, seed=0)))
+        sim.run()
+    finally:
+        tr.uninstall()
+    assert getattr(sim.llc.lines, "bench_llc", False)
+    assert not any(hasattr(core.l1, "bench_llc") for core in sim.cores)
+    routed = tr.totals()["engine.route"][0]
+    assert routed == sum(n for n, _ in sim.tally.values()) > 0

@@ -2,11 +2,12 @@
 
 import pytest
 
-from tardisim.cachemem import (CacheLine, LEASE_VALUES, LineState, MainMemory,
+from tardisim.cachemem import (CacheLine, LEASE_VALUES, MIN_LEASE, LineState,
                                MemLine, SetAssocCache, ValueToken,
                                initial_token)
 from tardisim.config import preset
-from tardisim.engine import Simulator
+from tardisim.engine import MainMemory, Simulator
+from tardisim.messages import LLC, MEM, Msg, MsgKind
 from tardisim.workloads import builtin
 
 
@@ -101,7 +102,7 @@ def test_insert_requires_free_way():
 
 
 def test_memory_keeps_timestamps_and_lease():
-    mem = MainMemory()
+    mem = MainMemory(None)
     line = mem.read(128)
     assert line.value == initial_token(128) and line.wts == 0
     tok = ValueToken(2, 5, literal=3)
@@ -110,12 +111,62 @@ def test_memory_keeps_timestamps_and_lease():
     assert (back.value, back.wts, back.rts, back.lease) == (tok, 10, 40, 32)
 
 
+class _Outbox:
+    """A fabric that keeps what a component sends."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, msg):
+        self.sent.append(msg)
+
+
+@pytest.mark.parametrize("written", [None, (ValueToken(2, 5, 3), 10, 40, 32)])
+def test_memory_answers_a_read_with_the_line_it_holds(written):
+    """A read of a line never written gets the initial contents at
+    timestamp 0 and the least lease; a written line comes back as
+    written."""
+    fabric = _Outbox()
+    mem = MainMemory(fabric)
+    if written is not None:
+        mem.handle(Msg(MsgKind.MEM_WRITE, 128, LLC, MEM, data=True,
+                       value=written[0], wts=written[1], rts=written[2],
+                       lease=written[3]))
+    mem.handle(Msg(MsgKind.MEM_READ, 128, LLC, MEM))
+    value, wts, rts, lease = written or (initial_token(128), 0, 0, MIN_LEASE)
+    assert fabric.sent == [Msg(MsgKind.MEM_DATA, 128, MEM, LLC, data=True,
+                               value=value, wts=wts, rts=rts, lease=lease)]
+
+
+def test_memory_stores_a_write_and_sends_nothing():
+    fabric = _Outbox()
+    mem = MainMemory(fabric)
+    tok = ValueToken(1, 2, literal=7)
+    mem.handle(Msg(MsgKind.MEM_WRITE, 64, LLC, MEM, data=True, value=tok,
+                   wts=3, rts=9, lease=16))
+    assert mem.lines == {64: MemLine(tok, 3, 9, 16)} and not fabric.sent
+
+
+def test_memory_clone_lives_in_its_own_fabric():
+    """clone(sim) takes the sim every component's clone takes, and the
+    copy's lines are its own."""
+    mem = MainMemory(_Outbox())
+    mem.write(64, initial_token(64), wts=1, rts=2)
+    fabric = _Outbox()
+    new = mem.clone(fabric)
+    assert new.sim is fabric and new.lines == mem.lines
+    assert new.lines is not mem.lines
+    new.handle(Msg(MsgKind.MEM_READ, 128, LLC, MEM))
+    assert 128 in new.lines and 128 not in mem.lines
+    assert len(fabric.sent) == 1 and not mem.sim.sent
+
+
 def test_memory_state_key_holds_the_lease():
     """A refill grants the lease memory kept, so memories that differ
     only in it must not merge in an enumeration."""
     keys = []
     for lease in (8, 16):
-        mem = MainMemory()
+        mem = MainMemory(None)
         mem.write(128, initial_token(128), wts=10, rts=40, lease=lease)
         keys.append(mem.state_key())
     assert keys[0] != keys[1]

@@ -913,9 +913,8 @@ def _isolated(world):
     for name in _INTERNED:
         setattr(search, name, getattr(world._search, name))
     for target in _positions(world):
-        part = world._part(target)
-        part = part.clone() if target == MEM else part.clone(new)
-        new._slots[target] = search.store(target, part)
+        new._slots[target] = search.store(target,
+                                          world._part(target).clone(new))
     return new
 
 
