@@ -23,6 +23,9 @@ class ConfigError(ValueError):
 
 
 PROTOCOLS = ("tardis", "directory")
+# a run's step, and so every step and seq in its trace, stays within
+# max_steps: the bound keeps them inside the trace's 64-bit int column
+MAX_STEPS_BOUND = 2**62
 
 
 @dataclass
@@ -71,6 +74,8 @@ class SimConfig:
                     "dram_latency", "hop_cycles", "max_steps"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
+        if self.max_steps > MAX_STEPS_BOUND:
+            raise ConfigError("max_steps must be <= 2**62")
         for kb, ways, level in ((self.l1_kb, self.l1_ways, "l1"),
                                 (self.llc_kb, self.llc_ways, "llc")):
             if kb * 1024 < ways * self.line_bytes:

@@ -15,6 +15,10 @@ is ready the clock jumps to the tick before the next delivery.  The
 seeded schedule still consumes one `random()` draw per core per tick,
 skipped ticks included, so runs are the same as polling every core.
 
+A run's trace (Trace) keeps each committed operation as numbers in two
+flat columns, not as a record, and builds a TraceOp only when a row is
+read.  The runtime auditor still gets a TraceOp per commit.
+
 The same protocol components also run under an exhaustive enumerator
 (`enumerate_outcomes`) that replaces the clocked network with
 explicitly scheduled message deliveries and explores every
@@ -29,7 +33,8 @@ import json
 import math
 import random
 import time
-from collections import defaultdict
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -91,6 +96,88 @@ class TraceOp:
         return (f'{{{addr}"core": {self.core}, {fwd}"i": {self.idx}, '
                 f'"op": "{_KIND_STR[self.kind]}", "pt": {self.step}, '
                 f'"seq": {self.seq}, "ts": {self.ts}{val}}}')
+
+
+_KINDS = tuple(OpKind)                            # a row's kind by number
+_KIND_NUM = {k: n for n, k in enumerate(_KINDS)}  # below 16: fwd is bit 4
+
+
+class Trace:
+    """The committed operations of a timed run, in two strided columns
+    instead of one TraceOp per row (the column store of Stonebraker et
+    al., "C-Store", VLDB 2005).
+
+    ints is an array('q') with five ints per row: core, idx, step, seq,
+    and the kind's number | fwd << 4.  All of them fit in 64 bits: a
+    core id and a program index are list positions, a run's step never
+    passes max_steps, which SimConfig bounds by 2**62, and a core commits
+    at most once per tick, so its seq never passes the step.  refs is a
+    list with three references per row: ts, addr and value.  Those stay
+    objects because they are unbounded (addresses and store literals come
+    from the program, timestamps grow with the lease), and each is
+    already held by an op, a line or a clock.
+
+    A row becomes a TraceOp only when it is read, through len, [i] and
+    iteration.  Rows read in commit order until sort(), and in (core,
+    idx, seq) order after it, through an index permutation; the columns
+    themselves never move."""
+
+    __slots__ = ("ints", "refs", "order")
+
+    def __init__(self):
+        self.ints = array("q")
+        self.refs: list = []
+        self.order: array | None = None   # row read i -> stored row
+
+    def append(self, core: int, idx: int, kind: OpKind, addr: int | None,
+               value: ValueToken | None, ts: int, step: int, seq: int,
+               fwd: bool = False) -> None:
+        self.ints.extend((core, idx, step, seq, _KIND_NUM[kind] | fwd << 4))
+        self.refs.extend((ts, addr, value))
+
+    def __len__(self) -> int:
+        return len(self.refs) // 3
+
+    def _row(self, r: int) -> TraceOp:
+        """Stored row r as a record."""
+        ints, refs = self.ints, self.refs
+        i, j = 5 * r, 3 * r
+        kf = ints[i + 4]
+        return TraceOp(ints[i], ints[i + 1], _KINDS[kf & 15], refs[j + 1],
+                       refs[j + 2], refs[j], ints[i + 2], ints[i + 3], kf > 15)
+
+    def __getitem__(self, i: int) -> TraceOp:
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("trace row out of range")
+        return self._row(i if self.order is None else self.order[i])
+
+    def __iter__(self):
+        return map(self._row,
+                   range(len(self)) if self.order is None else self.order)
+
+    def sort(self) -> None:
+        """Read rows in (core, idx, seq) order from now on.  Rows are
+        grouped by core, and each group is sorted by idx alone: a core's
+        rows are stored in seq order, and the sort is stable."""
+        cores, idxs = self.ints[0::5], self.ints[1::5]
+        groups = [array("q") for _ in range(max(cores, default=-1) + 1)]
+        for r, core in enumerate(cores):
+            groups[core].append(r)
+        del cores
+        order = array("q")
+        for g in groups:
+            order.extend(sorted(g, key=idxs.__getitem__))
+        self.order = order
+
+    def kinds(self) -> Counter:
+        """The number of rows of each OpKind, from the kind column."""
+        out = Counter()
+        for kf, n in Counter(self.ints[4::5]).items():
+            out[_KINDS[kf & 15]] += n
+        return out
 
 
 # one call into the C scanner per line: (value, end), or StopIteration
@@ -245,8 +332,8 @@ class BaseCore:
             ts = self.clock.sync(k)
             self.seq += 1
             step = self.committed_step = self.sim.step
-            self.sim.trace_append(TraceOp(self.cid, self.pc, k, None, None,
-                                          ts, step, self.seq))
+            self.sim.record(self.cid, self.pc, k, None, None, ts, step,
+                            self.seq)
             self.pc += 1
             return
         if k is OpKind.SLEEP:
@@ -317,8 +404,8 @@ class BaseCore:
                       fwd: bool = False) -> None:
         self.seq += 1
         step = self.committed_step = self.sim.step
-        self.sim.trace_append(TraceOp(self.cid, idx, kind, addr, token, ts,
-                                      step, self.seq, fwd=fwd))
+        self.sim.record(self.cid, idx, kind, addr, token, ts, step,
+                        self.seq, fwd)
         if self.detector is not None and self.clock.read_ts > pre_read_ts:
             self.detector.reset_on_ts_advance()
         self.access_count += 1
@@ -558,10 +645,11 @@ class MainMemory:
         self.lines: dict[int, MemLine] = {}
 
     def read(self, addr: int) -> MemLine:
+        """The line at addr; one never written holds its initial token,
+        and a read stores nothing, so it leaves the state key alone."""
         line = self.lines.get(addr)
         if line is None:
-            line = MemLine(value=initial_token(addr))
-            self.lines[addr] = line
+            return MemLine(value=initial_token(addr))
         return line
 
     def write(self, addr: int, value: ValueToken, wts: int, rts: int,
@@ -679,7 +767,7 @@ class Simulator:
         # (kind, carries a line) -> [messages sent, hops they travelled];
         # the report derives every message count and the traffic from it
         self.tally: defaultdict[tuple, list] = defaultdict(lambda: [0, 0])
-        self.trace: list[TraceOp] = []
+        self.trace = Trace()
         self._queue: list = []
         self._msg_seq = 0
         self.auditor = auditor
@@ -714,12 +802,17 @@ class Simulator:
         self._msg_seq += 1
         heapq.heappush(self._queue, (self.step + latency, self._msg_seq, msg))
 
-    def trace_append(self, row: TraceOp) -> None:
-        self.trace.append(row)
+    def record(self, core: int, idx: int, kind: OpKind, addr: int | None,
+               value: ValueToken | None, ts: int, step: int, seq: int,
+               fwd: bool = False) -> None:
+        """Keep one committed operation in the trace's columns.  The
+        auditor, when one is attached, reads it as a TraceOp."""
+        self.trace.append(core, idx, kind, addr, value, ts, step, seq, fwd)
         if self.auditor is not None:
-            if row.addr is not None:
-                self._touched.add(row.addr)
-            self.auditor.on_commit(row)
+            if addr is not None:
+                self._touched.add(addr)
+            self.auditor.on_commit(TraceOp(core, idx, kind, addr, value, ts,
+                                           step, seq, fwd))
 
     # -- run loop --------------------------------------------------------
 
@@ -801,7 +894,7 @@ class Simulator:
             elif not self.all_done():
                 raise DeadlockError("no core can advance and the network is "
                                     f"idle\n{self._dump()}")
-        self.trace.sort(key=lambda r: (r.core, r.idx, r.seq))
+        self.trace.sort()
         if self.auditor is not None:
             self.auditor.on_run_end()
         return build_report(self)
@@ -967,6 +1060,9 @@ class _World(Simulator):
         if self._log is not None:
             self._log[0].append(n)
 
+    def record(self, *fields) -> None:
+        self.trace_append(TraceOp(*fields))
+
     def trace_append(self, row: TraceOp) -> None:
         # outcomes come from registers, so there is no trace; a step
         # being computed records its rows for the memo
@@ -1054,8 +1150,8 @@ class _World(Simulator):
 # op or a drain.
 # - apply() puts a new slot at the actor's position only: the step's
 #   result, computed on a clone of the actor's component or replayed.
-# - A handler reaches other components only through send and
-#   trace_append, and reads none of them.
+# - A handler reaches other components only through send and record,
+#   and reads none of them.
 # - Every message a component sends has itself as src, so an action
 #   appends only to channels that start at its actor.
 # - A delivery pops the head of a channel that is not empty; another

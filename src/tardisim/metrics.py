@@ -68,7 +68,7 @@ def build_report(sim) -> Report:
     message counts from the send tally; run() returns only once the
     network has drained, so every message sent was also delivered."""
     cfg = sim.cfg
-    rows = Counter([row.kind for row in sim.trace])
+    rows = sim.trace.kinds()
     sent = Counter()   # messages by kind, and by (kind, carries a line)
     traffic = {cls: {"messages": 0, "flits": 0, "flit_hops": 0}
                for cls in (*TRAFFIC_CLASSES, "total")}

@@ -61,8 +61,8 @@ def test_enumerate_litmus_search_totals():
                                           protocol=protocol, stats=stats)
                 totals.update({k: stats[k] for k in _SEARCH_COUNTS})
     assert totals == {"popped": 12_275, "unique": 9_219, "slept": 7_673,
-                      "reopened": 987, "transitions": 3_196,
-                      "reused": 9_047}
+                      "reopened": 987, "transitions": 3_132,
+                      "reused": 9_111}
 
 
 def test_traced_enumerator_counts_match_the_search():

@@ -156,8 +156,11 @@ def test_memory_clone_lives_in_its_own_fabric():
     new = mem.clone(fabric)
     assert new.sim is fabric and new.lines == mem.lines
     assert new.lines is not mem.lines
-    new.handle(Msg(MsgKind.MEM_READ, 128, LLC, MEM))
+    tok = ValueToken(1, 2, literal=7)
+    new.handle(Msg(MsgKind.MEM_WRITE, 128, LLC, MEM, data=True, value=tok,
+                   wts=3, rts=9, lease=16))
     assert 128 in new.lines and 128 not in mem.lines
+    new.handle(Msg(MsgKind.MEM_READ, 128, LLC, MEM))
     assert len(fabric.sent) == 1 and not mem.sim.sent
 
 

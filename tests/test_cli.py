@@ -129,9 +129,9 @@ def test_enumerate_stats_go_to_stderr(capsys):
     # the search size tests/test_fingerprint.py pins for mp under tso
     assert "search: popped=269 unique=211 peak_frontier=" in err
     assert " slept=182 reopened=24 " in err
-    # of the 268 steps applied, 78 are computed and 190 replayed from
+    # of the 268 steps applied, 76 are computed and 192 replayed from
     # the search's memo
-    assert " transitions=78 reused=190 " in err
+    assert " transitions=76 reused=192 " in err
     assert "states_per_s=" in err and "popped" not in out
 
 
@@ -420,6 +420,8 @@ def test_bad_synth_value_names_its_parameter(spec, capsys):
     (["run", "--program", "synth:cores=010"], "cores wants int, got '010'"),
     (["run", "--program", "lease_case:iterations=010"],
      "iterations wants int, got '010'"),
+    # steps and commit sequence numbers fit the trace's 64-bit column
+    (_run_mp("max_steps=0x4000000000000001"), "max_steps must be <= 2**62"),
 ], ids=lambda arg: " ".join(arg[2:]) if isinstance(arg, list) else "err")
 def test_bad_input_exits_2_and_names_its_key(argv, words, tmp_path,
                                              monkeypatch, capsys):

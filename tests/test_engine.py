@@ -6,6 +6,7 @@ import io
 import math
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 from enum import Enum
 from itertools import islice
@@ -158,11 +159,88 @@ def test_trace_records_are_compact():
     assert store.physio_key() == (42, 41, 2, 6)
 
 
+class _Listed(Simulator):
+    """Also keeps every committed row as a TraceOp, in commit order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.listed = []
+
+    def record(self, *fields):
+        super().record(*fields)
+        self.listed.append(TraceOp(*fields))
+
+
+@pytest.mark.parametrize("program", [synth(CONTended), builtin("spin",
+                                                                delay=40)],
+                         ids=["synth", "spin"])
+def test_trace_reads_as_the_sorted_rows(program):
+    """len, [i] and iteration of the columnar trace give the rows of a
+    list of TraceOps sorted by (core, idx, seq), forwarded loads and a
+    spin's repeated idx included, and its kind count is the rows'."""
+    sim = _Listed(preset("tardis-base", model="tso", seed=4), program)
+    sim.run()
+    ref = sorted(sim.listed, key=lambda r: (r.core, r.idx, r.seq))
+    want = [r.to_json() for r in ref]
+    trace = sim.trace
+    assert type(trace) is engine.Trace and len(trace) == len(ref)
+    assert [r.to_json() for r in trace] == want
+    assert [trace[i].to_json() for i in range(len(trace))] == want
+    assert trace[-1].to_json() == want[-1]
+    with pytest.raises(IndexError):
+        trace[len(trace)]
+    assert trace.kinds() == Counter(r.kind for r in ref)
+    # the rows hold a forwarded load, or a spin's repeated idx
+    keys = [(r.core, r.idx) for r in ref]
+    assert any(r.fwd for r in ref) or len(set(keys)) < len(keys)
+
+
+def test_an_unaudited_run_builds_no_trace_op(monkeypatch):
+    """Rows are built only when read; the auditor reads one per commit."""
+    built = []
+
+    def counted(*fields):
+        built.append(fields)
+        return TraceOp(*fields)
+
+    monkeypatch.setattr(engine, "TraceOp", counted)
+    sim, _ = run(synth(CONTended), seed=4)
+    assert not built and len(sim.trace) > 0
+    sim.trace[0]
+    assert len(built) == 1
+    built.clear()
+    sim, _ = run(synth(CONTended), seed=4, auditor=CoherenceAuditor())
+    assert len(built) == len(sim.trace)
+
+
+@pytest.mark.parametrize("preset_name", ["tardis-base", "directory"])
+def test_addresses_and_literals_past_64_bits(preset_name):
+    """The trace keeps addresses, store literals and timestamps as
+    objects, so an address and a literal past 2**64 run without an
+    OverflowError, print exactly, read back and check clean."""
+    addr, literal = 2**64 + 64, 2**64 + 5
+    prog = parse_program(f"""
+    [core 0]
+    St {addr:#x} {literal}
+    Ld A -> r1
+    [core 1]
+    St A 1
+    Ld {addr} -> r2
+    """)
+    sim, _ = run(prog, preset_name, auditor=CoherenceAuditor(), seed=0)
+    lines = [r.to_json() for r in sim.trace]
+    assert sum(f'"addr": {addr}, ' in line for line in lines) == 2
+    assert any(f", {literal}]}}" in line for line in lines)
+    back = trace_from_json(lines)
+    assert back == list(sim.trace)
+    assert check_trace(sim.trace, sim.cfg.model) == []
+
+
 # Bytes that the trace and the program of one synth run hold per committed
-# op (trace row), measured with tracemalloc on Python 3.11.7: 176.4 (118,848
-# program bytes and 727,844 trace bytes over 4,800 rows).  The guard allows
-# 10% above it.
-FOOTPRINT_BYTES_PER_OP = 176.4
+# op (trace row), measured with tracemalloc on Python 3.11.7: 113.6 (118,848
+# program bytes and 426,388 trace bytes over 4,800 rows; the trace's share
+# was 151.5 when each row was a TraceOp).  The guard allows 10% above it.
+FOOTPRINT_BYTES_PER_OP = 113.6
 
 
 def test_trace_and_program_footprint_per_op():
@@ -179,7 +257,7 @@ def test_trace_and_program_footprint_per_op():
         sim = Simulator(preset("tardis-opt", seed=0), program)
         sim.run()
         rows = sim.trace
-        sim.trace = []
+        del sim.trace
         held = tracemalloc.get_traced_memory()[0]
         n = len(rows)
         del rows
@@ -350,8 +428,8 @@ class _Sandbox:
     def send(self, msg):
         self.effects.append(msg)
 
-    def trace_append(self, row):
-        self.effects.append(row)
+    def record(self, *fields):
+        self.effects.append(fields)
 
 
 class _ReadyChecked(Simulator):
