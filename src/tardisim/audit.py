@@ -28,10 +28,10 @@ does no extra work.
 from __future__ import annotations
 
 from .cachemem import LineState, SetAssocCache
-from .workloads import OpKind
+from .workloads import LOADS, OpKind
 
-M, E, S, I = LineState.M, LineState.E, LineState.S, LineState.I
-LOAD, STORE, SPIN = OpKind.LOAD, OpKind.STORE, OpKind.SPIN
+M, E, S = LineState.M, LineState.E, LineState.S
+STORE = OpKind.STORE
 _NONE: dict = {}             # the holders of an address no L1 holds
 _UNWRITTEN = (0, -1)         # token_when of a value no store wrote
 
@@ -109,7 +109,7 @@ class CoherenceAuditor:
             if cur is None or key > cur[0]:
                 self.max_store[row.addr] = (key, row.value)
             self._no_store_in_window(row)
-        elif (kind is LOAD or kind is SPIN) and not self.tardis:
+        elif kind in LOADS and not self.tardis:
             if row.fwd:
                 return
             expected = self.last_store.get(row.addr)
@@ -156,16 +156,11 @@ class CoherenceAuditor:
             if state is M or state is E:
                 owned = line
                 masters += 1
-            if tardis and line.wts > line.rts and state is not I:
+            if tardis and line.wts > line.rts:
                 if not ordered:
                     return self._check_addr(addr, True)
                 self._fail(f"core {cid} line {addr} has wts "
                            f"{line.wts} > rts {line.rts}")
-            if line.dirty and state is not M:
-                if not ordered:
-                    return self._check_addr(addr, True)
-                self._fail(f"core {cid} line {addr} dirty in "
-                           f"{state.name}")
         master = owned
         llc_line = self.llc.lookup(addr, touch=False)
         at_llc = llc_line is not None and llc_line.owner is None

@@ -51,21 +51,20 @@ class LineState(str, Enum):
     M = "M"
     E = "E"
     S = "S"
-    I = "I"
 
 
 @dataclass(unsafe_hash=True)
 class CacheLine:
-    """One private-cache line: MESI state plus the timestamp pair.  It
-    compares and hashes by every field, which is how an enumeration
-    state keys it."""
+    """One private-cache line: MESI state plus the timestamp pair.  A
+    line is dirty exactly when it is in M, and a line that is not held
+    is not in the cache, so there is no invalid state.  It compares and
+    hashes by every field, which is how an enumeration state keys it."""
 
     addr: int
-    state: LineState = LineState.I
+    state: LineState
     wts: int = 0
     rts: int = 0
     value: ValueToken | None = None
-    dirty: bool = False
     lease: int = MIN_LEASE   # lease this copy was granted with (renew echo)
 
 

@@ -22,9 +22,7 @@ from itertools import groupby
 
 from .cachemem import initial_token
 from .consistency import MemoryModel
-from .workloads import OpKind, Program
-
-LOADISH = (OpKind.LOAD, OpKind.SPIN)
+from .workloads import LOADS, OpKind, Program
 
 
 def ordered(model: MemoryModel, a: OpKind, b: OpKind,
@@ -48,7 +46,7 @@ def ordered(model: MemoryModel, a: OpKind, b: OpKind,
     if model is MemoryModel.SC:
         return True
     if model is MemoryModel.TSO:
-        return not (store_a and b in LOADISH)
+        return not (store_a and b in LOADS)
     # PSO: only loads order later ordinary ops, same-address stores stay put
     if store_a:
         return b is OpKind.STORE and same_addr
@@ -75,7 +73,7 @@ def check_trace(trace, model) -> list[Violation]:
     # a, b).
     kinds = list(OpKind)
     num = {k: i for i, k in enumerate(kinds)}
-    num[OpKind.SPIN] = num[OpKind.LOAD]
+    num.update(dict.fromkeys(LOADS, num[OpKind.LOAD]))
     must = [[ordered(model, a, b) for b in kinds] for a in kinds]
     store = num[OpKind.STORE]
     for core, group in groupby(rows, key=lambda r: r.core):
@@ -130,7 +128,7 @@ def check_trace(trace, model) -> list[Violation]:
     for _, group in groupby(rows, key=lambda r: (r.core, r.idx)):
         group = list(group)
         for row in group:
-            if row.kind not in LOADISH:
+            if row.kind not in LOADS:
                 continue
             addr = row.addr
             instant = (row.ts, row.step)

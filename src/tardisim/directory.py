@@ -67,7 +67,6 @@ class DirectoryCore(BaseCore):
                 return
             if kind is MsgKind.FWD_GETS:
                 line.state = S
-                line.dirty = False
             else:
                 self.l1.remove(msg.addr)
             self.sim.send(Msg(MsgKind.FWD_RESP, msg.addr, self.cid, LLC,
@@ -82,7 +81,7 @@ class DirectoryCore(BaseCore):
             self.sim.send(Msg(MsgKind.PUTS, victim.addr, self.cid, LLC))
         else:
             self.sim.send(Msg(MsgKind.PUTM, victim.addr, self.cid, LLC,
-                              data=victim.dirty, value=victim.value))
+                              data=victim.state is M, value=victim.value))
 
 
 # ---------------------------------------------------------------------------

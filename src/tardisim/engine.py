@@ -43,7 +43,9 @@ from .cachemem import (MIN_LEASE, CacheLine, LineState, LlcLine, MemLine,
 from .config import ConfigError, SimConfig, hop_table
 from .consistency import CLOCKS
 from .messages import LLC, MEM, Msg, MsgKind
-from .workloads import MemOp, OpKind, ParseError, Program
+from .workloads import LOADS, SYNCS, MemOp, OpKind, ParseError, Program
+
+M, E, S = LineState.M, LineState.E, LineState.S
 
 
 class SimulationError(RuntimeError):
@@ -65,8 +67,6 @@ class StepLimitError(SimulationError):
 _KIND_STR = {OpKind.LOAD: "Ld", OpKind.STORE: "St", OpKind.FENCE: "Fence",
              OpKind.ACQUIRE: "Acq", OpKind.RELEASE: "Rel", OpKind.SPIN: "Spin"}
 _STR_KIND = {v: k for k, v in _KIND_STR.items()}
-_MEMORY_KINDS = {OpKind.LOAD, OpKind.STORE, OpKind.SPIN}   # rows with addr, val
-_LOAD_KINDS = {OpKind.LOAD, OpKind.SPIN}                   # rows that may fwd
 
 
 @dataclass(slots=True)
@@ -211,11 +211,11 @@ def trace_from_json(lines) -> list[TraceOp]:
                 and (val is None or type(val) is list and len(val) == 3
                      and int is type(val[0]) is type(val[1]) is type(val[2]))):
             raise ParseError(f"trace line {n}: a field has the wrong type")
-        memory = kind in _MEMORY_KINDS
+        memory = kind not in SYNCS   # a row with addr and val
         if (addr is not None, val is not None) != (memory, memory):
             raise ParseError(f"trace line {n}: a {d['op']} row " + (
                 "needs addr and val" if memory else "takes no addr or val"))
-        if fwd and kind not in _LOAD_KINDS:
+        if fwd and kind not in LOADS:
             raise ParseError(f"trace line {n}: a {d['op']} row is never "
                              "forwarded")
         out.append(TraceOp(core, idx, kind, addr,
@@ -313,7 +313,7 @@ class BaseCore:
         k = self.ops[self.pc].kind
         if k is OpKind.STORE:
             return not (self.buffer_cap and len(self.buffer) >= self.buffer_cap)
-        if k in (OpKind.FENCE, OpKind.ACQUIRE, OpKind.RELEASE):
+        if k in SYNCS:
             return not self.buffer or (k is OpKind.ACQUIRE
                                        and not self.clock.ACQUIRE_DRAINS)
         return True
@@ -328,7 +328,7 @@ class BaseCore:
             self.buffer.append(StoreEntry(self.pc, op.addr, tok))
             self.pc += 1
             return
-        if k in (OpKind.FENCE, OpKind.ACQUIRE, OpKind.RELEASE):
+        if k in SYNCS:
             ts = self.clock.sync(k)
             self.seq += 1
             step = self.committed_step = self.sim.step
@@ -355,9 +355,9 @@ class BaseCore:
         """Commit the load or spin at pc from line.  A load past the
         line's lease stretches it: only an owner may, with no message."""
         pre = self.clock.read_ts
-        ts = self.clock.commit_load(line.wts, dirty_by_self=line.dirty)
+        ts = self.clock.commit_load(line.wts, dirty_by_self=line.state is M)
         if ts > line.rts:
-            assert line.state is not LineState.S
+            assert line.state is not S
             line.rts = ts
         self._finish_load(line.value, ts, pre)
 
@@ -367,7 +367,7 @@ class BaseCore:
         assert self.waiting == msg.addr
         self.waiting = None
         self._read(self._install(CacheLine(
-            addr=msg.addr, state=LineState.E if msg.excl else LineState.S,
+            addr=msg.addr, state=E if msg.excl else S,
             wts=msg.wts, rts=msg.rts, value=msg.value, lease=msg.lease)))
 
     def _write(self, entry: StoreEntry, line: CacheLine, floor: int) -> None:
@@ -377,9 +377,8 @@ class BaseCore:
         ts = self.clock.commit_store(floor)
         line.wts = ts
         line.rts = max(line.rts, ts)
-        line.state = LineState.M
+        line.state = M
         line.value = entry.token
-        line.dirty = True
         self.buffer.pop(0)
         self.commit_memory(entry.idx, OpKind.STORE, entry.addr, entry.token,
                            ts, pre)
@@ -421,7 +420,7 @@ class BaseCore:
         line = self.l1.lookup(msg.addr)
         through = False
         if line is None:
-            line = CacheLine(addr=msg.addr, state=LineState.M)
+            line = CacheLine(addr=msg.addr, state=M)
             through = self._install(line) is None
         self._write(entry, line, msg.floor)
         if through:
@@ -698,16 +697,23 @@ def _build_parts(sim, program: Program):
 def _assemble(sim, program: Program) -> list:
     """The components of a run by position, [*cores, mem, llc], so that a
     core id, MEM or LLC indexes them, each holding the program's warm
-    lines."""
+    lines.  Warm lines that overflow a set are a ConfigError."""
     cores, llc = _build_parts(sim, program)
     mem = MainMemory(sim)
     for warm in program.warm:
+        holders = [(llc.lines, "the LLC", "llc")] + [
+            (cores[cid].l1, f"core {cid}'s L1", "l1") for cid in warm.in_l1]
+        for cache, where, level in holders:
+            if not cache.has_room(warm.addr):
+                raise ConfigError(f"program {program.name}: warm lines "
+                                  f"overflow a set of {where} "
+                                  f"({level}_ways={cache.ways})")
         tok = initial_token(warm.addr)
         mem.write(warm.addr, tok, warm.wts, warm.rts)
         llc.warm_install(warm.addr, tok, warm.wts, warm.rts,
                          sharers=warm.in_l1)
         for cid in warm.in_l1:
-            cores[cid].l1.insert(CacheLine(addr=warm.addr, state=LineState.S,
+            cores[cid].l1.insert(CacheLine(addr=warm.addr, state=S,
                                            wts=warm.wts, rts=warm.rts,
                                            value=tok))
     return [*cores, mem, llc]

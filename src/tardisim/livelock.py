@@ -58,7 +58,7 @@ class LivelockDetector:
             return
         self.check_count += 1
         if self.check_count >= self.check_thresh and self.thresh_count < self.max_count:
-            self.thresh_count *= 2
+            self.thresh_count = min(2 * self.thresh_count, self.max_count)
             self.check_count = 0
 
     def reset_on_ts_advance(self) -> None:

@@ -75,7 +75,9 @@ TO_I = "i"
 @dataclass(unsafe_hash=True)
 class Msg:
     """One message.  It never changes once sent, so enumerated worlds
-    share it and it is its own part of their state keys."""
+    share it and it is its own part of their state keys.  A RENEW_RESP
+    renewed the copy exactly when it carries no line (data), and a
+    CHECK_RESP found it stale exactly when it carries one."""
 
     kind: MsgKind
     addr: int
@@ -91,8 +93,6 @@ class Msg:
     lease: int = MIN_LEASE          # grant: lease the response was issued with
     floor: int = 0                  # exclusive grant: min store timestamp
     excl: bool = False              # load response grants E instead of S
-    success: bool = True            # renew response
-    updated: bool = False           # check response
     downgrade: str = TO_S           # recall target state
     extend_ts: int | None = None    # recall: extend rts to extend_ts + lease
     have_line: bool = False         # store request: upgrade of a shared copy

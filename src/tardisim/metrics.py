@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 
 from .messages import TRAFFIC_CLASS, TRAFFIC_CLASSES, MsgKind
-from .workloads import OpKind
+from .workloads import LOADS, SYNCS, OpKind
 
 
 @dataclass
@@ -80,7 +80,7 @@ def build_report(sim) -> Report:
             t["messages"] += n
             t["flits"] += n * flits
             t["flit_hops"] += hops * flits
-    loads = rows[OpKind.LOAD] + rows[OpKind.SPIN]
+    loads = sum(rows[k] for k in LOADS)
     mem_ops = loads + rows[OpKind.STORE]
     llc_accesses = sum(sent[k] for k in _LLC_REQUESTS)
     ts_per_core = [core.clock.current_max for core in sim.cores]
@@ -96,8 +96,7 @@ def build_report(sim) -> Report:
         steps=sim.step,
         loads=loads,
         stores=rows[OpKind.STORE],
-        fences=rows[OpKind.FENCE] + rows[OpKind.ACQUIRE]
-        + rows[OpKind.RELEASE],
+        fences=sum(rows[k] for k in SYNCS),
         llc_accesses=llc_accesses,
         renew_requests=sent[MsgKind.RENEW_REQ],
         renew_ok=sent[MsgKind.RENEW_RESP, False],

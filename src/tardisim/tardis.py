@@ -94,7 +94,7 @@ class TardisCore(BaseCore):
             self.waiting = None
             line = self.l1.lookup(msg.addr)
             assert line is not None and line.state is S
-            if msg.success:
+            if not msg.data:   # renewed: the copy is still current
                 line.rts = max(line.rts, msg.rts)
             else:
                 line.wts, line.rts = msg.wts, msg.rts
@@ -106,8 +106,8 @@ class TardisCore(BaseCore):
             self._store_granted(msg)
         elif kind is MsgKind.CHECK_RESP:
             if self.detector is not None:
-                self.detector.on_check_response(msg.updated)
-            if msg.updated:
+                self.detector.on_check_response(msg.data)
+            if msg.data:   # the copy was stale
                 line = self.l1.lookup(msg.addr)
                 if line is not None and line.state is S:
                     line.wts, line.rts = msg.wts, msg.rts
@@ -126,10 +126,9 @@ class TardisCore(BaseCore):
             self.sim.send(Msg(MsgKind.WB_RESP, msg.addr, self.cid, LLC,
                               data=False))
             return
-        was_dirty = line.dirty
+        was_dirty = line.state is M
         if msg.downgrade == TO_S:
             line.state = S
-            line.dirty = False
             if msg.extend_ts is not None:
                 line.rts = max(line.rts, msg.extend_ts + msg.lease)
                 line.lease = msg.lease
@@ -233,21 +232,19 @@ class TardisLlc(BaseLlc):
             line.rts = max(line.rts, msg.req_ts + lease)
             if msg.req_wts == line.wts:
                 self.sim.send(Msg(MsgKind.RENEW_RESP, msg.addr, LLC, msg.src,
-                                  success=True, data=False, rts=line.rts,
-                                  lease=lease))
+                                  rts=line.rts, lease=lease))
             else:
                 # stale data: the lease still moves, but the reply must
                 # carry the current version
                 self.sim.send(Msg(MsgKind.RENEW_RESP, msg.addr, LLC, msg.src,
-                                  success=False, data=True, value=line.value,
+                                  data=True, value=line.value,
                                   wts=line.wts, rts=line.rts, lease=lease))
         elif kind is MsgKind.CHECK_REQ:
             if msg.req_wts == line.wts:
-                self.sim.send(Msg(MsgKind.CHECK_RESP, msg.addr, LLC, msg.src,
-                                  updated=False, data=False))
+                self.sim.send(Msg(MsgKind.CHECK_RESP, msg.addr, LLC, msg.src))
             else:
                 self.sim.send(Msg(MsgKind.CHECK_RESP, msg.addr, LLC, msg.src,
-                                  updated=True, data=True, value=line.value,
+                                  data=True, value=line.value,
                                   wts=line.wts, rts=line.rts,
                                   lease=line.cur_lease))
         elif kind is MsgKind.STORE_REQ:

@@ -38,6 +38,11 @@ class OpKind(Enum):
     SPIN = auto()
 
 
+# a spin commits as a load; a sync op orders the store buffer, at no address
+LOADS = (OpKind.LOAD, OpKind.SPIN)
+SYNCS = (OpKind.FENCE, OpKind.ACQUIRE, OpKind.RELEASE)
+
+
 @dataclass(frozen=True, slots=True)
 class MemOp:
     kind: OpKind

@@ -188,7 +188,7 @@ def _renewals_of_a(monkeypatch, cfg, iterations=128, lo=20, hi=120):
 
     def recording(core, msg):
         if msg.kind is MsgKind.RENEW_RESP:
-            events.append((core.cid, msg.addr, core.pc, msg.success))
+            events.append((core.cid, msg.addr, core.pc, not msg.data))
         handle(core, msg)
 
     with monkeypatch.context() as m:

@@ -89,21 +89,6 @@ def test_two_master_copies_are_caught():
         aud._check_addr(0)
 
 
-def test_dirty_shared_line_is_caught():
-    sim, aud = audited("""
-    [core 0]
-    St A 1
-
-    [core 1]
-    Ld A -> r1
-    """)
-    line = sim.cores[1].l1.lookup(0, touch=False)
-    assert line.state is LineState.S
-    line.dirty = True
-    with pytest.raises(AuditError, match="dirty"):
-        aud._check_addr(0)
-
-
 def test_store_inside_live_read_window_is_caught():
     # core 1 starts with a warm shared copy valid through ts 20; a store
     # committing at ts 10 would invalidate lease-based reading
@@ -170,11 +155,6 @@ def _wts_beyond_rts(sim, lines):
         line.wts = 21
 
 
-def _dirty_shared(sim, lines):
-    for line in lines:
-        line.dirty = True
-
-
 def _owned_by_core_1(sim, lines):
     lines[0].state = LineState.M
     sim.llc.lines.lookup(0, touch=False).owner = 1
@@ -185,7 +165,6 @@ _OUT_OF_ORDER = {
                     "2 master copies of addr 0: [('l1', 1), ('l1', 3)]"),
     "wts-beyond-rts": ("tardis-base", _wts_beyond_rts,
                        "core 1 line 0 has wts 21 > rts 20"),
-    "dirty-in-s": ("tardis-base", _dirty_shared, "core 1 line 0 dirty in S"),
     "directory-owned": ("directory", _owned_by_core_1,
                         "directory: owned line 0 coexists with other copies "
                         "at [1, 3]"),
@@ -226,8 +205,9 @@ def test_run_end_sweeps_every_held_line(preset_name):
     sim, _ = run(p, preset_name, auditor=aud)
     aud.on_run_end()
     b = p.cores[1][0].addr
-    sim.cores[1].l1.lookup(b, touch=False).dirty = True
-    with pytest.raises(AuditError, match=f"core 1 line {b} dirty in"):
+    # core 1 owns b in E, and the LLC now claims the master copy too
+    sim.llc.lines.lookup(b, touch=False).owner = None
+    with pytest.raises(AuditError, match=f"2 master copies of addr {b}"):
         aud.on_run_end()
 
 
@@ -282,7 +262,7 @@ def _line_fields(sim) -> dict:
     out = {}
     for core in sim.cores:
         for l in core.l1.lines():
-            out[core.cid, l.addr] = (l.state, l.wts, l.rts, l.value, l.dirty)
+            out[core.cid, l.addr] = (l.state, l.wts, l.rts, l.value)
     for l in sim.llc.lines.lines():
         out["llc", l.addr] = (l.wts, l.rts, l.value, l.owner,
                               frozenset(l.sharers))
@@ -328,8 +308,6 @@ def _corrupted(name, old, rng):
     """Another value for field name of a line."""
     if name == "state":
         return rng.choice([s for s in LineState if s is not old])
-    if name == "dirty":
-        return not old
     if name in ("wts", "rts"):
         return old + rng.choice((-2, -1, 1, 2))
     if name == "value":
@@ -384,8 +362,8 @@ class _Corrupting(CoherenceAuditor):
         if not lines:
             return
         line = rng.choice(lines)
-        name = rng.choice([f for f in ("state", "dirty", "wts", "rts", "value",
-                                       "owner") if hasattr(line, f)])
+        name = rng.choice([f for f in ("state", "wts", "rts", "value", "owner")
+                           if hasattr(line, f)])
         old, window = getattr(line, name), self.window
         setattr(line, name, _corrupted(name, old, rng))
         self.comparing = True

@@ -90,15 +90,16 @@ def test_lru_order_is_in_the_key():
 
 def test_lru_victim_none_while_room():
     cache = SetAssocCache(size_kb=1, ways=2, line_bytes=64)
-    cache.insert(CacheLine(addr=0))
+    cache.insert(CacheLine(addr=0, state=LineState.S))
     assert cache.lru_victim(0) is None
 
 
 def test_insert_requires_free_way():
     cache = SetAssocCache(size_kb=1, ways=1, line_bytes=64)
-    cache.insert(CacheLine(addr=0))
+    cache.insert(CacheLine(addr=0, state=LineState.S))
     with pytest.raises(AssertionError):
-        cache.insert(CacheLine(addr=1024))  # same set, no room
+        # same set, no room
+        cache.insert(CacheLine(addr=1024, state=LineState.S))
 
 
 def test_memory_keeps_timestamps_and_lease():

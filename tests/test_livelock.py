@@ -37,6 +37,19 @@ def test_threshold_doubles_after_clean_checks():
     assert det.thresh_count == 800
 
 
+def test_threshold_never_passes_max_count():
+    # with one clean check per plateau, each check doubles the threshold
+    # until max_count caps it, whether or not max_count is a power of two
+    # times min_count
+    for lo, hi, want in ((3, 8, [6, 8, 8]), (100, 700, [200, 400, 700])):
+        det = LivelockDetector(min_count=lo, max_count=hi, check_thresh=1)
+        seen = []
+        for _ in want:
+            det.on_check_response(updated=False)
+            seen.append(det.thresh_count)
+        assert seen == want, (lo, hi)
+
+
 def test_updated_check_resets_threshold():
     det = LivelockDetector()
     for _ in range(10):

@@ -102,8 +102,8 @@ def recount(sim) -> dict:
             MsgKind.LOAD_REQ, MsgKind.STORE_REQ, MsgKind.RENEW_REQ,
             MsgKind.CHECK_REQ, MsgKind.GETS, MsgKind.GETM)),
         "renew_requests": kinds[MsgKind.RENEW_REQ],
-        "renew_ok": sum(m.success for m in renews),
-        "renew_fail": sum(not m.success for m in renews),
+        "renew_ok": sum(not m.data for m in renews),
+        "renew_fail": sum(m.data for m in renews),
         "checks_sent": kinds[MsgKind.CHECK_REQ],
         "traffic": traffic,
     }

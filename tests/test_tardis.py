@@ -103,7 +103,7 @@ def test_exclusive_to_modified_is_silent():
     # an owner's load never takes a lease, so the store lands right above it
     assert st.ts == ld1.ts + 1
     line = sim.cores[0].l1.lookup(a, touch=False)
-    assert line.state is LineState.M and line.dirty
+    assert line.state is LineState.M
     msgs = rep.traffic["common"]["messages"] + rep.traffic["dram"]["messages"]
     assert msgs == 4                       # miss round trip only, no upgrade
 
