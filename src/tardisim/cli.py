@@ -206,8 +206,8 @@ def cmd_sweep(args) -> int:
             row = {args.param: val}
             row.update(flat)
             rows.append(row)
-            log.info("sweep %s=%s seed=%s steps=%s", args.param, val, seed,
-                     flat["steps"])
+            log.info("sweep %s=%s seed=%s steps=%s", args.param, val,
+                     cfg.seed, flat["steps"])
     out = open(args.csv, "w", newline="") if args.csv else sys.stdout
     try:
         writer = csv.DictWriter(out, fieldnames=list(rows[0]))

@@ -697,10 +697,18 @@ def _build_parts(sim, program: Program):
 def _assemble(sim, program: Program) -> list:
     """The components of a run by position, [*cores, mem, llc], so that a
     core id, MEM or LLC indexes them, each holding the program's warm
-    lines.  Warm lines that overflow a set are a ConfigError."""
+    lines.  A second warm line at one address, an L1 of a core the
+    program lacks and warm lines that overflow a set are ConfigErrors."""
     cores, llc = _build_parts(sim, program)
     mem = MainMemory(sim)
     for warm in program.warm:
+        name = f"program {program.name}: warm line {warm.addr:#x}"
+        if warm.addr in mem.lines:   # written by an earlier warm line
+            raise ConfigError(f"{name} is warmed twice")
+        for cid in warm.in_l1:
+            if cid not in range(len(cores)):
+                raise ConfigError(f"{name} names core {cid}, but the "
+                                  f"program has cores 0-{len(cores) - 1}")
         holders = [(llc.lines, "the LLC", "llc")] + [
             (cores[cid].l1, f"core {cid}'s L1", "l1") for cid in warm.in_l1]
         for cache, where, level in holders:
@@ -962,10 +970,8 @@ class _Search:
         self.done: list[bool] = []         # slot -> whether a core is done
         self.msgs: list[Msg] = []          # number -> message
         self.numbers: dict[Msg, int] = {}  # message -> number, by value
-        # id(msg) -> number of each message in msgs, which keeps it alive
-        self.by_id: dict[int, int] = {}
         # (slot, action kind or message number) -> (result slot, numbers
-        # of the messages sent, rows appended)
+        # of the messages sent, rows committed)
         self.memo: dict[tuple, tuple] = {}
 
     def store(self, target: int, part) -> int:
@@ -987,12 +993,12 @@ class _Search:
         return slot
 
     def number(self, msg: Msg) -> int:
-        """The number of a message a step has just made.  It is hashed
-        once; the first of equal messages is stored, and found by
-        identity from then on."""
+        """The number of a message a step has just made, hashed once;
+        the first of equal messages is stored.  A replayed step holds
+        numbers, so it neither hashes nor looks up a message."""
         n = self.numbers.get(msg)
         if n is None:
-            n = self.numbers[msg] = self.by_id[id(msg)] = len(self.msgs)
+            n = self.numbers[msg] = len(self.msgs)
             self.msgs.append(msg)
         return n
 
@@ -1012,14 +1018,16 @@ class _World(Simulator):
 
     apply() memoizes steps.  A step is looked up by the actor's slot and
     the action kind or the delivered message's number.  The first time,
-    the stored component at any position is cloned into the world and
-    its move or its handle runs on the clone; the clone is stored,
-    unless its position already has a slot with the same state key, and
-    the step's result slot, sends and rows go in the memo.  Every later
-    time, the world takes the result slot, and the step's messages and
-    rows are replayed through send and trace_append.  Each slot's
-    enabled actions and whether its core is done are computed once,
-    when it is stored.
+    _compute clones the stored component into the world and runs its
+    move or its handle on the clone, while send and record only log the
+    numbers of the messages sent and the rows committed; the clone is
+    stored, unless its position already has a slot with the same state
+    key, and the result slot and the two logs go in the memo.  Then,
+    the first time and every later time alike, apply sets the actor's
+    slot, appends each logged number to its channel in send order, and
+    hands each row to trace_append, where a world sees every committed
+    row.  Each slot's enabled actions and whether its core is done are
+    computed once, when it is stored.
 
     Nothing a component holds outside its state key changes a step's
     result, its sends or its rows: seq and access_count count commits,
@@ -1055,25 +1063,14 @@ class _World(Simulator):
         return self._search.parts[self._slots[target]]
 
     def send(self, msg: Msg) -> None:
-        # a channel is a tuple, so copies of a world share it until one
-        # of them sends on it or delivers from it; a replayed message is
-        # the stored one, found by identity
-        n = self._search.by_id.get(id(msg))
-        if n is None:
-            n = self._search.number(msg)
-        ch = (msg.src, msg.dst)
-        self.channels[ch] = self.channels.get(ch, ()) + (n,)
-        if self._log is not None:
-            self._log[0].append(n)
+        self._log[0].append(self._search.number(msg))
 
     def record(self, *fields) -> None:
-        self.trace_append(TraceOp(*fields))
+        self._log[1].append(TraceOp(*fields))
 
     def trace_append(self, row: TraceOp) -> None:
-        # outcomes come from registers, so there is no trace; a step
-        # being computed records its rows for the memo
-        if self._log is not None:
-            self._log[1].append(row)
+        """Sees each row a step commits, as apply applies the step.
+        Outcomes come from registers, so a world keeps no trace."""
 
     def in_flight(self) -> list:
         """(None, message) for each message in flight, channel by
@@ -1104,18 +1101,20 @@ class _World(Simulator):
         step = search.memo.get(look)
         if step is None:
             step = search.memo[look] = self._compute(target, what, msg)
-        else:
-            msgs = search.msgs
-            for n in step[1]:
-                self.send(msgs[n])
-            for row in step[2]:
-                self.trace_append(row)
-        self._slots[target] = step[0]
+        self._slots[target], sent, rows = step
+        # a channel is a tuple, so copies of a world share it until one
+        # of them sends on it or delivers from it
+        msgs, channels = search.msgs, self.channels
+        for n in sent:
+            ch = (msgs[n].src, msgs[n].dst)
+            channels[ch] = channels.get(ch, ()) + (n,)
+        for row in rows:
+            self.trace_append(row)
 
     def _compute(self, target: int, what, msg: Msg | None) -> tuple:
         """Take the step on a clone of the component at target: the slot
         of the result, and the numbers of the messages the step sent and
-        the rows it appended."""
+        the rows it committed, each in order."""
         part = self._part(target).clone(self)
         self._log = sent, rows = [], []
         if msg is not None:

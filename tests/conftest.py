@@ -14,6 +14,19 @@ ONE_SET_CACHES = {"line_bytes": 1024, "l1_kb": 1, "l1_ways": 1,
 ONE_WAY_CACHES = {**ONE_SET_CACHES, "llc_kb": 1, "llc_ways": 1}
 
 
+def appended(channels, world, action):
+    """(channel, message number) for each message that applying action
+    to a world whose channel map was channels appended to it."""
+    added = []
+    for ch, q in world.channels.items():
+        old = channels.get(ch, ())
+        if action == ("deliver", ch):
+            old = old[1:]   # the delivered message left the head
+        assert q[:len(old)] == old, ch
+        added += ((ch, n) for n in q[len(old):])
+    return added
+
+
 def run(program, preset_name="tardis-base", auditor=None, **overrides):
     """Build, run, and hand back the simulator plus its report."""
     cfg = preset(preset_name, **overrides)

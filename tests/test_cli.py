@@ -293,20 +293,27 @@ def test_compare_set_applies_to_every_preset(capsys):
 
 
 def test_sim_log_env_enables_logging(tmp_path):
+    """With SIM_LOG set, a sweep logs one INFO line per run, naming that
+    run's seed; unset, it logs none.  The CLI runs in a child process,
+    since pytest's own root handlers make basicConfig do nothing here."""
+    out = tmp_path / "s.csv"
     argv = [sys.executable, "-m", "tardisim.cli", "sweep", "--program", "mp",
-            "--param", "static_lease", "--values", "8",
-            "--csv", str(tmp_path / "s.csv")]
+            "--param", "seed", "--values", "0,1", "--csv", str(out)]
     # the child imports the package this process imports
     src = os.path.dirname(os.path.dirname(tardisim.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    quiet = subprocess.run(argv, capture_output=True, text=True,
-                           env={**env, "SIM_LOG": ""})
+    env = {k: v for k, v in os.environ.items() if k != "SIM_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    quiet = subprocess.run(argv, capture_output=True, text=True, env=env)
     chatty = subprocess.run(argv, capture_output=True, text=True,
-                            env={**env, "SIM_LOG": "INFO"})
+                            env={**env, "SIM_LOG": "info"})
     assert quiet.returncode == 0 and chatty.returncode == 0
-    assert "sweep static_lease=8" not in quiet.stderr
-    assert "sweep static_lease=8" in chatty.stderr
+    assert "INFO" not in quiet.stderr
+    with open(out, newline="") as f:
+        steps = [row["steps"] for row in csv.DictReader(f)]
+    assert [ln for ln in chatty.stderr.splitlines() if "INFO" in ln] == [
+        f"INFO tardisim: sweep seed={seed} seed={seed} steps={n}"
+        for seed, n in zip((0, 1), steps)]
 
 
 def test_detector_override_matches_its_preset(tmp_path, capsys):

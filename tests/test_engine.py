@@ -17,7 +17,7 @@ from tardisim import engine
 from tardisim.audit import CoherenceAuditor
 from tardisim.cachemem import ValueToken
 from tardisim.checker import check_trace, oracle_outcomes
-from tardisim.config import preset
+from tardisim.config import ConfigError, preset
 from tardisim.directory import DirectoryLlc
 from tardisim.engine import (DRAW_BITS, ENUM_OP_LIMIT, DeadlockError,
                              SimulationError, Simulator, StepLimitError,
@@ -27,7 +27,7 @@ from tardisim.engine import (DRAW_BITS, ENUM_OP_LIMIT, DeadlockError,
 from tardisim.messages import LLC, MEM, Msg, MsgKind
 from tardisim.workloads import (LITMUS_NAMES, MemOp, OpKind, SynthParams,
                                 WarmLine, builtin, parse_program, synth)
-from conftest import ONE_SET_CACHES, ONE_WAY_CACHES, run
+from conftest import ONE_SET_CACHES, ONE_WAY_CACHES, appended, run
 from test_fingerprint import (CAPACITY_CFG, CAPACITY_SEEDS,
                               ENUM_SEARCH_PINS, MODELS, PROGRAMS, RUN_PINS,
                               msg_fields, searched)
@@ -690,6 +690,55 @@ def test_enumeration_limit_counts_the_ops_it_searches():
         enumerate_outcomes(parse_program(fences + "Fence"), "tso")
 
 
+@pytest.mark.parametrize("entry", ("Simulator", "enumerate_outcomes"))
+@pytest.mark.parametrize("warm, words", [
+    ([WarmLine(0), WarmLine(0)], "warm line 0x0 is warmed twice"),
+    ([WarmLine(0, in_l1=(3,))], "warm line 0x0 names core 3,"),
+    ([WarmLine(0, in_l1=(-1,))], "warm line 0x0 names core -1,"),
+], ids=("twice", "past-the-cores", "negative-core"))
+def test_bad_warm_lines_are_config_errors(warm, words, entry):
+    """Warm lines built in Python are checked where both entry points
+    assemble a run: neither an internal assert, an IndexError nor a
+    negative index into the cores gets through."""
+    prog = parse_program("[core 0]\nLd A -> r1\n", name="p")
+    prog.warm = warm
+    with pytest.raises(ConfigError, match=f"^program p: {words}"):
+        if entry == "Simulator":
+            Simulator(preset("tardis-base"), prog)
+        else:
+            enumerate_outcomes(prog, "tso")
+
+
+# Each core stores, then acquires, then loads what the other stored.
+# Under RC the acquire may pass the buffered store; under TSO it waits
+# for the store buffer to drain.
+_ACQ_AFTER_STORE = """
+[core 0]
+St A 1
+Acq
+Ld B -> r1
+[core 1]
+St B 1
+Acq
+Ld A -> r2
+"""
+
+
+@pytest.mark.parametrize("model", ("rc", "tso"))
+def test_acquire_passes_a_buffered_store_only_under_rc(model):
+    prog = parse_program(_ACQ_AFTER_STORE, name="acq_after_store")
+    want = {(0, 1), (1, 0), (1, 1)} | ({(0, 0)} if model == "rc" else set())
+    assert oracle_outcomes(prog, model) == want
+    for protocol in ("tardis", "directory"):
+        assert enumerate_outcomes(prog, model, protocol) == want, protocol
+    sim = Simulator(preset("tardis-base", model=model, seed=0), prog)
+    sim.run()
+    assert check_trace(sim.trace, model) == []
+    for cid in (0, 1):
+        store, acq, _ = (r.step for r in sim.trace if r.core == cid)
+        assert (acq < store) == (model == "rc"), (cid, store, acq)
+
+
 # The searches the reduction is checked on: every litmus program but the
 # four-core iriw pair, under MSI Tardis, the MSI directory and MESI
 # Tardis with one-set caches, at SC and TSO
@@ -755,30 +804,29 @@ def test_sleep_sets_reach_every_world(name, label, model, monkeypatch):
 @pytest.mark.parametrize("name,label,model", _REDUCED)
 def test_actions_change_only_their_actor(name, label, model, monkeypatch):
     """The premise of the independence relation: an action replaces only
-    its actor's component, and every message it sends leaves from it."""
-    apply, send, compute = _World.apply, _World.send, _World._compute
+    its actor's component, and every message it adds, computed or
+    replayed, leaves from it."""
+    apply, compute = _World.apply, _World._compute
     acting = []
 
     def applied(world, action):
         who = actor(action)
-        before = list(world._slots)
+        before, channels = list(world._slots), dict(world.channels)
         acting.append(who)
         apply(world, action)
         acting.pop()
         for target in _positions(world):
             if target != who:
                 assert world._slots[target] == before[target], action
-
-    def sent(world, msg):
-        assert msg.src == acting[-1], msg
-        send(world, msg)
+        msgs = world._search.msgs
+        for ch, n in appended(channels, world, action):
+            assert ch == (who, msgs[n].dst) and msgs[n].src == who, action
 
     def computed(world, target, what, msg):
         assert target == acting[-1]
         return compute(world, target, what, msg)
 
     monkeypatch.setattr(_World, "apply", applied)
-    monkeypatch.setattr(_World, "send", sent)
     monkeypatch.setattr(_World, "_compute", computed)
     assert _reduced_search(name, label, model)
 
@@ -787,17 +835,14 @@ def test_actions_change_only_their_actor(name, label, model, monkeypatch):
 def test_memoized_transitions_are_exact(name, label, model, monkeypatch):
     """Every step the search replays from its memo is the step computed
     anew: on an isolated copy of the world with a memo of its own, the
-    actor ends with the same state key, and the step sends the same
-    messages and appends the same rows."""
-    apply, send, append = _World.apply, _World.send, _World.trace_append
-    made = []   # (sent, rows) of each apply in progress, innermost last
+    step hands trace_append the same rows and leaves the same world,
+    each position's state key and the messages in flight."""
+    apply, append = _World.apply, _World.trace_append
+    made = []   # the rows of each apply in progress, innermost last
+    seen = []   # the rows of every step the search applied
 
-    def sent(world, msg):
-        made[-1][0].append(msg)
-        send(world, msg)
-
-    def appended(world, row):
-        made[-1][1].append(row)
+    def committed(world, row):
+        made[-1].append(row)
         append(world, row)
 
     def applied(world, action):
@@ -805,20 +850,21 @@ def test_memoized_transitions_are_exact(name, label, model, monkeypatch):
             return apply(world, action)
         # a copy shares the stored components, which no apply changes
         before, n = copy.deepcopy(world), len(world._search.memo)
-        made.append(([], []))
+        made.append([])
         apply(world, action)
         got = made.pop()
+        seen.extend(got)
         if len(world._search.memo) > n:
             return   # computed here, not replayed
-        made.append(([], []))
+        made.append([])
         ref = _recomputed(before, action)
         assert made.pop() == got, action
         assert _fresh_key(world) == _fresh_key(ref), action
 
     monkeypatch.setattr(_World, "apply", applied)
-    monkeypatch.setattr(_World, "send", sent)
-    monkeypatch.setattr(_World, "trace_append", appended)
+    monkeypatch.setattr(_World, "trace_append", committed)
     assert _reduced_search(name, label, model)
+    assert seen   # every committed row reaches trace_append
 
 
 # A state graph whose actions commute exactly when their actors differ:
@@ -976,7 +1022,7 @@ def _graph(root, shared=frozenset()):
 
 
 # the tables that number messages
-_INTERNED = ("msgs", "numbers", "by_id")
+_INTERNED = ("msgs", "numbers")
 
 
 def _isolated(world):

@@ -25,7 +25,7 @@ from tardisim.engine import Simulator, _World, enumerate_outcomes
 from tardisim.messages import Msg, MsgKind
 from tardisim.tardis import TardisCore
 from tardisim.workloads import SynthParams, builtin, synth
-from conftest import ONE_SET_CACHES
+from conftest import ONE_SET_CACHES, appended
 
 MODELS = ("sc", "tso", "pso", "rc")
 SEEDS = (0, 1, 2)
@@ -397,16 +397,19 @@ def test_renew_fence_renews(monkeypatch):
     """The MSI Tardis search of renew_fence sends RENEW_REQ and both
     kinds of RENEW_RESP, so the exhaustive gate runs the renewal path."""
     sent = Counter()
-    send = _World.send
+    apply = _World.apply
 
-    def counted(world, msg):
-        if msg.kind is MsgKind.RENEW_RESP:
-            sent[msg.kind, not msg.data] += 1   # True: renewed
-        elif msg.kind is MsgKind.RENEW_REQ:
-            sent[msg.kind] += 1
-        send(world, msg)
+    def counted(world, action):
+        channels = dict(world.channels)
+        apply(world, action)
+        for _, n in appended(channels, world, action):
+            msg = world._search.msgs[n]
+            if msg.kind is MsgKind.RENEW_RESP:
+                sent[msg.kind, not msg.data] += 1   # True: renewed
+            elif msg.kind is MsgKind.RENEW_REQ:
+                sent[msg.kind] += 1
 
-    monkeypatch.setattr(_World, "send", counted)
+    monkeypatch.setattr(_World, "apply", counted)
     enumerate_outcomes(builtin("renew_fence"), "tso", protocol="tardis")
     # sends are counted over the transitions the search expands, so the
     # sleep sets lower these counts; both kinds of RENEW_RESP remain
