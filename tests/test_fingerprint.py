@@ -1,7 +1,7 @@
 """Behaviour fingerprints.
 
-Pins five things a refactor must leave exactly as they are: the builtin
-programs, the bytes `sim run --json R --trace T` writes for a fixed run
+Pins six things a refactor must leave exactly as they are: the builtin
+programs, the synthetic programs, the bytes `sim run --json R --trace T` writes for a fixed run
 matrix, the same bytes plus every message sent for a matrix with caches
 small enough to evict, the column layout of `Report.flat()` (the CSV
 row), and the exact outcome sets of exhaustive enumeration together
@@ -47,6 +47,28 @@ BUILTIN_PIN_PARAMS = (("spin", {"delay": 77}),
                       ("lease_case", {"iterations": 3}),
                       ("lease_case", {"iterations": 0}))
 BUILTIN_PIN = "86f8f3e9982e74edaf023213b5264d42f2720b542132c57d4d35783eb3416835"
+
+# sha256 over the rows of each synth program below, one `(kind name,
+# addr, value)` repr per op and a blank line after each core: the
+# benchmark's two synth shapes (timed-64c, audited-8c), then edge cases
+# (one hot line, where the draw still redraws; shared pools of 3 and 5
+# lines, not powers of two; no private lines; no hot accesses; no
+# writes; only writes; only fences; 32-byte lines) at 200 ops per core,
+# each under SEEDS
+SYNTH_PIN_CASES = (
+    ({"cores": 64, "ops_per_core": 1000, "write_frac": 0.25}, 64),
+    ({"cores": 8, "ops_per_core": 3000, "write_frac": 0.4}, 64),
+    ({"hot_lines": 1}, 64),
+    ({"shared_lines": 3}, 64),
+    ({"shared_lines": 5}, 64),
+    ({"private_lines": 0}, 64),
+    ({"hot_frac": 0}, 64),
+    ({"write_frac": 0}, 64),
+    ({"write_frac": 1}, 64),
+    ({"fence_frac": 1}, 64),
+    ({}, 32),
+)
+SYNTH_PIN = "b01c7c91f8cda365ca665fafd909b00eb45916a8fcbadc1fa802186277c253a8"
 
 # sha256 over the 12 runs (models x seeds, in that order) of one preset
 # and program, each contributing its report JSON, a newline, then its
@@ -249,6 +271,19 @@ def test_builtin_programs():
     for name, kwargs in cases + list(BUILTIN_PIN_PARAMS):
         h.update((repr(builtin(name, **kwargs)) + "\n").encode())
     assert h.hexdigest() == BUILTIN_PIN
+
+
+def test_synth_programs():
+    h = hashlib.sha256()
+    for kwargs, line_bytes in SYNTH_PIN_CASES:
+        for seed in SEEDS:
+            params = replace(SynthParams(ops_per_core=200, seed=seed),
+                             **kwargs)
+            p = synth(params, line_bytes=line_bytes)
+            for ops in p.cores:
+                h.update("".join(f"{(op.kind.name, op.addr, op.value)}\n"
+                                 for op in ops).encode() + b"\n")
+    assert h.hexdigest() == SYNTH_PIN
 
 
 def run_bytes(sim: Simulator) -> bytes:

@@ -1,7 +1,11 @@
 """Program DSL, builtin corpus, synthetic generator."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
+from tardisim import workloads
 from tardisim.workloads import (BUILTIN_NAMES, LITMUS_NAMES, OpKind,
                                 ParseError, SynthParams, builtin,
                                 parse_program, synth)
@@ -146,6 +150,44 @@ def test_synth_shares_one_record_per_load_address():
     again = synth(params)
     assert again == p
     assert all(a is not b for a, b in zip(again.cores, p.cores))
+
+
+class _KeptRandom(random.Random):
+    """A random.Random that remembers each instance made."""
+
+    made: list = []
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.made.append(self)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+@pytest.mark.parametrize("pool", ["hot", "shared", "private"])
+def test_synth_draw_reproduces_choice(pool, seed, monkeypatch):
+    """synth draws a pool index inline; for every pool size n it must
+    return what Random.choice(range(n)) returns and leave the generator
+    in the same state.  With one core and one pool, line i of the pool
+    is address 64 i."""
+    monkeypatch.setattr(workloads, "random",
+                        SimpleNamespace(Random=_KeptRandom))
+    shape = {"hot": {"hot_frac": 1, "private_lines": 0},
+             "shared": {"hot_frac": 0, "hot_lines": 0, "private_lines": 0},
+             "private": {"hot_frac": 0, "hot_lines": 0, "shared_lines": 0,
+                         "private_frac": 1}}[pool]
+    for n in range(1, 71):
+        params = SynthParams(**{**shape, f"{pool}_lines": n}, cores=1,
+                             ops_per_core=30, fence_frac=0, write_frac=0,
+                             seed=seed)
+        p = synth(params)
+        ref = random.Random(seed)
+        for op in p.cores[0]:
+            ref.random()                   # fence or not
+            ref.random()                   # which pool
+            assert op.addr == 64 * ref.choice(range(n)), n
+            if pool != "private":
+                ref.random()               # store or load
+        assert _KeptRandom.made.pop().getstate() == ref.getstate(), n
 
 
 def test_synth_respects_shape():
