@@ -6,7 +6,8 @@ check a dumped trace, sweep a config knob into CSV, and compare
 presets side by side.
 
 Exit status: 0 on success, 1 when a check finds violations or a run
-fails an invariant, 2 for bad input.
+fails an invariant, 2 for bad input, a path that cannot be read or
+written as the file asked for included.
 """
 
 from __future__ import annotations
@@ -303,7 +304,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ParseError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AuditError, SimulationError, AssertionError) as exc:

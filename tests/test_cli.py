@@ -198,6 +198,24 @@ def test_check_missing_trace_file(capsys):
     assert main(["check", "--trace", "/no/such/file.jsonl"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--trace", "{dir}"],
+    ["run", "--program", "{dir}"],
+    ["run", "--program", "mp", "--config", "{dir}"],
+    ["run", "--program", "mp", "--json", "{dir}"],
+    ["run", "--program", "mp", "--json", "/dev/null", "--trace", "{dir}"],
+    ["sweep", "--program", "mp", "--param", "static_lease", "--values", "8",
+     "--csv", "{dir}"],
+], ids=["check-trace", "run-program", "run-config", "run-json", "run-trace",
+        "sweep-csv"])
+def test_a_directory_for_a_file_is_bad_input(argv, tmp_path, capsys):
+    """A path that cannot be opened as the file asked for is bad input
+    (exit 2), not an invariant failure (exit 1) or a traceback."""
+    argv = [a.format(dir=tmp_path) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 _ROW = {"addr": 0, "core": 0, "i": 0, "op": "St", "pt": 1, "seq": 1, "ts": 1,
         "val": [0, 1, 1]}
 
