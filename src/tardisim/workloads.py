@@ -451,7 +451,12 @@ class SynthParams:
 
 
 def synth(params: SynthParams, line_bytes: int = 64) -> Program:
-    """Deterministic random workload; same params+seed => same program."""
+    """Deterministic random workload; same params+seed => same program.
+
+    A pool's line is drawn inline exactly as `Random.choice` draws it:
+    `getrandbits(n.bit_length())`, redrawn until below the pool size n.
+    That takes the same draws in the same order as `choice`, without
+    its two Python calls per op."""
     for f in fields(params):
         value = getattr(params, f.name)
         if f.name != "seed" and (value < 0 or "frac" in f.name
@@ -464,43 +469,57 @@ def synth(params: SynthParams, line_bytes: int = 64) -> Program:
         raise ParseError("synth: some accesses go to shared lines, "
                          "so shared_lines must be >= 1")
     rng = random.Random(params.seed)
-    # an op is immutable, so every load of an address (and every fence)
-    # is one shared record; a store carries its own literal
+    draw, getrandbits = rng.random, rng.getrandbits
+    fence_frac, write_frac = params.fence_frac, params.write_frac
+    hot_frac = params.hot_frac
+    hot_priv = hot_frac + params.private_frac
+    # an op is immutable, so every fence, every load of an address and
+    # every store of a literal to an address is one shared record
     fence = MemOp(OpKind.FENCE)
     loads: dict[int, MemOp] = {}
+    stores: dict[tuple[int, int], MemOp] = {}
     hot = [i * line_bytes for i in range(params.hot_lines)]
     shared = [(params.hot_lines + i) * line_bytes
               for i in range(params.shared_lines)]
+    n_hot, n_shared = len(hot), len(shared)
+    k_hot, k_shared = n_hot.bit_length(), n_shared.bit_length()
     base = params.hot_lines + params.shared_lines
     cores = []
     for cid in range(params.cores):
         priv = [(base + cid * params.private_lines + i) * line_bytes
                 for i in range(params.private_lines)]
+        n_priv = len(priv)
+        k_priv = n_priv.bit_length()
         ops: list[MemOp] = []
+        append = ops.append
         lit = 0
-        while len(ops) < params.ops_per_core:
-            r = rng.random()
-            if r < params.fence_frac:
-                ops.append(fence)
+        for _ in range(params.ops_per_core):
+            if draw() < fence_frac:
+                append(fence)
                 continue
-            pick = rng.random()
-            if pick < params.hot_frac:
-                addr = rng.choice(hot)
-                private = False
-            elif pick < params.hot_frac + params.private_frac and priv:
-                addr = rng.choice(priv)
-                private = True
+            pick = draw()
+            if pick < hot_frac:
+                pool, n, k, private = hot, n_hot, k_hot, False
+            elif pick < hot_priv and priv:
+                pool, n, k, private = priv, n_priv, k_priv, True
             else:
-                addr = rng.choice(shared)
-                private = False
+                pool, n, k, private = shared, n_shared, k_shared, False
+            i = getrandbits(k)
+            while i >= n:
+                i = getrandbits(k)
+            addr = pool[i]
             # private blocks stay read-only so exclusive grants matter
-            if not private and rng.random() < params.write_frac:
+            if not private and draw() < write_frac:
                 lit += 1
-                ops.append(MemOp(OpKind.STORE, addr, value=lit))
+                store = stores.get((addr, lit))
+                if store is None:
+                    store = stores[addr, lit] = MemOp(OpKind.STORE, addr,
+                                                      value=lit)
+                append(store)
             else:
                 load = loads.get(addr)
                 if load is None:
                     load = loads[addr] = MemOp(OpKind.LOAD, addr)
-                ops.append(load)
+                append(load)
         cores.append(ops)
     return Program(f"synth-{params.seed}", cores)

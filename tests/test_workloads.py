@@ -132,17 +132,22 @@ def test_synth_is_deterministic():
 
 def test_synth_shares_one_record_per_load_address():
     """Ops are immutable, so every load of one address in a synth
-    program is one record; stores keep their own literal, and each core
-    gets an op list of its own."""
+    program is one record, and so is every store of one literal to one
+    address, across cores; each core numbers its own literals and gets
+    an op list of its own."""
     params = SynthParams(cores=4, ops_per_core=200, write_frac=0.3, seed=3)
     p = synth(params)
-    loads = {}
+    loads, stores = {}, {}
     for ops in p.cores:
         for op in ops:
             if op.kind is OpKind.LOAD:
                 assert loads.setdefault(op.addr, op) is op
+            elif op.kind is OpKind.STORE:
+                assert stores.setdefault((op.addr, op.value), op) is op
     assert sum(op.kind is OpKind.LOAD for ops in p.cores
                for op in ops) > 2 * len(loads)
+    assert sum(op.kind is OpKind.STORE for ops in p.cores
+               for op in ops) > len(stores)
     for ops in p.cores:
         stores = [op for op in ops if op.kind is OpKind.STORE]
         assert [op.value for op in stores] == list(range(1, len(stores) + 1))
