@@ -6,8 +6,8 @@ check a dumped trace, sweep a config knob into CSV, and compare
 presets side by side.
 
 Exit status: 0 on success, 1 when a check finds violations or a run
-fails an invariant, 2 for bad input, a path that cannot be read or
-written as the file asked for included.
+fails an invariant, 2 for bad input (a file argument that cannot be
+opened, such as a directory, included).
 """
 
 from __future__ import annotations

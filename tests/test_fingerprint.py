@@ -1,13 +1,13 @@
 """Behaviour fingerprints.
 
 Pins six things a refactor must leave exactly as they are: the builtin
-programs, the synthetic programs, the bytes `sim run --json R --trace T` writes for a fixed run
-matrix, the same bytes plus every message sent for a matrix with caches
-small enough to evict, the column layout of `Report.flat()` (the CSV
-row), and the exact outcome sets of exhaustive enumeration together
-with the size of each search (states popped and unique states).  Re-pin
-only in a change that alters behaviour on purpose, and say why in
-CHANGES.md.
+and synthetic programs, the bytes `sim run --json R --trace T` writes
+for a fixed run matrix, the same bytes plus every message sent for a
+matrix with caches small enough to evict, the column layout of
+`Report.flat()` (the CSV row), and the exact outcome sets of
+exhaustive enumeration together with the size of each search (states
+popped and unique states).  Re-pin only in a change that alters
+behaviour on purpose, and say why in CHANGES.md.
 """
 
 import hashlib

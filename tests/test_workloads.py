@@ -149,22 +149,12 @@ def test_synth_shares_one_record_per_load_address():
     assert sum(op.kind is OpKind.STORE for ops in p.cores
                for op in ops) > len(stores)
     for ops in p.cores:
-        stores = [op for op in ops if op.kind is OpKind.STORE]
-        assert [op.value for op in stores] == list(range(1, len(stores) + 1))
+        own = [op.value for op in ops if op.kind is OpKind.STORE]
+        assert own == list(range(1, len(own) + 1))
     assert len({id(ops) for ops in p.cores}) == params.cores
     again = synth(params)
     assert again == p
     assert all(a is not b for a, b in zip(again.cores, p.cores))
-
-
-class _KeptRandom(random.Random):
-    """A random.Random that remembers each instance made."""
-
-    made: list = []
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.made.append(self)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
@@ -174,9 +164,15 @@ def test_synth_draw_reproduces_choice(pool, seed, monkeypatch):
     return what Random.choice(range(n)) returns and leave the generator
     in the same state.  With one core and one pool, line i of the pool
     is address 64 i."""
-    monkeypatch.setattr(workloads, "random",
-                        SimpleNamespace(Random=_KeptRandom))
-    shape = {"hot": {"hot_frac": 1, "private_lines": 0},
+    made = []
+
+    class Kept(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(workloads, "random", SimpleNamespace(Random=Kept))
+    shape = {"hot": {"hot_frac": 1},
              "shared": {"hot_frac": 0, "hot_lines": 0, "private_lines": 0},
              "private": {"hot_frac": 0, "hot_lines": 0, "shared_lines": 0,
                          "private_frac": 1}}[pool]
@@ -192,7 +188,7 @@ def test_synth_draw_reproduces_choice(pool, seed, monkeypatch):
             assert op.addr == 64 * ref.choice(range(n)), n
             if pool != "private":
                 ref.random()               # store or load
-        assert _KeptRandom.made.pop().getstate() == ref.getstate(), n
+        assert made.pop().getstate() == ref.getstate(), n
 
 
 def test_synth_respects_shape():
