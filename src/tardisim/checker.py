@@ -6,7 +6,8 @@ the memory model keeps ordered is ordered in physiological time
 final tie-break), and (2) every load returns the newest store that is
 either physiologically before it or earlier in its own program order —
 the second disjunct is what lets a relaxed core read its own buffered
-store early, and it drops out under SC where stores cannot be passed.
+store early, and it drops out where `ordered` keeps a store before a
+later same-address load (under SC).
 
 `oracle_outcomes` answers the same question model-side instead of
 trace-side: it enumerates every linear arrangement of a small program
@@ -25,9 +26,17 @@ from .consistency import MemoryModel
 from .workloads import LOADS, OpKind, Program
 
 
-def ordered(model: MemoryModel, a: OpKind, b: OpKind,
+def ordered(model: MemoryModel | str, a: OpKind, b: OpKind,
             same_addr: bool = False) -> bool:
-    """Must op a stay before op b (same core, a earlier in program order)?"""
+    """Must op a stay before op b (same core, a earlier in program order)?
+
+    The module's one program-order rule: `check_trace` and
+    `oracle_outcomes` take every same-core pair from it, and let a load
+    read its own buffered store early exactly when a store need not stay
+    before a later same-address load.  model is a MemoryModel or its
+    name ("sc", "tso", "pso" or "rc").
+    """
+    model = MemoryModel(model)
     if a is OpKind.FENCE or b is OpKind.FENCE:
         return True
     if model is MemoryModel.RC:
@@ -63,22 +72,27 @@ class Violation:
 
 
 def check_trace(trace, model) -> list[Violation]:
-    model = MemoryModel(model)
     out: list[Violation] = []
     rows = sorted(trace, key=lambda r: (r.core, r.idx, r.seq))
 
     # rule 1: required program-order pairs are physio-ordered.  Each row's
     # kind is numbered once (a spin counts as a load), so the pair tests
-    # index lists instead of hashing enums; must[a][b] is ordered(model,
-    # a, b).
+    # index lists instead of hashing enums.  A row of kind b is tested
+    # against the newest key on its core of each kind a with must[a][b],
+    # which is ordered(model, a, b); if none fails, against the newest key
+    # at its own address of each kind a in same[b], the pairs that only
+    # ordered(model, a, b, same_addr=True) adds.
     kinds = list(OpKind)
     num = {k: i for i, k in enumerate(kinds)}
     num.update(dict.fromkeys(LOADS, num[OpKind.LOAD]))
     must = [[ordered(model, a, b) for b in kinds] for a in kinds]
-    store = num[OpKind.STORE]
+    same = [[i for i, a in enumerate(kinds) if not must[i][j]
+             and ordered(model, a, b, same_addr=True)]
+            for j, b in enumerate(kinds)]
+    per_addr = {i for s in same for i in s}    # kinds keyed by address
     for core, group in groupby(rows, key=lambda r: r.core):
         last: dict[int, tuple] = {}
-        last_st_addr: dict[int, tuple] = {}
+        last_at: dict[tuple, tuple] = {}         # (addr, kind) -> key
         for row in group:
             kind = num[row.kind]
             key = row.physio_key()
@@ -87,11 +101,12 @@ def check_trace(trace, model) -> list[Violation]:
                 if must[prev_kind][kind] and prev_key >= key:
                     if worst is None or prev_key > worst[0]:
                         worst = (prev_key, prev_kind)
-            if worst is None and kind == store:
-                # same-address stores stay ordered under every model
-                p = last_st_addr.get(row.addr)
-                if p is not None and p >= key:
-                    worst = (p, store)
+            if worst is None:
+                for prev_kind in same[kind]:
+                    p = last_at.get((row.addr, prev_kind))
+                    if p is not None and p >= key and (worst is None
+                                                       or p > worst[0]):
+                        worst = (p, prev_kind)
             if worst is not None:
                 out.append(Violation(
                     "program-order",
@@ -100,10 +115,10 @@ def check_trace(trace, model) -> list[Violation]:
             cur = last.get(kind)
             if cur is None or key > cur:
                 last[kind] = key
-            if kind == store:
-                p = last_st_addr.get(row.addr)
+            if kind in per_addr:
+                p = last_at.get((row.addr, kind))
                 if p is None or key > p:
-                    last_st_addr[row.addr] = key
+                    last_at[row.addr, kind] = key
 
     # rule 2: loads read the newest store before them.  Each address's
     # stores sit in physio order next to their sorted (ts, step)
@@ -124,7 +139,8 @@ def check_trace(trace, model) -> list[Violation]:
     # physio key.  A (core, idx) group's stores join it after the
     # group's loads are checked.
     own_newest: dict[tuple, tuple] = {}   # (core, addr) -> (key, row)
-    relaxed = model is not MemoryModel.SC
+    relaxed = not ordered(model, OpKind.STORE, OpKind.LOAD,
+                          same_addr=True)
     for _, group in groupby(rows, key=lambda r: (r.core, r.idx)):
         group = list(group)
         for row in group:
@@ -196,8 +212,6 @@ ORACLE_OP_LIMIT = 8
 
 def oracle_outcomes(program: Program, model) -> set:
     """All register outcomes the model's axioms admit for a small program."""
-    model = MemoryModel(model)
-    ops = []          # (core, idx, op)
     per_core = []
     for cid, core_ops in enumerate(program.cores):
         seq = [op for op in core_ops if op.kind is not OpKind.SLEEP]
@@ -246,27 +260,22 @@ def oracle_outcomes(program: Program, model) -> set:
                 op = seq[k]
                 placed[cid][k] = True
                 if op.kind is OpKind.STORE:
-                    saved = last_store.get(op.addr)
-                    last_store[op.addr] = (cid, k, op.value)
+                    saved = last_store.get(op.addr, 0)
+                    last_store[op.addr] = op.value
                     run(done + 1, last_store)
-                    if saved is None:
-                        del last_store[op.addr]
-                    else:
-                        last_store[op.addr] = saved
+                    last_store[op.addr] = saved
                 elif op.kind is OpKind.LOAD:
                     # a program-earlier own store that is still unplaced
-                    # lands later in the arrangement and therefore wins
-                    val = None
-                    if model is not MemoryModel.SC:
-                        for j in range(k - 1, -1, -1):
-                            o = seq[j]
-                            if (o.kind is OpKind.STORE and o.addr == op.addr
-                                    and not placed[cid][j]):
-                                val = o.value
-                                break
-                    if val is None:
-                        hit = last_store.get(op.addr)
-                        val = hit[2] if hit is not None else 0
+                    # lands later in the arrangement and therefore wins;
+                    # preds leaves one unplaced only where ordered() lets
+                    # a load pass a same-address store
+                    val = last_store.get(op.addr, 0)
+                    for j in range(k - 1, -1, -1):
+                        o = seq[j]
+                        if (o.kind is OpKind.STORE and o.addr == op.addr
+                                and not placed[cid][j]):
+                            val = o.value
+                            break
                     loaded[cid][k] = val
                     run(done + 1, last_store)
                 else:

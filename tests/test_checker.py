@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -64,6 +65,17 @@ def test_rc_orders_nothing_but_synchronization():
 def test_fences_order_in_every_model():
     for model in (SC, TSO, PSO, RC):
         assert ordered(model, ST, FE) and ordered(model, FE, LD)
+
+
+def test_ordered_takes_a_model_name():
+    for model in MemoryModel:
+        for a in OpKind:
+            for b in OpKind:
+                for same in (False, True):
+                    assert (ordered(model.value, a, b, same)
+                            == ordered(model, a, b, same)), (model, a, b)
+    with pytest.raises(ValueError):
+        ordered("xyz", ST, LD)
 
 
 # --- check_trace rules --------------------------------------------------
@@ -202,14 +214,53 @@ def test_program_earlier_own_store_with_later_timestamp():
     assert [v.rule for v in check_trace(sc_ok, "tso")] == ["value"]
 
 
+def test_program_order_violations_are_exactly_the_ordered_pairs():
+    # two ops of one core, the later one physio-ordered first: a
+    # program-order violation exactly when ordered() keeps the pair, at
+    # one address and at two (sync ops have none)
+    addressed = (LD, ST, OpKind.SPIN)
+
+    def op_row(idx, kind, addr, ts):
+        if kind not in addressed:
+            addr = value = None
+        elif kind is ST:
+            value = ValueToken(0, idx + 1, idx + 1)
+        else:
+            value = initial_token(addr)
+        return row(0, idx, kind, addr, value, ts=ts, step=10 * ts)
+
+    kinds = [k for k in OpKind if k is not OpKind.SLEEP]
+    wrong = []
+    for model in MemoryModel:
+        for a in kinds:
+            for b in kinds:
+                for b_addr in (0, 64):
+                    first, later = op_row(0, a, 0, 5), op_row(1, b, b_addr, 3)
+                    same = first.addr is not None and first.addr == later.addr
+                    flagged = any(v.rule == "program-order"
+                                  for v in check_trace([first, later], model))
+                    if flagged != ordered(model, a, b, same):
+                        wrong.append((model.value, a.name, b.name, same))
+    assert wrong == []
+
+
 # --- equivalence corpus -------------------------------------------------
+
+MODELS = ("sc", "tso", "pso", "rc")
 
 # sha256 over every violation, str() of each plus a newline, of the
 # corrupted-trace corpus below (traces in order, models in MODELS order
-# per trace), and the number of violations
-CORPUS_PIN = ("b0330d5307e114266780faf09adc159b5e11c8c814f3a8458f8590728dd58137",
-              7094)
-MODELS = ("sc", "tso", "pso", "rc")
+# per trace), and the number of violations; CORPUS_COUNTS splits that
+# number per (model, rule), so a re-pin shows what moved
+CORPUS_PIN = ("5d9a2eab1cc87b7e69910fb37cdf13084d3afb2d4b38d0df7a05899520409417",
+              7111)
+CORPUS_COUNTS = {
+    ("sc", "program-order"): 2847, ("sc", "value"): 833,
+    ("tso", "program-order"): 1120, ("tso", "value"): 388,
+    ("pso", "program-order"): 1018, ("pso", "value"): 388,
+    ("rc", "program-order"): 121, ("rc", "value"): 388,
+    **{(model, "simultaneous-conflict"): 2 for model in MODELS},
+}
 
 
 def _corrupted(trace, rng):
@@ -234,7 +285,7 @@ def _corrupted(trace, rng):
 
 def test_violations_match_pinned_corpus():
     h = hashlib.sha256()
-    count = 0
+    counts = Counter()
     for preset_name in ("tardis-live", "directory"):
         for seed in range(5):
             sim = Simulator(
@@ -249,8 +300,9 @@ def test_violations_match_pinned_corpus():
                 for model in MODELS:
                     for v in check_trace(bad, model):
                         h.update((str(v) + "\n").encode())
-                        count += 1
-    assert (h.hexdigest(), count) == CORPUS_PIN
+                        counts[model, v.rule] += 1
+    assert dict(counts) == CORPUS_COUNTS
+    assert (h.hexdigest(), counts.total()) == CORPUS_PIN
 
 
 # --- the outcome oracle --------------------------------------------------
